@@ -314,7 +314,10 @@ func BenchmarkAnalyticCandidate(b *testing.B) {
 }
 
 // BenchmarkHeuristicDecide measures one full scheduling decision (fresh
-// configuration build) for a passive and a proactive heuristic.
+// configuration build) for a passive and a proactive heuristic. Decisions
+// alternate between two views that differ in every worker's retention,
+// so no candidate Value carries over from the previous build and each
+// decision pays a cold build (see alternatingViews).
 func BenchmarkHeuristicDecide(b *testing.B) {
 	for _, name := range []string{"IE", "IP", "Y-IE"} {
 		b.Run(name, func(b *testing.B) {
@@ -326,13 +329,10 @@ func BenchmarkHeuristicDecide(b *testing.B) {
 				Rand:     rng.New(7),
 			}
 			h := sched.MustBuild(name, env)
-			states := make([]markov.State, sc.Platform.Size())
-			v := &sched.View{
-				States:  states,
-				Workers: make([]sched.WorkerInfo, sc.Platform.Size()),
-			}
+			views := alternatingViews(sc.Platform.Size())
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
+				v := views[i%2]
 				v.RetentionEpoch = int64(i) // defeat the proactive cache
 				if asg := h.Decide(v); asg == nil {
 					b.Fatal("no configuration")
@@ -342,17 +342,37 @@ func BenchmarkHeuristicDecide(b *testing.B) {
 	}
 }
 
+// alternatingViews returns two all-UP fresh-iteration views whose
+// retention differs on every worker: a heuristic deciding on them in
+// turn replays nothing from its previous build, so every build is cold.
+func alternatingViews(p int) [2]*sched.View {
+	var views [2]*sched.View
+	for i := range views {
+		views[i] = &sched.View{
+			States:  make([]markov.State, p),
+			Workers: make([]sched.WorkerInfo, p),
+		}
+	}
+	for q := range views[1].Workers {
+		views[1].Workers[q] = sched.WorkerInfo{HasProgram: true, DataHeld: 1}
+	}
+	return views
+}
+
 // BenchmarkDecideAllocations tracks per-decision cost in the scheduling
 // hot path: allocs/op (exact, machine-independent, gated tightly) and
 // ns/op (gated generously; see cmd/benchgate). The platform runs with
 // the evaluation cache plus the spectral closed form on — the tuned
 // configuration whose decision cost the perf trajectory (BENCH_*.json)
 // tracks: memo hits make a repeated decision a handful of map lookups,
-// and spectral keeps first-sight (miss) evaluations cheap. Before
-// heuristics owned scratch buffers one passive decision cost ~17 allocs
-// / ~21 KB; with reuse it is down to the returned assignment. A
-// regression here multiplies across every slot of every simulation of a
-// sweep.
+// and spectral keeps first-sight (miss) evaluations cheap. Decisions
+// alternate between two views that differ in every worker's retention,
+// so each one is a cold build (the churn a real walk produces, where
+// builds replay part of their predecessor, is BenchmarkDecideChurn's
+// subject). Before heuristics owned scratch buffers one passive decision
+// cost ~17 allocs / ~21 KB; with reuse it is down to the returned
+// assignment. A regression here multiplies across every slot of every
+// simulation of a sweep.
 func BenchmarkDecideAllocations(b *testing.B) {
 	for _, name := range []string{"IE", "Y-IE", "RANDOM", "FASTEST"} {
 		b.Run(name, func(b *testing.B) {
@@ -365,13 +385,11 @@ func BenchmarkDecideAllocations(b *testing.B) {
 				Rand: rng.New(7),
 			}
 			h := sched.MustBuild(name, env)
-			v := &sched.View{
-				States:  make([]markov.State, sc.Platform.Size()),
-				Workers: make([]sched.WorkerInfo, sc.Platform.Size()),
-			}
+			views := alternatingViews(sc.Platform.Size())
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
+				v := views[i%2]
 				v.RetentionEpoch = int64(i) // defeat the proactive cache
 				if asg := h.Decide(v); asg == nil {
 					b.Fatal("no configuration")
@@ -379,6 +397,75 @@ func BenchmarkDecideAllocations(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkDecideChurn measures fresh builds on a fixed view sequence
+// recorded from a paper-scenario Markov walk: every decision epoch (a
+// change of the UP set or of retention) IE met in one run, with the
+// running configuration cleared so each view asks for a build. Successive
+// views differ the way a real walk's do — a few workers flip state or
+// finish a message — so the builds replay their predecessor's candidate
+// Values where those still hold. One op is one decision.
+func BenchmarkDecideChurn(b *testing.B) {
+	sc := tightsched.PaperScenario(10, 10, 5, 42)
+	newEnv := func() *sched.Env {
+		return &sched.Env{
+			Platform: sc.Platform,
+			App:      sc.App,
+			Analytic: analytic.NewPlatform(sc.Platform.Matrices(), sim.DefaultEps),
+		}
+	}
+	rec := &epochRecorder{Heuristic: sched.MustBuild("IE", newEnv()), max: 400}
+	if _, err := sim.Run(sim.Config{
+		Platform: sc.Platform, App: sc.App, Custom: rec, Seed: 1, Cap: 50_000,
+	}); err != nil {
+		b.Fatal(err)
+	}
+	if len(rec.views) < rec.max {
+		b.Fatalf("recorded %d decision epochs, want %d", len(rec.views), rec.max)
+	}
+	for _, name := range []string{"IE", "Y-IE", "IY"} {
+		b.Run(name, func(b *testing.B) {
+			h := sched.MustBuild(name, newEnv())
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				h.Decide(rec.views[i%len(rec.views)])
+			}
+		})
+	}
+}
+
+// epochRecorder wraps a heuristic and records (up to max) copies of the
+// views at which the UP set or the retention epoch changed, with the
+// running configuration cleared.
+type epochRecorder struct {
+	sched.Heuristic
+	views []*sched.View
+	max   int
+}
+
+func (r *epochRecorder) Decide(v *sched.View) app.Assignment {
+	if n := len(r.views); n < r.max && (n == 0 || r.views[n-1].RetentionEpoch != v.RetentionEpoch ||
+		!upSetEqual(r.views[n-1].States, v.States)) {
+		r.views = append(r.views, &sched.View{
+			Slot:           v.Slot,
+			States:         append([]markov.State(nil), v.States...),
+			Workers:        append([]sched.WorkerInfo(nil), v.Workers...),
+			Elapsed:        v.Elapsed,
+			RetentionEpoch: v.RetentionEpoch,
+		})
+	}
+	return r.Heuristic.Decide(v)
+}
+
+func upSetEqual(a, b []markov.State) bool {
+	for q := range a {
+		if (a[q] == markov.Up) != (b[q] == markov.Up) {
+			return false
+		}
+	}
+	return true
 }
 
 // benchEngineScenarios are the engine-core benchmark settings: "markov"

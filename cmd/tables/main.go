@@ -350,11 +350,13 @@ func main() {
 		}
 		if cacheObs != nil && cacheObs.cells > 0 {
 			t := cacheObs.total
-			fmt.Printf("# batch sharing over %d cells: set-stats memo %s hits (%d/%d), shared decisions %s (%d/%d, %d classes)\n",
+			fmt.Printf("# batch sharing over %d cells: set-stats memo %s hits (%d/%d), shared decisions %s (%d/%d, %d classes), build replays %s (%d/%d), candidates reused %s (%d/%d)\n",
 				cacheObs.cells,
 				pct(t.MemoHits, t.MemoHits+t.MemoMisses), t.MemoHits, t.MemoHits+t.MemoMisses,
 				pct(t.DecisionHits, t.DecisionHits+t.DecisionMisses), t.DecisionHits, t.DecisionHits+t.DecisionMisses,
-				t.DecisionClasses)
+				t.DecisionClasses,
+				pct(t.DecisionReplays, t.DecisionMisses), t.DecisionReplays, t.DecisionMisses,
+				pct(t.CandidatesReused, t.CandidatesScored+t.CandidatesReused), t.CandidatesReused, t.CandidatesScored+t.CandidatesReused)
 		}
 	}
 

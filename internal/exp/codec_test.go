@@ -438,12 +438,18 @@ func TestGridCrossFormatConvertResume(t *testing.T) {
 
 // TestExportColumns: the columnar export's files are exactly rows × width
 // bytes, the dictionaries decode back to the journal's strings, and both
-// source formats export identical data files.
+// source formats export identical data files. The binary source is the
+// JSONL journal's ConvertJournal twin, so both hold the same records in
+// the same order: two independently run campaigns journal in
+// multi-worker completion order, which the export preserves.
 func TestExportColumns(t *testing.T) {
 	s := codecSweep()
 	tmp := t.TempDir()
 	jsonlPath, ref := runJournaled(t, tmp, s, FormatJSONL)
-	binPath, _ := runJournaled(t, tmp, s, FormatBinary)
+	binPath := filepath.Join(tmp, "converted.bin")
+	if err := ConvertJournal(jsonlPath, binPath, FormatBinary); err != nil {
+		t.Fatal(err)
+	}
 
 	dirA := filepath.Join(tmp, "colsA")
 	if err := ExportColumns(jsonlPath, dirA); err != nil {

@@ -325,6 +325,7 @@ func TestBatchSweepMatchesSequential(t *testing.T) {
 	batch := base
 	batch.Advance = sim.AdvanceBatch
 	var insts []InstanceResult
+	var total CacheStats
 	points, withCache := 0, 0
 	for ev, err := range Stream(context.Background(), batch, RunOptions{}) {
 		if err != nil {
@@ -340,6 +341,7 @@ func TestBatchSweepMatchesSequential(t *testing.T) {
 				if e.Cache.MemoHits+e.Cache.MemoMisses == 0 {
 					t.Fatalf("point %+v: empty memo stats %+v", e.Point, *e.Cache)
 				}
+				total.Add(*e.Cache)
 			}
 		}
 	}
@@ -356,6 +358,10 @@ func TestBatchSweepMatchesSequential(t *testing.T) {
 	}
 	if points == 0 || withCache != points {
 		t.Fatalf("cache stats on %d of %d PointDone events", withCache, points)
+	}
+	// The greedy-build replay counters ride the same events and sum.
+	if total.CandidatesScored == 0 || total.CandidatesReused == 0 || total.DecisionReplays > total.DecisionMisses {
+		t.Fatalf("campaign build replay traffic: %+v", total)
 	}
 }
 

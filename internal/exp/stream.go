@@ -77,17 +77,27 @@ type CacheStats struct {
 	DecisionHits    uint64
 	DecisionMisses  uint64
 	DecisionClasses int
+	// DecisionReplays counts the misses whose every greedy step picked
+	// the building instance's previous winner; CandidatesScored and
+	// CandidatesReused split the misses' candidate Values into computed
+	// ones and ones replayed from the instance's previous build.
+	DecisionReplays  uint64
+	CandidatesScored uint64
+	CandidatesReused uint64
 }
 
 // newCacheStats converts the simulator's batch counters.
 func newCacheStats(st sim.BatchStats) *CacheStats {
 	return &CacheStats{
-		MemoHits:        st.Memo.Hits,
-		MemoMisses:      st.Memo.Misses,
-		MemoEntries:     st.Memo.Entries,
-		DecisionHits:    st.Decisions.Hits,
-		DecisionMisses:  st.Decisions.Misses,
-		DecisionClasses: st.Decisions.Classes,
+		MemoHits:         st.Memo.Hits,
+		MemoMisses:       st.Memo.Misses,
+		MemoEntries:      st.Memo.Entries,
+		DecisionHits:     st.Decisions.Hits,
+		DecisionMisses:   st.Decisions.Misses,
+		DecisionClasses:  st.Decisions.Classes,
+		DecisionReplays:  st.Decisions.Replays,
+		CandidatesScored: st.Decisions.CandidatesScored,
+		CandidatesReused: st.Decisions.CandidatesReused,
 	}
 }
 
@@ -103,6 +113,9 @@ func (c *CacheStats) Add(o CacheStats) {
 	if o.DecisionClasses > c.DecisionClasses {
 		c.DecisionClasses = o.DecisionClasses
 	}
+	c.DecisionReplays += o.DecisionReplays
+	c.CandidatesScored += o.CandidatesScored
+	c.CandidatesReused += o.CandidatesReused
 }
 
 // Progress reports completion counters: it follows every live

@@ -30,6 +30,12 @@ import (
 // immutable — the engine clones on adoption, so sharing one slice across
 // instances is safe.
 //
+// The cache sits above each instance's build replay: a miss is built by
+// the instance that missed, replaying its own previous fresh build (see
+// buildTrace), and a hit leaves that instance's trace untouched. A
+// replayed build equals a cold one, so keys, hits and misses are what
+// they would be without replay.
+//
 // A cache must not outlive the environment family it was built under: it
 // is created per batch, and like the heuristics it serves it is confined
 // to a single goroutine.
@@ -37,8 +43,11 @@ type DecisionCache struct {
 	entries map[string]app.Assignment
 	key     []byte
 
-	hits   uint64
-	misses uint64
+	hits    uint64
+	misses  uint64
+	replays uint64
+	scored  uint64
+	reused  uint64
 }
 
 // decisionCacheLimit bounds the table; on overflow it is cleared, which
@@ -66,11 +75,38 @@ type DecisionStats struct {
 	// Classes is the number of distinct decision classes currently held
 	// (a gauge: it drops back when the table clears on overflow).
 	Classes int
+	// Replays counts the misses whose every greedy step picked the
+	// winner of the building instance's previous build.
+	Replays uint64
+	// CandidatesScored counts candidate Values the misses computed;
+	// CandidatesReused counts those read back from the build trace.
+	CandidatesScored uint64
+	CandidatesReused uint64
 }
 
 // Stats returns the cache's counters.
 func (dc *DecisionCache) Stats() DecisionStats {
-	return DecisionStats{Hits: dc.hits, Misses: dc.misses, Classes: len(dc.entries)}
+	return DecisionStats{
+		Hits:             dc.hits,
+		Misses:           dc.misses,
+		Classes:          len(dc.entries),
+		Replays:          dc.replays,
+		CandidatesScored: dc.scored,
+		CandidatesReused: dc.reused,
+	}
+}
+
+// noteBuild records one fresh build's candidate traffic; a nil cache
+// (solo runs) records nothing.
+func (dc *DecisionCache) noteBuild(scored, reused int, replayed bool) {
+	if dc == nil {
+		return
+	}
+	dc.scored += uint64(scored)
+	dc.reused += uint64(reused)
+	if replayed {
+		dc.replays++
+	}
 }
 
 // lookup returns the memoized build for the view under crit. The

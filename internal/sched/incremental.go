@@ -5,6 +5,7 @@ import (
 
 	"tightsched/internal/analytic"
 	"tightsched/internal/app"
+	"tightsched/internal/markov"
 )
 
 // incremental is a passive heuristic of Section VI.A: it keeps the current
@@ -26,6 +27,8 @@ type incremental struct {
 	expComm []float64
 	speeds  []int
 	se      *analytic.SetEval
+
+	tr buildTrace
 }
 
 // Name implements Heuristic.
@@ -53,7 +56,8 @@ func (h *incremental) DecideSpan(v *View, n int64) (app.Assignment, int64) {
 // cache first when one is installed: a fresh build is a pure function of
 // the cache key (criterion, UP set, fresh-build retention, elapsed under
 // CritY), so a hit returns exactly the assignment this instance would
-// have built — see DecisionCache.
+// have built — see DecisionCache. A miss replays this instance's previous
+// fresh build (buildFresh), which a hit leaves untouched.
 func (h *incremental) build(v *View) app.Assignment {
 	dc := h.env.Decisions
 	if dc == nil {
@@ -70,30 +74,33 @@ func (h *incremental) build(v *View) app.Assignment {
 // buildFresh builds an assignment greedily. It returns nil when the UP
 // workers cannot host m tasks.
 //
-// Cost: m assignment steps, each scoring at most p candidates. Scoring a
-// candidate takes one O(T) series pass for the compute estimate (through
-// the incremental SetEval) plus O(|S|) for the communication estimate.
-// Only the returned assignment is allocated; everything else lives in the
-// heuristic's scratch buffers.
+// Cost: m assignment steps, each choosing among at most p candidates.
+// Scoring a candidate from scratch takes one O(T) series pass for the
+// compute estimate (through the incremental SetEval) plus O(|S|) for the
+// communication estimate; a candidate whose Value the instance's previous
+// build already computed under the same inputs is replayed from the
+// build trace instead (see buildTrace). A cold build is a replay with an
+// empty trace. Only the returned assignment is allocated; everything else
+// lives in the heuristic's scratch buffers and trace.
 func (h *incremental) buildFresh(v *View) app.Assignment {
 	env := h.env
 	m := env.App.Tasks
 	h.ups = upWorkersInto(h.ups, v.States)
 	ups := h.ups
 	if capacityOf(env, ups) < m {
+		// No candidate was scored: the trace still describes the last
+		// build it recorded.
 		return nil
 	}
 
 	p := env.Platform.Size()
 	if h.speeds == nil {
 		h.speeds = env.Platform.Speeds()
-	}
-	speeds := h.speeds
-	if cap(h.needs) < p {
 		h.needs = make([]int, p)
 		h.expComm = make([]float64, p)
+		h.tr.init(p, m)
 	}
-	needs, expComm := h.needs[:p], h.expComm[:p]
+	speeds, needs, expComm := h.speeds, h.needs, h.expComm
 	for i := range needs {
 		needs[i] = 0
 		expComm[i] = 0
@@ -104,32 +111,93 @@ func (h *incremental) buildFresh(v *View) app.Assignment {
 		h.se.Reset()
 	}
 	se := h.se
+	tr := &h.tr
+	tr.observe(v)
+	procs := env.Platform.Procs
+	elapsed := float64(v.Elapsed)
 	asg := make(app.Assignment, p)
 
 	workload := 0
 	totalNeed := 0
+	// live: steps 0..task-1 picked the trace's winners, none of whose
+	// retention changed, so the trace's Values for this step are exact
+	// for every kept candidate. keptFull counts kept workers at capacity.
+	live := true
+	replayed := true
+	keptFull := 0
+	var scored, reused int
 
 	for task := 0; task < m; task++ {
+		live = live && task < len(tr.winners)
+		row := tr.vals[task*p : (task+1)*p]
 		bestQ := -1
 		bestScore := math.Inf(-1)
-		for _, q := range ups {
-			if asg[q] >= env.Platform.Procs[q].Capacity {
-				continue
+		if live && h.crit != CritY && tr.seen[tr.winners[task]].kept {
+			// The traced winner was the first argmax over a superset of
+			// the kept candidates, whose scores are unchanged (only
+			// CritY reads Elapsed), so it is still their first argmax.
+			// Only the fresh candidates can beat it: on a higher score,
+			// or on an equal one with a lower index.
+			bestQ = tr.winners[task]
+			bestScore = h.crit.Score(row[bestQ])
+			reused += len(ups) - len(tr.fresh) - keptFull
+			for _, q := range tr.fresh {
+				if asg[q] >= procs[q].Capacity {
+					continue
+				}
+				val := candidateValue(env, v, se, asg, q,
+					speeds, workload, needs, expComm, totalNeed)
+				row[q] = val
+				scored++
+				if s := h.crit.Score(val); s > bestScore || s == bestScore && q < bestQ {
+					bestScore = s
+					bestQ = q
+				}
 			}
-			score := scoreCandidate(env, v, se, asg, q,
-				speeds, workload, needs, expComm, totalNeed, h.crit)
-			if score > bestScore {
-				bestScore = score
-				bestQ = q
+		} else {
+			for _, q := range ups {
+				if asg[q] >= procs[q].Capacity {
+					continue
+				}
+				var val Value
+				if live && tr.seen[q].kept {
+					val = row[q]
+					reused++
+				} else {
+					val = candidateValue(env, v, se, asg, q,
+						speeds, workload, needs, expComm, totalNeed)
+					row[q] = val
+					scored++
+				}
+				val.T = elapsed
+				if s := h.crit.Score(val); s > bestScore {
+					bestScore = s
+					bestQ = q
+				}
 			}
 		}
 		if bestQ < 0 {
+			tr.winners = tr.winners[:task]
+			env.Decisions.noteBuild(scored, reused, false)
 			return nil
+		}
+		if live && bestQ == tr.winners[task] {
+			live = tr.seen[bestQ].kept
+		} else {
+			live, replayed = false, false
+			if task < len(tr.winners) {
+				tr.winners[task] = bestQ
+			} else {
+				tr.winners = append(tr.winners, bestQ)
+			}
 		}
 		if !se.Contains(bestQ) {
 			se.Add(bestQ)
 		}
 		asg[bestQ]++
+		if asg[bestQ] == procs[bestQ].Capacity && tr.seen[bestQ].kept {
+			keptFull++
+		}
 		totalNeed -= needs[bestQ]
 		needs[bestQ] = commNeedFresh(env, v.Workers[bestQ], asg[bestQ])
 		totalNeed += needs[bestQ]
@@ -138,7 +206,67 @@ func (h *incremental) buildFresh(v *View) app.Assignment {
 			workload = l
 		}
 	}
+	env.Decisions.noteBuild(scored, reused, replayed)
 	return asg
+}
+
+// buildTrace is one heuristic instance's record of its previous fresh
+// build, which the next build replays. A candidate's Value at greedy step
+// k is a pure function of the winners of steps 0..k-1, their retention,
+// and the candidate's own retention (Elapsed enters only Criterion.Score,
+// as T). So while a build keeps picking the trace's winners, whose
+// retention is unchanged, every candidate that was UP in the traced build
+// with unchanged retention ("kept") reads its stored Value back instead
+// of being scored; the first step whose winner differs falls back to full
+// scoring. Memory: m·p Values per instance.
+type buildTrace struct {
+	// seen holds, per processor, the view fields the traced build read.
+	seen []seenProc
+	// fresh lists the current build's UP processors that are not kept.
+	fresh []int
+	// winners[k] is the traced build's step-k winner; a failed build
+	// keeps only the steps before the failure.
+	winners []int
+	// vals[k*p+q] is candidate q's Value at step k (T unset). Entries
+	// are exact for kept candidates the traced build reached.
+	vals []Value
+}
+
+// seenProc is one processor's view in the traced build: UP state and the
+// message-granularity retention commNeedFresh reads.
+type seenProc struct {
+	up   bool
+	prog bool
+	data int
+	// kept reports whether the current build sees the processor UP in
+	// both builds with the same retention.
+	kept bool
+}
+
+func (tr *buildTrace) init(p, m int) {
+	tr.seen = make([]seenProc, p)
+	tr.fresh = make([]int, 0, p)
+	tr.winners = make([]int, 0, m)
+	tr.vals = make([]Value, m*p)
+}
+
+// observe diffs the view against the traced one, marking kept processors
+// and listing the fresh UP ones, and records the view as the trace's.
+func (tr *buildTrace) observe(v *View) {
+	tr.fresh = tr.fresh[:0]
+	for q, st := range v.States {
+		s := &tr.seen[q]
+		if st != markov.Up {
+			s.up, s.kept = false, false
+			continue
+		}
+		w := &v.Workers[q]
+		s.kept = s.up && s.prog == w.HasProgram && s.data == w.DataHeld
+		if !s.kept {
+			s.up, s.prog, s.data = true, w.HasProgram, w.DataHeld
+			tr.fresh = append(tr.fresh, q)
+		}
+	}
 }
 
 // capacityOf returns the total task capacity of the given workers, capped
@@ -159,11 +287,14 @@ func capacityOf(env *Env, workers []int) int {
 	return total
 }
 
-// scoreCandidate evaluates the criterion for assigning one more task to
-// worker q on top of the partial configuration (asg, se).
-func scoreCandidate(env *Env, v *View, se *analytic.SetEval, asg app.Assignment,
+// candidateValue estimates the configuration that assigns one more task
+// to worker q on top of the partial configuration (asg, se). It reads
+// v only for q's retention and leaves Value.T unset, so the result is a
+// pure function of the partial configuration and q's retention — what
+// lets buildTrace replay it.
+func candidateValue(env *Env, v *View, se *analytic.SetEval, asg app.Assignment,
 	q int, speeds []int, workload int, needs []int, expComm []float64,
-	totalNeed int, crit Criterion) float64 {
+	totalNeed int) Value {
 
 	x := asg[q] + 1
 	w := workload
@@ -204,10 +335,5 @@ func scoreCandidate(env *Env, v *View, se *analytic.SetEval, asg app.Assignment,
 		st, powv = se.CandidateStatsPow(q, w)
 	}
 	psucc, ecomp := env.successCompletionPow(st, w, powv)
-	val := Value{
-		P: pcomm * psucc,
-		E: ecomm + ecomp,
-		T: float64(v.Elapsed),
-	}
-	return crit.Score(val)
+	return Value{P: pcomm * psucc, E: ecomm + ecomp}
 }

@@ -23,7 +23,8 @@ type proactive struct {
 	// Candidate cache: the fresh build depends only on which workers are
 	// UP and on message-granularity retention, both captured by the
 	// engine's retention epoch. Re-scoring a cached candidate is cheap;
-	// rebuilding it costs m·p series evaluations.
+	// rebuilding it costs up to m·p series evaluations (fewer when the
+	// base heuristic replays its previous build).
 	cacheValid bool
 	cacheUp    []bool
 	cacheEpoch int64

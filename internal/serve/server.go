@@ -69,6 +69,8 @@ type serverMetrics struct {
 	memoMisses         atomic.Uint64
 	decisionHits       atomic.Uint64
 	decisionMisses     atomic.Uint64
+	candidatesScored   atomic.Uint64
+	candidatesReused   atomic.Uint64
 	sseSubscribed      atomic.Uint64
 	sseDropped         atomic.Uint64
 	// Online grid live telemetry, summed across running grid campaigns:
@@ -355,6 +357,8 @@ func (o metricsObserver) OnPointDone(ev tightsched.PointDone) {
 		o.m.memoMisses.Add(ev.Cache.MemoMisses)
 		o.m.decisionHits.Add(ev.Cache.DecisionHits)
 		o.m.decisionMisses.Add(ev.Cache.DecisionMisses)
+		o.m.candidatesScored.Add(ev.Cache.CandidatesScored)
+		o.m.candidatesReused.Add(ev.Cache.CandidatesReused)
 	}
 	o.observer.OnPointDone(ev)
 }
@@ -614,6 +618,10 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(w, "tightsched_cache_lookups_total{cache=\"memo\",outcome=\"miss\"} %d\n", s.metrics.memoMisses.Load())
 	fmt.Fprintf(w, "tightsched_cache_lookups_total{cache=\"decision\",outcome=\"hit\"} %d\n", s.metrics.decisionHits.Load())
 	fmt.Fprintf(w, "tightsched_cache_lookups_total{cache=\"decision\",outcome=\"miss\"} %d\n", s.metrics.decisionMisses.Load())
+	fmt.Fprintf(w, "# HELP tightsched_greedy_candidates_total Candidate evaluations of batched-cell greedy builds: scored afresh, or reused from the instance's previous build.\n")
+	fmt.Fprintf(w, "# TYPE tightsched_greedy_candidates_total counter\n")
+	fmt.Fprintf(w, "tightsched_greedy_candidates_total{outcome=\"scored\"} %d\n", s.metrics.candidatesScored.Load())
+	fmt.Fprintf(w, "tightsched_greedy_candidates_total{outcome=\"reused\"} %d\n", s.metrics.candidatesReused.Load())
 	fmt.Fprintf(w, "# HELP tightsched_grid_queue_depth Applications waiting for admission across running online grid campaigns.\n")
 	fmt.Fprintf(w, "# TYPE tightsched_grid_queue_depth gauge\n")
 	fmt.Fprintf(w, "tightsched_grid_queue_depth %d\n", s.metrics.gridQueueDepth.Load())

@@ -289,4 +289,11 @@ func TestBatchSharingCounts(t *testing.T) {
 	if stats.Memo.Hits+stats.Memo.Misses == 0 {
 		t.Fatalf("memo delta empty: %+v", stats.Memo)
 	}
+	// Misses replay the building instance's previous build: some
+	// candidate Values come back from the trace, and no more misses
+	// replay in full than there are misses.
+	d := stats.Decisions
+	if d.CandidatesScored == 0 || d.CandidatesReused == 0 || d.Replays > d.Misses {
+		t.Fatalf("build replay traffic: %+v", d)
+	}
 }
