@@ -84,7 +84,7 @@ func main() {
 		trials    = flag.Int("trials", 0, "override trials per scenario")
 		capSlots  = flag.Int64("cap", 0, "override failure cap in slots")
 		wmins     = flag.String("wmins", "", "override wmin list, e.g. 1,2,3")
-		workers   = flag.Int("workers", 0, "parallel simulations (default NumCPU)")
+		workers   = flag.Int("workers", 0, "parallel simulations (default GOMAXPROCS)")
 		seed      = flag.Uint64("seed", 0, "override master seed")
 		quiet     = flag.Bool("quiet", false, "suppress progress output")
 		journal   = flag.String("journal", "", "stream completed instances to this append-only journal file")
@@ -442,7 +442,7 @@ func runTable4(ctx context.Context, scale string, trials, workers int, seed uint
 			fmt.Fprintln(os.Stderr, "tables:", err)
 			os.Exit(1)
 		}
-		if n := len(j.Done()); resume && n > 0 {
+		if n := j.DoneCount(); resume && n > 0 {
 			fmt.Printf("# resuming: %d instances already journaled\n", n)
 		}
 		runOpts = append(runOpts, tightsched.WithOnlineJournal(j))

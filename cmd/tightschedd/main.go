@@ -47,7 +47,7 @@ func main() {
 		addr      = flag.String("addr", ":8080", "listen address")
 		data      = flag.String("data", "tightschedd-data", "campaign journal directory")
 		runners   = flag.Int("runners", 2, "campaigns running concurrently (others queue)")
-		workers   = flag.Int("workers", 0, "default per-campaign parallel simulations when the spec leaves run.workers unset (0 = NumCPU)")
+		workers   = flag.Int("workers", 0, "default per-campaign parallel simulations when the spec leaves run.workers unset (0 = GOMAXPROCS)")
 		drainWait = flag.Duration("drain", 10*time.Second, "shutdown grace for in-flight HTTP requests")
 	)
 	flag.Parse()

@@ -334,36 +334,22 @@ func (r *Result) aggFor(ref string) (*tableAccumulator, error) {
 // place. Tables I–III, Figure 2 and the failure-dominance check render
 // from it in O(cells) memory however many instances the journal holds.
 func AggregateJournal(path string) (*Result, error) {
-	var header journalHeader
-	var format Format
+	var sweep Sweep
 	var acc *tableAccumulator
-	intern := map[string]string{}
-	err := scanRecords(path,
-		func(f Format, raw []byte) error {
-			format = f
-			h, err := parseJournalHeader(path, raw)
-			if err != nil {
-				return err
-			}
-			header = h
+	_, err := scanJournal(sweepKind, path,
+		func(_ Format, h journalHeader[SweepSpec]) error {
+			sweep = h.Spec.sweepDims()
 			acc = newTableAccumulator(ReferenceHeuristic, len(h.Spec.Heuristics))
 			return nil
 		},
-		func(payload []byte) error {
-			e, err := decodeJournalEntry(format, payload, intern)
-			if err != nil {
-				return err
-			}
-			acc.add(e.instance())
+		func(inst InstanceResult) error {
+			acc.add(inst)
 			return nil
 		})
 	if err != nil {
 		return nil, err
 	}
-	if acc == nil {
-		return nil, fmt.Errorf("exp: journal %s: no header record", path)
-	}
-	r := &Result{Sweep: header.Spec.sweepDims()}
+	r := &Result{Sweep: sweep}
 	r.preseedAgg(ReferenceHeuristic, acc)
 	return r, nil
 }
@@ -437,35 +423,18 @@ func (a *tableIVAccumulator) rows() []TableIVRow {
 // aggregation-only Result whose Grid renders Table IV without holding a
 // sorted instance slice.
 func AggregateGridJournal(path string) (*Result, error) {
-	var header gridHeader
-	var format Format
-	acc := newTableIVAccumulator()
-	seenHeader := false
-	intern := map[string]string{}
-	err := scanRecords(path,
-		func(f Format, raw []byte) error {
-			format = f
-			h, err := parseGridHeader(path, raw)
-			if err != nil {
-				return err
-			}
-			header = h
-			seenHeader = true
+	res := &GridResult{agg: newTableIVAccumulator()}
+	_, err := scanJournal(gridKind, path,
+		func(_ Format, h journalHeader[GridSpec]) error {
+			res.Sweep = h.Spec.Sweep()
 			return nil
 		},
-		func(payload []byte) error {
-			inst, err := decodeGridEntry(format, payload, intern)
-			if err != nil {
-				return err
-			}
-			acc.add(inst)
+		func(inst GridInstance) error {
+			res.agg.add(inst)
 			return nil
 		})
 	if err != nil {
 		return nil, err
 	}
-	if !seenHeader {
-		return nil, fmt.Errorf("exp: journal %s: no header record", path)
-	}
-	return &Result{Grid: &GridResult{Sweep: header.Spec.Sweep(), agg: acc}}, nil
+	return &Result{Grid: res}, nil
 }

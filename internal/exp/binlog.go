@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
-	"io"
 	"os"
 )
 
@@ -25,8 +24,8 @@ import (
 //
 // Torn-tail policy: length-prefixed framing cannot resynchronize past a
 // damaged record, so the intact prefix ends at the first record whose
-// frame is incomplete or whose CRC fails; validLen reports that offset
-// and appenders truncate the rest away. The CRC is what distinguishes "a
+// frame is incomplete or whose CRC fails; the reader (binaryFrames in
+// codec.go) stops there and appenders truncate the rest away. The CRC is what distinguishes "a
 // crash tore the tail" from "this record is fine" — a half-written or
 // zero-filled frame virtually never checksums correctly.
 
@@ -50,69 +49,6 @@ func IsBinaryLog(data []byte) bool {
 	return len(data) >= len(binMagic) && string(data[:len(binMagic)]) == string(binMagic)
 }
 
-// binRecord is one decoded frame: its payload and the file offset just
-// past the frame, so entry-level readers can report where an intact
-// prefix ends when a CRC-valid record fails to decode.
-type binRecord struct {
-	payload []byte
-	end     int64
-}
-
-// parseBinaryLog walks the frames of a binary log held in memory. It
-// returns every record of the intact prefix and the prefix length; a
-// damaged frame (short, oversized, or CRC-failing) ends the prefix
-// silently — that is the torn tail an appender truncates away. Only a
-// damaged container header (magic/version) is an error.
-func parseBinaryLog(path string, data []byte) (records []binRecord, validLen int64, err error) {
-	if !IsBinaryLog(data) {
-		return nil, 0, fmt.Errorf("%s: not a binary journal (bad magic)", path)
-	}
-	if len(data) < binHeaderLen {
-		return nil, 0, fmt.Errorf("%s: truncated binary journal header", path)
-	}
-	if v := data[4]; v != binVersion {
-		return nil, 0, fmt.Errorf("%s: unknown binary journal version %d", path, v)
-	}
-	off := int64(binHeaderLen)
-	for int(off) < len(data) {
-		n, w := binary.Uvarint(data[off:])
-		if w <= 0 || n > maxBinRecord {
-			break // torn or garbled length prefix
-		}
-		body := off + int64(w)
-		end := body + int64(n) + 4
-		if end > int64(len(data)) {
-			break // frame runs past EOF: cut-short write
-		}
-		payload := data[body : body+int64(n)]
-		sum := binary.LittleEndian.Uint32(data[body+int64(n) : end])
-		if crc32.ChecksumIEEE(payload) != sum {
-			break // damaged payload (zero-fill, bit rot): tear here
-		}
-		records = append(records, binRecord{payload: payload, end: end})
-		off = end
-	}
-	return records, off, nil
-}
-
-// ReadBinaryLog reads a binary journal file without touching it: the
-// header record's payload, the remaining records, and the byte length of
-// the intact prefix. It mirrors ReadJSONL's contract.
-func ReadBinaryLog(path string) (header []byte, records []binRecord, validLen int64, err error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, nil, 0, err
-	}
-	recs, validLen, err := parseBinaryLog(path, data)
-	if err != nil {
-		return nil, nil, 0, err
-	}
-	if len(recs) == 0 {
-		return nil, nil, 0, fmt.Errorf("%s: no header record", path)
-	}
-	return recs[0].payload, recs[1:], validLen, nil
-}
-
 // BinaryLogWriter appends CRC-framed records to a binary journal, one
 // write syscall per record (the durability contract JSONLWriter set).
 type BinaryLogWriter struct {
@@ -129,12 +65,11 @@ func CreateBinaryLog(path string, header []byte) (*BinaryLogWriter, error) {
 		return nil, err
 	}
 	w := &BinaryLogWriter{f: f}
-	if _, err := f.Write(append(append([]byte(nil), binMagic...), binVersion)); err != nil {
-		f.Close()
-		os.Remove(path)
-		return nil, err
+	_, err = f.Write(append(append([]byte(nil), binMagic...), binVersion))
+	if err == nil {
+		err = w.AppendRecord(header)
 	}
-	if err := w.AppendRecord(header); err != nil {
+	if err != nil {
 		f.Close()
 		os.Remove(path)
 		return nil, err
@@ -143,19 +78,11 @@ func CreateBinaryLog(path string, header []byte) (*BinaryLogWriter, error) {
 }
 
 // OpenBinaryLogAppend opens an existing binary journal for appending,
-// first truncating it to validLen (as reported by ReadBinaryLog) to drop
-// a crash-torn tail.
+// first truncating it to validLen (the intact prefix length) to drop a
+// crash-torn tail.
 func OpenBinaryLogAppend(path string, validLen int64) (*BinaryLogWriter, error) {
-	f, err := os.OpenFile(path, os.O_WRONLY, 0)
+	f, err := openAppendAt(path, validLen)
 	if err != nil {
-		return nil, err
-	}
-	if err := f.Truncate(validLen); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("truncate torn tail of %s: %w", path, err)
-	}
-	if _, err := f.Seek(0, io.SeekEnd); err != nil {
-		f.Close()
 		return nil, err
 	}
 	return &BinaryLogWriter{f: f}, nil

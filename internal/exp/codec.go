@@ -2,7 +2,6 @@ package exp
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
@@ -14,8 +13,9 @@ import (
 
 // This file is the journal codec seam: the Format knob every journal
 // creation path threads through (CLI flag, daemon spec, cluster config),
-// the compact binary encodings of the two record types, and a streaming
-// record scanner shared by aggregation, conversion and columnar export.
+// the compact binary encodings of the two record types, and the one
+// streaming record scanner every journal reader is built on (open, load,
+// resume, merge, aggregation, conversion and columnar export).
 //
 // The two formats carry the same records under the same coordinate Keys;
 // only the framing and per-record encoding differ. The header record is
@@ -100,58 +100,6 @@ func SniffFormat(path string) (Format, error) {
 	return sniffData(head[:n]), nil
 }
 
-// journalRecord is one record of either format plus the offset just past
-// it, so entry-level readers can place a tear precisely.
-type journalRecord struct {
-	payload []byte
-	end     int64
-}
-
-// readJournalRecords loads a journal of either format: its format, the
-// raw header payload, the records of the intact prefix, and the prefix
-// length. Framing-level tears are already excluded; a record that frames
-// correctly but fails entry decoding is the caller's to judge (tail =
-// tear, earlier = corruption).
-func readJournalRecords(path string) (Format, []byte, []journalRecord, int64, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return 0, nil, nil, 0, err
-	}
-	if sniffData(data) == FormatBinary {
-		recs, validLen, err := parseBinaryLog(path, data)
-		if err != nil {
-			return 0, nil, nil, 0, err
-		}
-		if len(recs) == 0 {
-			return 0, nil, nil, 0, fmt.Errorf("%s: no header record", path)
-		}
-		out := make([]journalRecord, len(recs)-1)
-		for i, r := range recs[1:] {
-			out[i] = journalRecord{payload: r.payload, end: r.end}
-		}
-		return FormatBinary, recs[0].payload, out, validLen, nil
-	}
-	// JSONL: reuse the line substrate, recovering per-line end offsets.
-	if len(data) > 0 && data[len(data)-1] != '\n' {
-		data = data[:bytes.LastIndexByte(data, '\n')+1]
-	}
-	validLen := int64(len(data))
-	lines := bytes.Split(data, []byte("\n"))
-	if len(lines) > 0 && len(lines[len(lines)-1]) == 0 {
-		lines = lines[:len(lines)-1]
-	}
-	if len(lines) == 0 {
-		return 0, nil, nil, 0, fmt.Errorf("%s: no header line", path)
-	}
-	off := int64(len(lines[0])) + 1
-	out := make([]journalRecord, len(lines)-1)
-	for i, line := range lines[1:] {
-		off += int64(len(line)) + 1
-		out[i] = journalRecord{payload: line, end: off}
-	}
-	return FormatJSONL, lines[0], out, validLen, nil
-}
-
 // openRecordAppender reopens a journal of the given format for appending
 // at validLen (the intact prefix), truncating a torn tail.
 func openRecordAppender(path string, format Format, validLen int64) (recordAppender, error) {
@@ -164,24 +112,14 @@ func openRecordAppender(path string, format Format, validLen int64) (recordAppen
 // createRecordLog creates a fresh journal of the given format whose first
 // record is the marshaled header document.
 func createRecordLog(path string, format Format, header any) (recordAppender, error) {
+	if format == FormatJSONL {
+		return CreateJSONL(path, header)
+	}
 	hdr, err := json.Marshal(header)
 	if err != nil {
 		return nil, err
 	}
-	if format == FormatBinary {
-		return CreateBinaryLog(path, hdr)
-	}
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o644)
-	if err != nil {
-		return nil, err
-	}
-	w := &JSONLWriter{f: f}
-	if err := w.AppendRecord(hdr); err != nil {
-		f.Close()
-		os.Remove(path)
-		return nil, err
-	}
-	return w, nil
+	return CreateBinaryLog(path, hdr)
 }
 
 // ---- entry encodings -------------------------------------------------------
@@ -223,58 +161,47 @@ func decodeVarint(b []byte) (int64, []byte, error) {
 	return v, b[w:], nil
 }
 
-// appendBinaryEntry encodes one sweep journal entry.
-func appendBinaryEntry(b []byte, e journalEntry) []byte {
-	b = appendString(b, e.Model)
-	b = appendString(b, e.Heuristic)
-	b = binary.AppendVarint(b, int64(e.Ncom))
-	b = binary.AppendVarint(b, int64(e.Wmin))
-	b = binary.AppendVarint(b, int64(e.Scenario))
-	b = binary.AppendVarint(b, int64(e.Trial))
-	b = binary.AppendVarint(b, e.Makespan)
+// appendBinaryEntry encodes one sweep journal instance.
+func appendBinaryEntry(b []byte, inst InstanceResult) []byte {
+	b = appendString(b, modelName(inst))
+	b = appendString(b, inst.Heuristic)
+	for _, v := range []int{inst.Point.Ncom, inst.Point.Wmin, inst.Point.Scenario, inst.Trial} {
+		b = binary.AppendVarint(b, int64(v))
+	}
+	b = binary.AppendVarint(b, inst.Makespan)
 	var flags byte
-	if e.Failed {
+	if inst.Failed {
 		flags = 1
 	}
 	return append(b, flags)
 }
 
-// decodeBinaryEntry decodes one sweep journal entry. intern deduplicates
-// the model and heuristic strings across records.
-func decodeBinaryEntry(b []byte, intern map[string]string) (journalEntry, error) {
-	var e journalEntry
+// decodeBinaryEntry decodes one sweep journal instance. intern
+// deduplicates the model and heuristic strings across records.
+func decodeBinaryEntry(b []byte, intern map[string]string) (InstanceResult, error) {
+	var in InstanceResult
 	var err error
-	if e.Model, b, err = decodeString(b, intern); err != nil {
-		return e, err
+	if in.Model, b, err = decodeString(b, intern); err != nil {
+		return in, err
 	}
-	if e.Heuristic, b, err = decodeString(b, intern); err != nil {
-		return e, err
+	if in.Heuristic, b, err = decodeString(b, intern); err != nil {
+		return in, err
 	}
 	var v int64
-	if v, b, err = decodeVarint(b); err != nil {
-		return e, err
+	for _, dst := range []*int{&in.Point.Ncom, &in.Point.Wmin, &in.Point.Scenario, &in.Trial} {
+		if v, b, err = decodeVarint(b); err != nil {
+			return in, err
+		}
+		*dst = int(v)
 	}
-	e.Ncom = int(v)
-	if v, b, err = decodeVarint(b); err != nil {
-		return e, err
-	}
-	e.Wmin = int(v)
-	if v, b, err = decodeVarint(b); err != nil {
-		return e, err
-	}
-	e.Scenario = int(v)
-	if v, b, err = decodeVarint(b); err != nil {
-		return e, err
-	}
-	e.Trial = int(v)
-	if e.Makespan, b, err = decodeVarint(b); err != nil {
-		return e, err
+	if in.Makespan, b, err = decodeVarint(b); err != nil {
+		return in, err
 	}
 	if len(b) != 1 {
-		return e, fmt.Errorf("bad entry tail (%d bytes)", len(b))
+		return in, fmt.Errorf("bad entry tail (%d bytes)", len(b))
 	}
-	e.Failed = b[0]&1 != 0
-	return e, nil
+	in.Failed = b[0]&1 != 0
+	return in, nil
 }
 
 // appendBinaryGridEntry encodes one grid journal instance.
@@ -282,11 +209,9 @@ func appendBinaryGridEntry(b []byte, in GridInstance) []byte {
 	b = appendString(b, in.Arrival)
 	b = appendString(b, in.Admission)
 	b = appendString(b, in.Preemption)
-	b = binary.AppendVarint(b, int64(in.Trial))
-	b = binary.AppendVarint(b, int64(in.Apps))
-	b = binary.AppendVarint(b, int64(in.Completed))
-	b = binary.AppendVarint(b, int64(in.Missed))
-	b = binary.AppendVarint(b, int64(in.Preempted))
+	for _, v := range []int{in.Trial, in.Apps, in.Completed, in.Missed, in.Preempted} {
+		b = binary.AppendVarint(b, int64(v))
+	}
 	b = binary.AppendVarint(b, in.RespSum)
 	b = binary.AppendVarint(b, in.Makespan)
 	return binary.LittleEndian.AppendUint64(b, math.Float64bits(in.SlowSum))
@@ -327,13 +252,19 @@ func decodeBinaryGridEntry(b []byte, intern map[string]string) (GridInstance, er
 
 // ---- streaming scan --------------------------------------------------------
 
-// scanRecords streams a journal's records through fn without loading the
-// file into memory: it sniffs the format, hands it with the raw header
-// payload to header, then each record payload (valid for the duration of
-// the call only) to fn. Torn tails are tolerated exactly as the loading
-// readers do: a final damaged record is dropped silently, damage with
-// records after it is an error. fn returning an error aborts the scan.
-func scanRecords(path string, header func(format Format, payload []byte) error, fn func(payload []byte) error) error {
+// scanRecords is the one journal reader: it streams a journal's records
+// through fn without loading the file into memory. It sniffs the format,
+// hands it with the raw header payload to header, then each record
+// payload (valid for the duration of the call only) to fn, each with the
+// file offset just past the record. Torn tails are tolerated whatever
+// their shape: a frame cut short or failing its CRC ends the scan
+// silently, and so does a final record on which fn fails (a zero-filled
+// or garbled block from filesystem crash recovery); the last offset
+// handed out then ends the intact prefix. A record on which fn fails
+// with records after it is an error — the journal is append-only, so
+// damage there means the file was tampered with. A failing header
+// aborts the scan.
+func scanRecords(path string, header func(format Format, payload []byte, end int64) error, fn func(payload []byte, end int64) error) error {
 	f, err := os.Open(path)
 	if err != nil {
 		return err
@@ -344,26 +275,17 @@ func scanRecords(path string, header func(format Format, payload []byte) error, 
 	if err != nil && err != io.EOF {
 		return err
 	}
-	if sniffData(head) == FormatBinary {
-		return scanBinaryRecords(path, br, func(p []byte) error { return header(FormatBinary, p) }, fn)
+	format := sniffData(head)
+	next := jsonlFrames(br)
+	if format == FormatBinary {
+		if next, err = binaryFrames(path, br); err != nil {
+			return err
+		}
 	}
-	return scanJSONLRecords(path, br, func(p []byte) error { return header(FormatJSONL, p) }, fn)
-}
-
-// scanJSONLRecords streams line records. Only the final line may be
-// damaged (torn tail, reported by fn failing on it); a failing fn on any
-// earlier line aborts with that error — matching readJournal's
-// tamper-vs-tear policy. A line that the underlying read cuts short
-// (no trailing newline) is dropped without ever reaching fn.
-func scanJSONLRecords(path string, br *bufio.Reader, header, fn func([]byte) error) error {
-	var pending error // fn's error on the previous line, fatal iff more lines follow
-	first := true
-	for {
-		line, err := br.ReadBytes('\n')
+	var pending error // fn's error on the previous record, fatal iff a record follows
+	for i := 0; ; i++ {
+		payload, end, err := next()
 		if err == io.EOF {
-			if len(line) > 0 {
-				return nil // cut-short final line: torn tail
-			}
 			return nil
 		}
 		if err != nil {
@@ -372,38 +294,49 @@ func scanJSONLRecords(path string, br *bufio.Reader, header, fn func([]byte) err
 		if pending != nil {
 			return pending
 		}
-		line = line[:len(line)-1]
-		if first {
-			first = false
-			if err := header(line); err != nil {
+		if i == 0 {
+			if err := header(format, payload, end); err != nil {
 				return err
 			}
-			continue
-		}
-		if err := fn(line); err != nil {
-			pending = fmt.Errorf("%s: %w", path, err)
+		} else if err := fn(payload, end); err != nil {
+			pending = fmt.Errorf("exp: journal %s record %d: %w", path, i+1, err)
 		}
 	}
 }
 
-// scanBinaryRecords streams CRC-framed records. The first damaged frame
-// ends the scan (the torn tail); a CRC-valid record on which fn fails is
-// fatal only when records follow it.
-func scanBinaryRecords(path string, br *bufio.Reader, header, fn func([]byte) error) error {
+// jsonlFrames yields a JSONL journal's lines. A final line without its
+// newline is a write cut short: it ends the scan (io.EOF) unread.
+func jsonlFrames(br *bufio.Reader) func() ([]byte, int64, error) {
+	var off int64
+	return func() ([]byte, int64, error) {
+		line, err := br.ReadBytes('\n')
+		if err != nil {
+			return nil, 0, err
+		}
+		off += int64(len(line))
+		return line[:len(line)-1], off, nil
+	}
+}
+
+// binaryFrames checks a binary journal's container header and yields its
+// CRC-checked frames. A frame that is short, oversized or fails its CRC
+// is a torn write: it ends the scan (io.EOF). Payloads share one buffer,
+// overwritten by the next frame.
+func binaryFrames(path string, br *bufio.Reader) (func() ([]byte, int64, error), error) {
 	hdr := make([]byte, binHeaderLen)
 	if _, err := io.ReadFull(br, hdr); err != nil {
-		return fmt.Errorf("%s: truncated binary journal header", path)
+		return nil, fmt.Errorf("%s: truncated binary journal header", path)
 	}
 	if hdr[4] != binVersion {
-		return fmt.Errorf("%s: unknown binary journal version %d", path, hdr[4])
+		return nil, fmt.Errorf("%s: unknown binary journal version %d", path, hdr[4])
 	}
-	var pending error
+	off := int64(binHeaderLen)
 	var buf []byte
-	first := true
-	for {
+	var lenBuf [binary.MaxVarintLen64]byte
+	return func() ([]byte, int64, error) {
 		n, err := binary.ReadUvarint(br)
 		if err != nil || n > maxBinRecord {
-			return nil // torn or garbled length prefix: tear
+			return nil, 0, io.EOF // torn or garbled length prefix
 		}
 		need := int(n) + 4
 		if cap(buf) < need {
@@ -411,26 +344,13 @@ func scanBinaryRecords(path string, br *bufio.Reader, header, fn func([]byte) er
 		}
 		buf = buf[:need]
 		if _, err := io.ReadFull(br, buf); err != nil {
-			return nil // frame runs past EOF: tear
+			return nil, 0, io.EOF // frame runs past EOF: cut-short write
 		}
 		payload := buf[:n]
 		if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(buf[n:]) {
-			return nil // damaged payload: tear
+			return nil, 0, io.EOF // damaged payload (zero-fill, bit rot)
 		}
-		// A full CRC-valid record follows, so a decode failure on the
-		// previous record was corruption, not a tear.
-		if pending != nil {
-			return pending
-		}
-		if first {
-			first = false
-			if err := header(payload); err != nil {
-				return err
-			}
-			continue
-		}
-		if err := fn(payload); err != nil {
-			pending = fmt.Errorf("%s: %w", path, err)
-		}
-	}
+		off += int64(binary.PutUvarint(lenBuf[:], n) + need)
+		return payload, off, nil
+	}, nil
 }

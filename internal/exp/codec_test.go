@@ -22,23 +22,39 @@ func codecSweep() Sweep {
 	return s
 }
 
+// journalRun journals the sweep to path and returns the run's result.
+// With a positive stopAfter a failing sink interrupts the run after that
+// many live instances instead, leaving a partial journal (and a nil
+// result).
+func journalRun(t *testing.T, path string, s Sweep, format Format, stopAfter int) *Result {
+	t.Helper()
+	j, err := CreateJournalFormat(path, s, Shard{}, format)
+	if err != nil {
+		t.Fatal(err)
+	}
+	interrupted := errors.New("interrupted")
+	n := 0
+	res, err := RunWith(s, RunOptions{Journal: j, Sink: func(InstanceResult) error {
+		if n++; stopAfter > 0 && n >= stopAfter {
+			return interrupted
+		}
+		return nil
+	}})
+	if (stopAfter > 0 && !errors.Is(err, interrupted)) || (stopAfter <= 0 && err != nil) {
+		t.Fatalf("journaled run returned %v", err)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
 // runJournaled runs the sweep with a journal in the given format and
 // returns the complete journal path and the in-memory result.
 func runJournaled(t *testing.T, dir string, s Sweep, format Format) (string, *Result) {
 	t.Helper()
 	path := filepath.Join(dir, "sweep."+format.String())
-	j, err := CreateJournalFormat(path, s, Shard{}, format)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := RunWith(s, RunOptions{Journal: j})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := j.Close(); err != nil {
-		t.Fatal(err)
-	}
-	return path, res
+	return path, journalRun(t, path, s, format, 0)
 }
 
 // TestBinaryJournalResultParity: the same campaign journaled under both
@@ -140,24 +156,7 @@ func TestConvertRoundTripByteIdentical(t *testing.T) {
 func interruptJournaled(t *testing.T, dir string, s Sweep, format Format) string {
 	t.Helper()
 	path := filepath.Join(dir, "partial."+format.String())
-	j, err := CreateJournalFormat(path, s, Shard{}, format)
-	if err != nil {
-		t.Fatal(err)
-	}
-	interrupted := errors.New("interrupted")
-	n := 0
-	_, err = RunWith(s, RunOptions{Journal: j, Sink: func(InstanceResult) error {
-		if n++; n >= 7 {
-			return interrupted
-		}
-		return nil
-	}})
-	if !errors.Is(err, interrupted) {
-		t.Fatalf("interrupted run returned %v", err)
-	}
-	if err := j.Close(); err != nil {
-		t.Fatal(err)
-	}
+	journalRun(t, path, s, format, 7)
 	return path
 }
 
@@ -213,30 +212,30 @@ func TestCrossFormatResumeParity(t *testing.T) {
 // mid-write would leave it) reopens to the intact prefix and resumes to
 // the bit-identical result.
 func TestBinaryResumeTornTail(t *testing.T) {
-	s := codecSweep()
-	ref, err := Run(s, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tmp := t.TempDir()
-	path := interruptJournaled(t, tmp, s, FormatBinary)
+	for _, k := range journalHarnesses() {
+		t.Run(k.kind, func(t *testing.T) {
+			ref := k.ref(t)
+			path := filepath.Join(t.TempDir(), "partial.bin")
+			k.run(t, path, FormatBinary, 2)
 
-	// Tear: append a length prefix promising more bytes than follow.
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.Write([]byte{40, 'p', 'a', 'r', 't'}); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
+			// Tear: append a length prefix promising more bytes than follow.
+			f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := f.Write([]byte{40, 'p', 'a', 'r', 't'}); err != nil {
+				t.Fatal(err)
+			}
+			f.Close()
 
-	res, err := Resume(path, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(res.Instances, ref.Instances) {
-		t.Fatal("instances differ after torn-tail binary resume")
+			res, err := k.resume(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(res, ref) {
+				t.Fatal("instances differ after torn-tail binary resume")
+			}
+		})
 	}
 }
 
@@ -245,55 +244,64 @@ func TestBinaryResumeTornTail(t *testing.T) {
 // readable prefix at the damage (framing cannot resync), while a record
 // that frames correctly but decodes to garbage mid-file is an error.
 func TestBinaryCorruptMiddleRejected(t *testing.T) {
-	s := codecSweep()
-	tmp := t.TempDir()
-	path, _ := runJournaled(t, tmp, s, FormatBinary)
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
+	for _, k := range journalHarnesses() {
+		t.Run(k.kind, func(t *testing.T) {
+			tmp := t.TempDir()
+			path := filepath.Join(tmp, "full.bin")
+			k.run(t, path, FormatBinary, 0)
+			data, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			full, err := k.open(path)
+			if err != nil {
+				t.Fatal(err)
+			}
 
-	// Flip one payload byte mid-file: the CRC catches it and the intact
-	// prefix ends there — OpenJournal then truncates to that prefix.
-	bad := append([]byte(nil), data...)
-	bad[len(bad)/2] ^= 0xff
-	badPath := filepath.Join(tmp, "crc-damaged.bin")
-	if err := os.WriteFile(badPath, bad, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	j, err := OpenJournal(badPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	full, _, err := LoadJournal(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if j.DoneCount() >= len(full.Instances) {
-		t.Fatalf("damaged journal still reports %d of %d instances", j.DoneCount(), len(full.Instances))
-	}
-	j.Close()
+			// ends[i] is the file offset just past record i (the header
+			// is record 0).
+			var ends []int64
+			end := func(_ []byte, e int64) error { ends = append(ends, e); return nil }
+			if err := scanRecords(path, func(_ Format, p []byte, e int64) error { return end(p, e) }, end); err != nil {
+				t.Fatal(err)
+			}
 
-	// A CRC-valid record whose payload fails entry decoding, with records
-	// after it, is corruption, not a tear. Splice in a well-framed garbage
-	// record right after the header.
-	recs, _, err := parseBinaryLog(path, data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	headerEnd := recs[0].end
-	garbage := []byte{0xde, 0xad}
-	var frame []byte
-	frame = binary.AppendUvarint(frame, uint64(len(garbage)))
-	frame = append(frame, garbage...)
-	frame = binary.LittleEndian.AppendUint32(frame, crc32.ChecksumIEEE(garbage))
-	spliced := append(append(append([]byte(nil), data[:headerEnd]...), frame...), data[headerEnd:]...)
-	splicedPath := filepath.Join(tmp, "spliced.bin")
-	if err := os.WriteFile(splicedPath, spliced, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := OpenJournal(splicedPath); err == nil {
-		t.Fatal("mid-file garbage record should be rejected")
+			// Flip one payload byte of the first instance record: the CRC
+			// catches it and the intact prefix ends there, before the
+			// intact records after it — opening then truncates to that
+			// prefix.
+			bad := append([]byte(nil), data...)
+			bad[ends[1]-6] ^= 0xff
+			badPath := filepath.Join(tmp, "crc-damaged.bin")
+			if err := os.WriteFile(badPath, bad, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			n, err := k.open(badPath)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n >= full {
+				t.Fatalf("damaged journal still reports %d of %d instances", n, full)
+			}
+
+			// A CRC-valid record whose payload fails entry decoding, with
+			// records after it, is corruption, not a tear. Splice in a
+			// well-framed garbage record right after the header.
+			headerEnd := ends[0]
+			garbage := []byte{0xde, 0xad}
+			var frame []byte
+			frame = binary.AppendUvarint(frame, uint64(len(garbage)))
+			frame = append(frame, garbage...)
+			frame = binary.LittleEndian.AppendUint32(frame, crc32.ChecksumIEEE(garbage))
+			spliced := append(append(append([]byte(nil), data[:headerEnd]...), frame...), data[headerEnd:]...)
+			splicedPath := filepath.Join(tmp, "spliced.bin")
+			if err := os.WriteFile(splicedPath, spliced, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := k.open(splicedPath); err == nil {
+				t.Fatal("mid-file garbage record should be rejected")
+			}
+		})
 	}
 }
 
@@ -587,8 +595,10 @@ func TestAggregateJournalAllocsBounded(t *testing.T) {
 }
 
 // FuzzJournalDecode: arbitrary bytes must never panic a reader, and the
-// whole-file and streaming readers must agree on the record count
-// whenever both accept the input.
+// typed loaders must agree with the kind dispatch: when the dispatching
+// scan accepts the input as one kind, that kind's loader accepts it too
+// and holds no more instances than records scanned, and the other kind's
+// loader rejects it.
 func FuzzJournalDecode(f *testing.F) {
 	s := tinySweep([]string{"IE", "RANDOM"})
 	s.Scenarios = 1
@@ -619,6 +629,14 @@ func FuzzJournalDecode(f *testing.F) {
 		f.Add(data)
 		f.Add(data[:len(data)-3]) // torn tail
 	}
+	for _, name := range []string{"grid.jsonl", "grid.bin"} {
+		data, err := os.ReadFile(filepath.Join("testdata", name))
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+		f.Add(data[:len(data)-3])
+	}
 	f.Add([]byte("TSBL\x01"))
 	f.Add([]byte{})
 
@@ -627,34 +645,36 @@ func FuzzJournalDecode(f *testing.F) {
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		format, _, recs, _, wholeErr := readJournalRecords(path)
-		intern := map[string]string{}
-		wholeDecoded := 0
-		if wholeErr == nil {
-			for _, rec := range recs {
-				if _, err := decodeJournalEntry(format, rec.payload, intern); err != nil {
-					break
-				}
-				wholeDecoded++
-			}
-		}
+		var format Format
+		var codec journalCodec
 		scanned := 0
 		scanErr := scanRecords(path,
-			func(Format, []byte) error { return nil },
-			func(payload []byte) error {
-				if _, err := decodeJournalEntry(format, payload, map[string]string{}); err != nil {
+			func(f Format, raw []byte, _ int64) (err error) {
+				format = f
+				codec, err = codecOf(path, raw)
+				return err
+			},
+			func(payload []byte, _ int64) error {
+				if _, err := codec.transcode(nil, format, format, payload, map[string]string{}); err != nil {
 					return err
 				}
 				scanned++
 				return nil
 			})
-		// Both readers accepting the input must agree on the decodable
-		// record count (the scan drops a decode-failing tail record; the
-		// whole-file count stops there too).
-		if wholeErr == nil && scanErr == nil && scanned != wholeDecoded {
-			t.Fatalf("whole-file reader decoded %d records, scanner %d", wholeDecoded, scanned)
+		sweep, _, sweepErr := LoadJournal(path)
+		grid, gridErr := LoadGridJournal(path)
+		if scanErr != nil || codec == nil {
+			return
 		}
-		// LoadJournal must not panic either (errors are fine).
-		_, _, _ = LoadJournal(path)
+		switch codec {
+		case sweepKind:
+			if sweepErr != nil || gridErr == nil || len(sweep.Instances) > scanned {
+				t.Fatalf("sweep journal of %d records: LoadJournal err %v, LoadGridJournal err %v", scanned, sweepErr, gridErr)
+			}
+		case gridKind:
+			if gridErr != nil || sweepErr == nil || len(grid.Instances) > scanned {
+				t.Fatalf("grid journal of %d records: LoadGridJournal err %v, LoadJournal err %v", scanned, gridErr, sweepErr)
+			}
+		}
 	})
 }

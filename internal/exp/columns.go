@@ -156,36 +156,21 @@ func ExportColumns(journalPath, dir string) error {
 		scratch  [8]byte
 		writeErr error
 	)
-	intern := map[string]string{}
 	put32 := func(name string, v uint32) {
 		binary.LittleEndian.PutUint32(scratch[:4], v)
 		if _, err := writers[name].buf.Write(scratch[:4]); err != nil && writeErr == nil {
 			writeErr = err
 		}
 	}
-	err := scanRecords(journalPath,
-		func(f Format, raw []byte) error {
+	_, err := scanJournal(sweepKind, journalPath,
+		func(f Format, _ journalHeader[SweepSpec]) error {
 			format = f
-			var probe struct {
-				Kind string `json:"kind"`
-			}
-			if err := json.Unmarshal(raw, &probe); err != nil {
-				return fmt.Errorf("exp: export %s: bad journal header: %w", journalPath, err)
-			}
-			if probe.Kind == gridJournalKind {
-				return fmt.Errorf("exp: export %s: grid journals have no instance columns", journalPath)
-			}
-			_, err := parseJournalHeader(journalPath, raw)
-			return err
+			return nil
 		},
-		func(payload []byte) error {
-			e, err := decodeJournalEntry(format, payload, intern)
-			if err != nil {
-				return err
-			}
-			put32("ncom", uint32(int32(e.Ncom)))
-			put32("wmin", uint32(int32(e.Wmin)))
-			put32("scenario", uint32(int32(e.Scenario)))
+		func(e InstanceResult) error {
+			put32("ncom", uint32(int32(e.Point.Ncom)))
+			put32("wmin", uint32(int32(e.Point.Wmin)))
+			put32("scenario", uint32(int32(e.Point.Scenario)))
 			put32("trial", uint32(int32(e.Trial)))
 			put32("model", models.id(e.Model))
 			put32("heuristic", heuristics.id(e.Heuristic))

@@ -2,7 +2,6 @@ package exp
 
 import (
 	"encoding/json"
-	"fmt"
 	"os"
 )
 
@@ -16,83 +15,35 @@ import (
 // drop it. dst must not exist.
 func ConvertJournal(src, dst string, to Format) error {
 	var srcFormat Format
-	var err error
+	var codec journalCodec
 	var w recordAppender
 	var buf []byte
 	intern := map[string]string{}
-	isGrid := false
 	// scanRecords swallows an fn error on the final record (that is the
 	// torn-tail contract, and a tail that fails to decode should indeed
 	// be dropped) — but a destination write failure must surface even
 	// there, so track it separately.
 	var writeErr error
-	err = scanRecords(src,
-		func(format Format, headerRaw []byte) error {
+	err := scanRecords(src,
+		func(format Format, headerRaw []byte, _ int64) error {
 			srcFormat = format
-			// The kind marker distinguishes grid journals from sweep
-			// journals; validate the header as whichever it claims to be.
-			var probe struct {
-				Kind string `json:"kind"`
-			}
-			if err := json.Unmarshal(headerRaw, &probe); err != nil {
-				return fmt.Errorf("exp: convert %s: bad journal header: %w", src, err)
-			}
-			isGrid = probe.Kind == gridJournalKind
-			if isGrid {
-				if _, err := parseGridHeader(src, headerRaw); err != nil {
-					return err
-				}
-			} else if _, err := parseJournalHeader(src, headerRaw); err != nil {
+			var err error
+			if codec, err = codecOf(src, headerRaw); err != nil {
 				return err
 			}
-			if to == FormatBinary {
-				bw, err := CreateBinaryLog(dst, headerRaw)
-				if err != nil {
-					return err
-				}
-				w = bw
-				return nil
+			out, err := createRecordLog(dst, to, json.RawMessage(headerRaw))
+			if err == nil {
+				w = out // never a typed nil: the cleanup below tests w
 			}
-			f, err := os.OpenFile(dst, os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o644)
-			if err != nil {
-				return err
-			}
-			jw := &JSONLWriter{f: f}
-			if err := jw.AppendRecord(headerRaw); err != nil {
-				f.Close()
-				os.Remove(dst)
-				return err
-			}
-			w = jw
-			return nil
+			return err
 		},
-		func(payload []byte) error {
-			if isGrid {
-				inst, err := decodeGridEntry(srcFormat, payload, intern)
-				if err != nil {
-					return err
-				}
-				if to == FormatBinary {
-					buf = appendBinaryGridEntry(buf[:0], inst)
-				} else if buf, err = json.Marshal(inst); err != nil {
-					return err
-				}
-			} else {
-				e, err := decodeJournalEntry(srcFormat, payload, intern)
-				if err != nil {
-					return err
-				}
-				if to == FormatBinary {
-					buf = appendBinaryEntry(buf[:0], e)
-				} else if buf, err = json.Marshal(e); err != nil {
-					return err
-				}
+		func(payload []byte, _ int64) error {
+			var err error
+			if buf, err = codec.transcode(buf[:0], srcFormat, to, payload, intern); err != nil {
+				return err
 			}
-			if werr := w.AppendRecord(buf); werr != nil {
-				writeErr = werr
-				return werr
-			}
-			return nil
+			writeErr = w.AppendRecord(buf)
+			return writeErr
 		})
 	if err == nil {
 		err = writeErr
@@ -102,9 +53,8 @@ func ConvertJournal(src, dst string, to Format) error {
 			err = cerr
 		}
 	}
-	if err != nil {
+	if err != nil && w != nil {
 		os.Remove(dst)
-		return err
 	}
-	return nil
+	return err
 }

@@ -2,12 +2,11 @@ package exp
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"math"
-	"runtime"
 	"sort"
 	"strings"
-	"sync"
 
 	"tightsched/internal/avail"
 	"tightsched/internal/grid"
@@ -294,9 +293,11 @@ type GridRunOptions struct {
 	Telemetry grid.Telemetry
 }
 
-// RunGridContext executes the campaign on a bounded worker pool. Results
-// are canonically sorted, so any worker count — and any resume split —
-// produces identical bytes.
+// RunGridContext executes the campaign on the shared worker pool
+// (runPool): cancelling ctx stops it at instance boundaries, and every
+// instance completed by then is journaled. Results are canonically
+// sorted, so any worker count — and any resume split — produces
+// identical bytes.
 func RunGridContext(ctx context.Context, g GridSweep, opt GridRunOptions) (*GridResult, error) {
 	if err := g.Validate(); err != nil {
 		return nil, err
@@ -308,25 +309,25 @@ func RunGridContext(ctx context.Context, g GridSweep, opt GridRunOptions) (*Grid
 	if err != nil {
 		return nil, err
 	}
+	if opt.Journal != nil {
+		if err := opt.Journal.matches(g.Spec(), Shard{}); err != nil {
+			return nil, err
+		}
+	}
 
 	total := g.InstanceCount()
 	instances := make([]GridInstance, 0, total)
-	var done map[GridKey]GridInstance
-	if opt.Journal != nil {
-		if err := opt.Journal.matches(&g); err != nil {
-			return nil, err
-		}
-		done = opt.Journal.Done()
-	}
 	var jobs []GridKey
 	for _, a := range g.Arrivals {
 		for _, adm := range g.Admissions {
 			for _, pre := range g.Preemptions {
 				for trial := 0; trial < g.Trials; trial++ {
 					key := GridKey{Arrival: a.Name(), Admission: adm, Preemption: pre, Trial: trial}
-					if inst, ok := done[key]; ok {
-						instances = append(instances, inst)
-						continue
+					if opt.Journal != nil {
+						if inst, ok := opt.Journal.Done(key); ok {
+							instances = append(instances, inst)
+							continue
+						}
 					}
 					jobs = append(jobs, key)
 				}
@@ -337,92 +338,36 @@ func RunGridContext(ctx context.Context, g GridSweep, opt GridRunOptions) (*Grid
 		opt.Progress(len(instances), total)
 	}
 
-	workers := opt.Workers
-	if workers <= 0 {
-		workers = g.Workers
+	workers := g.Workers
+	if opt.Workers > 0 {
+		workers = opt.Workers
 	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(jobs) {
-		workers = len(jobs)
-	}
-
-	if len(jobs) > 0 {
-		ctx, cancel := context.WithCancel(ctx)
-		defer cancel()
-		jobCh := make(chan GridKey)
-		type outcome struct {
-			inst GridInstance
-			err  error
+	run := func(ctx context.Context, key GridKey, emit func(GridInstance)) error {
+		inst, err := g.runInstance(ctx, key, model, opt.Telemetry)
+		if err == nil {
+			emit(inst)
 		}
-		resCh := make(chan outcome)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for key := range jobCh {
-					inst, err := g.runInstance(ctx, key, model, opt.Telemetry)
-					select {
-					case resCh <- outcome{inst, err}:
-					case <-ctx.Done():
-						return
-					}
-				}
-			}()
-		}
-		go func() {
-			wg.Wait()
-			close(resCh)
-		}()
-		go func() {
-			defer close(jobCh)
-			for _, key := range jobs {
-				select {
-				case jobCh <- key:
-				case <-ctx.Done():
-					return
-				}
-			}
-		}()
-		// Drain until the workers exit: cancelled workers drop their
-		// outcomes, so the count of deliveries is not knowable up front.
-		var firstErr error
-		collected := 0
-		for out := range resCh {
-			collected++
-			if out.err != nil {
-				if firstErr == nil {
-					firstErr = out.err
-					cancel()
-				}
-				continue
-			}
+		return err
+	}
+	err = runPool(ctx, workers, jobs, func() poolRun[GridKey, GridInstance] { return run },
+		func(inst GridInstance) error {
 			if opt.Journal != nil {
-				if err := opt.Journal.Append(out.inst); err != nil && firstErr == nil {
-					firstErr = err
-					cancel()
-					continue
+				if err := opt.Journal.Append(inst); err != nil {
+					return err
 				}
 			}
-			instances = append(instances, out.inst)
+			instances = append(instances, inst)
 			if opt.Progress != nil {
 				opt.Progress(len(instances), total)
 			}
-		}
-		if firstErr == nil && collected < len(jobs) {
-			// Workers bailed out before delivering everything: the
-			// caller's context died without any outcome carrying it.
-			if firstErr = ctx.Err(); firstErr == nil {
-				firstErr = context.Canceled
-			}
-		}
-		if firstErr != nil {
-			return nil, firstErr
-		}
+			return nil
+		})
+	if err == nil && len(instances) < total {
+		err = ctx.Err()
 	}
-
+	if err != nil {
+		return nil, err
+	}
 	sortGridInstances(instances)
 	return &GridResult{Sweep: g, Instances: instances}, nil
 }
@@ -490,6 +435,130 @@ func sortGridInstances(instances []GridInstance) {
 		}
 		return a.Trial < b.Trial
 	})
+}
+
+// GridSpec is a GridSweep's serializable identity — every parameter that
+// affects results, and nothing that only affects execution (Workers).
+// It is the journal header of grid campaigns and the stamped identity
+// the daemon reports; arrival traces ride inline, so a journaled trace
+// campaign resumes headlessly with no trace file around.
+type GridSpec struct {
+	Tiers       []platform.SpeedTier `json:"tiers"`
+	Ncom        int                  `json:"ncom"`
+	AppProcs    int                  `json:"appProcs"`
+	M           int                  `json:"m"`
+	Iterations  int                  `json:"iterations"`
+	Horizon     int64                `json:"horizon"`
+	Heuristic   string               `json:"heuristic"`
+	Model       string               `json:"model"`
+	Seed        uint64               `json:"seed"`
+	Trials      int                  `json:"trials"`
+	Arrivals    []grid.ArrivalSpec   `json:"arrivals"`
+	Admissions  []string             `json:"admissions"`
+	Preemptions []string             `json:"preemptions"`
+}
+
+// Spec returns the sweep's identity.
+func (g *GridSweep) Spec() GridSpec {
+	return GridSpec{
+		Tiers:       g.Tiers,
+		Ncom:        g.Ncom,
+		AppProcs:    g.AppProcs,
+		M:           g.M,
+		Iterations:  g.Iterations,
+		Horizon:     g.Horizon,
+		Heuristic:   g.Heuristic,
+		Model:       g.Model,
+		Seed:        g.Seed,
+		Trials:      g.Trials,
+		Arrivals:    g.Arrivals,
+		Admissions:  g.Admissions,
+		Preemptions: g.Preemptions,
+	}
+}
+
+// Sweep reconstructs the campaign a spec identifies.
+func (sp GridSpec) Sweep() GridSweep {
+	return GridSweep{
+		Tiers:       sp.Tiers,
+		Ncom:        sp.Ncom,
+		AppProcs:    sp.AppProcs,
+		M:           sp.M,
+		Iterations:  sp.Iterations,
+		Horizon:     sp.Horizon,
+		Heuristic:   sp.Heuristic,
+		Model:       sp.Model,
+		Seed:        sp.Seed,
+		Trials:      sp.Trials,
+		Arrivals:    sp.Arrivals,
+		Admissions:  sp.Admissions,
+		Preemptions: sp.Preemptions,
+	}
+}
+
+// gridKind is the grid journal's codec.
+var gridKind = &journalKind[GridKey, GridInstance, GridSpec]{
+	kind:        "grid",
+	key:         GridInstance.Key,
+	sort:        sortGridInstances,
+	marshalJSON: func(in GridInstance) ([]byte, error) { return json.Marshal(in) },
+	unmarshalJSON: func(b []byte) (GridInstance, error) {
+		var in GridInstance
+		err := json.Unmarshal(b, &in)
+		return in, err
+	},
+	appendBinary: appendBinaryGridEntry,
+	decodeBinary: decodeBinaryGridEntry,
+}
+
+// GridJournal is the append-only journal of an online campaign, keyed by
+// (arrival, admission, preemption, trial): the sweep Journal's
+// crash-tolerant substrate with a "grid" kind marker and no shard stamp.
+type GridJournal = journal[GridKey, GridInstance, GridSpec]
+
+// CreateGridJournal starts a new JSONL journal for the campaign. It
+// refuses to clobber an existing file.
+func CreateGridJournal(path string, g *GridSweep) (*GridJournal, error) {
+	return CreateGridJournalFormat(path, g, FormatJSONL)
+}
+
+// CreateGridJournalFormat is CreateGridJournal with an explicit on-disk
+// format.
+func CreateGridJournalFormat(path string, g *GridSweep, format Format) (*GridJournal, error) {
+	if err := g.Validate(); err != nil {
+		return nil, err
+	}
+	return createJournal(gridKind, path, format, g.Spec(), Shard{})
+}
+
+// OpenGridJournal reopens an existing journal for appending, dropping a
+// crash-torn tail. The journal's spec must match the campaign exactly.
+func OpenGridJournal(path string, g *GridSweep) (*GridJournal, error) {
+	return openJournal(gridKind, path, func(j *GridJournal) error { return j.matches(g.Spec(), Shard{}) })
+}
+
+// ResumeGrid completes a journaled online campaign: the sweep comes from
+// the header, journaled instances replay, and only missing ones run.
+// The result is bit-identical to an uninterrupted run (instances are
+// deterministic and canonically sorted).
+func ResumeGrid(ctx context.Context, path string, opt GridRunOptions) (*GridResult, error) {
+	j, err := openJournal(gridKind, path, nil)
+	if err != nil {
+		return nil, err
+	}
+	defer j.Close()
+	opt.Journal = j
+	return RunGridContext(ctx, j.Spec().Sweep(), opt)
+}
+
+// LoadGridJournal loads a journal read-only into a (possibly partial)
+// result, without running anything.
+func LoadGridJournal(path string) (*GridResult, error) {
+	j, _, err := readJournal(gridKind, path)
+	if err != nil {
+		return nil, err
+	}
+	return &GridResult{Sweep: j.Spec().Sweep(), Instances: j.Instances()}, nil
 }
 
 // TableIVRow is one aggregated Table IV line: a policy combination's SLO

@@ -99,7 +99,7 @@ func TestGridCancelResumeByteIdentical(t *testing.T) {
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled run returned %v, want context.Canceled", err)
 	}
-	journaled := len(j.Done())
+	journaled := j.DoneCount()
 	if journaled < limit || journaled >= len(ref.Instances) {
 		t.Fatalf("journal holds %d instances, want in [%d, %d)", journaled, limit, len(ref.Instances))
 	}

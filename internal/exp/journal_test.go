@@ -1,6 +1,8 @@
 package exp
 
 import (
+	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -18,6 +20,150 @@ func journalSweep() Sweep {
 	s.Cap = 30_000
 	s.Heuristics = []string{"IE", "Y-IE", "RANDOM", "IAY"}
 	return s
+}
+
+// journalHarness drives the journal contract tests (torn tails, corrupt
+// records, spec mismatches, refusing to clobber) over one journal kind.
+type journalHarness struct {
+	kind string
+	// create starts an empty journal of the harness campaign and closes it.
+	create func(path string, format Format) error
+	// run journals the campaign to path, cut short after stopAfter live
+	// instances when stopAfter is positive.
+	run func(t *testing.T, path string, format Format, stopAfter int)
+	// open reopens path for appending and reports its instance count.
+	open func(path string) (int, error)
+	// resume completes the journal at path and returns its instances.
+	resume func(path string) (any, error)
+	// mismatch runs a different campaign against the journal at path.
+	mismatch func(path string) error
+	// ref returns an uninterrupted run's instances.
+	ref func(t *testing.T) any
+}
+
+// contractGrid is the grid campaign of the journal contract tests: six
+// cheap instances, so a corrupt record can sit mid-file.
+func contractGrid() GridSweep {
+	g := fixtureGrid()
+	g.Trials = 3
+	return g
+}
+
+func journalHarnesses() []journalHarness {
+	return []journalHarness{{
+		kind: "sweep",
+		create: func(path string, format Format) error {
+			j, err := CreateJournalFormat(path, codecSweep(), Shard{}, format)
+			if err != nil {
+				return err
+			}
+			return j.Close()
+		},
+		run: func(t *testing.T, path string, format Format, stopAfter int) {
+			t.Helper()
+			journalRun(t, path, codecSweep(), format, stopAfter)
+		},
+		open: func(path string) (int, error) {
+			j, err := OpenJournal(path)
+			if err != nil {
+				return 0, err
+			}
+			defer j.Close()
+			return j.DoneCount(), nil
+		},
+		resume: func(path string) (any, error) {
+			res, err := Resume(path, nil)
+			if err != nil {
+				return nil, err
+			}
+			return res.Instances, nil
+		},
+		mismatch: func(path string) error {
+			j, err := OpenJournal(path)
+			if err != nil {
+				return err
+			}
+			defer j.Close()
+			other := codecSweep()
+			other.Seed++
+			_, err = RunWith(other, RunOptions{Journal: j})
+			return err
+		},
+		ref: func(t *testing.T) any {
+			res, err := Run(codecSweep(), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return res.Instances
+		},
+	}, {
+		kind: "grid",
+		create: func(path string, format Format) error {
+			g := contractGrid()
+			j, err := CreateGridJournalFormat(path, &g, format)
+			if err != nil {
+				return err
+			}
+			return j.Close()
+		},
+		run: func(t *testing.T, path string, format Format, stopAfter int) {
+			t.Helper()
+			g := contractGrid()
+			j, err := CreateGridJournalFormat(path, &g, format)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ctx, cancel := context.WithCancel(t.Context())
+			defer cancel()
+			_, err = RunGridContext(ctx, g, GridRunOptions{Journal: j, Workers: 1,
+				Progress: func(done, _ int) {
+					if stopAfter > 0 && done >= stopAfter {
+						cancel()
+					}
+				}})
+			if (stopAfter > 0 && !errors.Is(err, context.Canceled)) || (stopAfter <= 0 && err != nil) {
+				t.Fatalf("journaled run returned %v", err)
+			}
+			if err := j.Close(); err != nil {
+				t.Fatal(err)
+			}
+		},
+		open: func(path string) (int, error) {
+			g := contractGrid()
+			j, err := OpenGridJournal(path, &g)
+			if err != nil {
+				return 0, err
+			}
+			defer j.Close()
+			return j.DoneCount(), nil
+		},
+		resume: func(path string) (any, error) {
+			res, err := ResumeGrid(context.Background(), path, GridRunOptions{})
+			if err != nil {
+				return nil, err
+			}
+			return res.Instances, nil
+		},
+		mismatch: func(path string) error {
+			g := contractGrid()
+			j, err := OpenGridJournal(path, &g)
+			if err != nil {
+				return err
+			}
+			defer j.Close()
+			other := contractGrid()
+			other.Seed++
+			_, err = RunGridContext(context.Background(), other, GridRunOptions{Journal: j})
+			return err
+		},
+		ref: func(t *testing.T) any {
+			res, err := RunGridContext(t.Context(), contractGrid(), GridRunOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return res.Instances
+		},
+	}}
 }
 
 // TestJournalResumeByteIdentical is the acceptance path: a journaled
@@ -153,52 +299,53 @@ func TestResumeOfCompleteJournalRunsNothing(t *testing.T) {
 
 // TestJournalSpecMismatch: a journal belongs to exactly one campaign.
 func TestJournalSpecMismatch(t *testing.T) {
-	s := tinySweep([]string{"IE", "RANDOM"})
-	path := filepath.Join(t.TempDir(), "a.journal")
-	j, err := CreateJournal(path, s, Shard{})
-	if err != nil {
-		t.Fatal(err)
+	for _, k := range journalHarnesses() {
+		t.Run(k.kind, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "a.journal")
+			if err := k.create(path, FormatJSONL); err != nil {
+				t.Fatal(err)
+			}
+			if err := k.mismatch(path); err == nil {
+				t.Fatal("journal accepted a different campaign")
+			}
+		})
 	}
-	defer j.Close()
-
-	other := s
-	other.Seed++
-	if _, err := RunWith(other, RunOptions{Journal: j}); err == nil {
-		t.Fatal("journal accepted a different campaign")
-	}
-	if _, err := RunWith(s, RunOptions{Journal: j, Shard: Shard{Index: 0, Count: 2}}); err == nil {
-		t.Fatal("whole-campaign journal accepted a sharded run")
-	}
+	t.Run("shard", func(t *testing.T) {
+		s := tinySweep([]string{"IE", "RANDOM"})
+		j, err := CreateJournal(filepath.Join(t.TempDir(), "a.journal"), s, Shard{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer j.Close()
+		if _, err := RunWith(s, RunOptions{Journal: j, Shard: Shard{Index: 0, Count: 2}}); err == nil {
+			t.Fatal("whole-campaign journal accepted a sharded run")
+		}
+	})
 }
 
 // TestJournalCorruptMiddleRejected: damage before the tail is not a torn
 // write and must not be silently dropped.
 func TestJournalCorruptMiddleRejected(t *testing.T) {
-	s := tinySweep([]string{"IE"})
-	path := filepath.Join(t.TempDir(), "corrupt.journal")
-	j, err := CreateJournal(path, s, Shard{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := RunWith(s, RunOptions{Journal: j}); err != nil {
-		t.Fatal(err)
-	}
-	j.Close()
-
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.SplitAfter(string(data), "\n")
-	if len(lines) < 4 {
-		t.Fatalf("journal too short to corrupt: %d lines", len(lines))
-	}
-	lines[2] = "NOT JSON\n"
-	if err := os.WriteFile(path, []byte(strings.Join(lines, "")), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := OpenJournal(path); err == nil {
-		t.Fatal("corrupt middle line accepted")
+	for _, k := range journalHarnesses() {
+		t.Run(k.kind, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "corrupt.journal")
+			k.run(t, path, FormatJSONL, 0)
+			data, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			lines := strings.SplitAfter(string(data), "\n")
+			if len(lines) < 4 {
+				t.Fatalf("journal too short to corrupt: %d lines", len(lines))
+			}
+			lines[2] = "NOT JSON\n"
+			if err := os.WriteFile(path, []byte(strings.Join(lines, "")), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := k.open(path); err == nil {
+				t.Fatal("corrupt middle line accepted")
+			}
+		})
 	}
 }
 
@@ -318,15 +465,23 @@ func TestMergeJournalsTolerateTornTail(t *testing.T) {
 // TestCreateJournalRefusesExisting: resuming goes through OpenJournal;
 // CreateJournal never clobbers history.
 func TestCreateJournalRefusesExisting(t *testing.T) {
-	s := tinySweep([]string{"IE"})
-	path := filepath.Join(t.TempDir(), "x.journal")
-	j, err := CreateJournal(path, s, Shard{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	j.Close()
-	if _, err := CreateJournal(path, s, Shard{}); err == nil {
-		t.Fatal("CreateJournal overwrote an existing journal")
+	for _, k := range journalHarnesses() {
+		t.Run(k.kind, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "x.journal")
+			if err := k.create(path, FormatJSONL); err != nil {
+				t.Fatal(err)
+			}
+			before, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := k.create(path, FormatBinary); err == nil {
+				t.Fatal("journal creation overwrote an existing journal")
+			}
+			if after, _ := os.ReadFile(path); string(after) != string(before) {
+				t.Fatal("refused journal creation still modified the existing file")
+			}
+		})
 	}
 }
 
@@ -363,5 +518,77 @@ func TestSweepSpecRoundTrip(t *testing.T) {
 	}
 	if spec.Models[0] != "markov" || len(spec.Models) != 1 {
 		t.Fatalf("default model spec: %v", spec.Models)
+	}
+}
+
+// TestReadersRejectWrongKind: every reader checks the header's kind
+// marker, so a journal of another kind is rejected — in either format —
+// with an error naming both kinds, and nothing is written.
+func TestReadersRejectWrongKind(t *testing.T) {
+	ctx := t.Context()
+	g := fixtureGrid()
+	readers := []struct {
+		name, kind string // kind is what the reader accepts
+		read       func(path string) error
+	}{
+		{"OpenJournal", "sweep", func(p string) error { _, err := OpenJournal(p); return err }},
+		{"LoadJournal", "sweep", func(p string) error { _, _, err := LoadJournal(p); return err }},
+		{"AggregateJournal", "sweep", func(p string) error { _, err := AggregateJournal(p); return err }},
+		{"ResumeWith", "sweep", func(p string) error { _, err := ResumeWith(ctx, p, RunOptions{}); return err }},
+		{"MergeJournals", "sweep", func(p string) error { _, err := MergeJournals(p); return err }},
+		{"ExportColumns", "sweep", func(p string) error { return ExportColumns(p, p+".columns") }},
+		{"OpenGridJournal", "grid", func(p string) error { _, err := OpenGridJournal(p, &g); return err }},
+		{"LoadGridJournal", "grid", func(p string) error { _, err := LoadGridJournal(p); return err }},
+		{"AggregateGridJournal", "grid", func(p string) error { _, err := AggregateGridJournal(p); return err }},
+		{"ResumeGrid", "grid", func(p string) error { _, err := ResumeGrid(ctx, p, GridRunOptions{}); return err }},
+		{"ConvertJournal", "sweep or grid", func(p string) error { return ConvertJournal(p, p+".converted", FormatJSONL) }},
+	}
+	// Journals of each kind in each format: the committed fixtures, plus
+	// a header of a kind no reader knows.
+	bogus := []byte(`{"v":1,"kind":"bogus","spec":{}}`)
+	for _, format := range []Format{FormatJSONL, FormatBinary} {
+		ext := map[Format]string{FormatJSONL: "jsonl", FormatBinary: "bin"}[format]
+		for _, kind := range []string{"sweep", "grid", "bogus"} {
+			for _, r := range readers {
+				if strings.Contains(r.kind, kind) {
+					continue
+				}
+				t.Run(r.name+"/"+kind+"."+ext, func(t *testing.T) {
+					path := filepath.Join(t.TempDir(), "journal")
+					if kind == "bogus" {
+						w, err := createRecordLog(path, format, json.RawMessage(bogus))
+						if err != nil {
+							t.Fatal(err)
+						}
+						w.Close()
+					} else {
+						data, err := os.ReadFile(filepath.Join("testdata", kind+"."+ext))
+						if err != nil {
+							t.Fatal(err)
+						}
+						if err := os.WriteFile(path, data, 0o644); err != nil {
+							t.Fatal(err)
+						}
+					}
+					before, _ := os.ReadFile(path)
+					err := r.read(path)
+					var kerr *kindError
+					if !errors.As(err, &kerr) {
+						t.Fatalf("%s accepted a %s journal (err %v)", r.name, kind, err)
+					}
+					if want := fmt.Sprintf("is a %s journal, not a %s journal", kind, r.kind); !strings.Contains(err.Error(), want) {
+						t.Fatalf("error %q does not say %q", err, want)
+					}
+					if after, _ := os.ReadFile(path); string(after) != string(before) {
+						t.Fatal("rejected journal was modified")
+					}
+					for _, out := range []string{path + ".converted", path + ".columns/" + columnsManifestName} {
+						if _, err := os.Stat(out); err == nil {
+							t.Fatalf("rejected journal still produced %s", out)
+						}
+					}
+				})
+			}
+		}
 	}
 }

@@ -68,6 +68,16 @@ func CreateJSONL(path string, header any) (*JSONLWriter, error) {
 // truncating it to validLen (as reported by ReadJSONL) to drop a
 // crash-torn tail.
 func OpenJSONLAppend(path string, validLen int64) (*JSONLWriter, error) {
+	f, err := openAppendAt(path, validLen)
+	if err != nil {
+		return nil, err
+	}
+	return &JSONLWriter{f: f}, nil
+}
+
+// openAppendAt opens an existing log for appending after truncating it
+// to validLen, the intact prefix its reader reported.
+func openAppendAt(path string, validLen int64) (*os.File, error) {
 	f, err := os.OpenFile(path, os.O_WRONLY, 0)
 	if err != nil {
 		return nil, err
@@ -80,7 +90,7 @@ func OpenJSONLAppend(path string, validLen int64) (*JSONLWriter, error) {
 		f.Close()
 		return nil, err
 	}
-	return &JSONLWriter{f: f}, nil
+	return f, nil
 }
 
 // Append writes v as one newline-terminated JSON record.

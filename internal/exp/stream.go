@@ -171,7 +171,7 @@ func Stream(ctx context.Context, sweep Sweep, opts RunOptions) iter.Seq2[Event, 
 			return
 		}
 		if opts.Journal != nil {
-			if err := opts.Journal.matches(&sweep, opts.Shard); err != nil {
+			if err := opts.Journal.matches(sweep.Spec(), opts.Shard); err != nil {
 				yield(nil, err)
 				return
 			}
@@ -276,24 +276,11 @@ func Stream(ctx context.Context, sweep Sweep, opts RunOptions) iter.Seq2[Event, 
 				return
 			}
 		}
-		if len(jobs) == 0 {
-			return
-		}
-
-		ctx, cancel := context.WithCancel(ctx)
-		defer cancel()
 
 		workers := sweep.Workers
 		if opts.Workers > 0 {
 			workers = opts.Workers
 		}
-		if workers <= 0 {
-			workers = runtime.NumCPU()
-		}
-		if workers > len(jobs) {
-			workers = len(jobs)
-		}
-
 		// packet carries one completed instance to the collector; batched
 		// cells attach their cache counters to every instance, and the
 		// collector keeps the last seen per cell.
@@ -301,129 +288,154 @@ func Stream(ctx context.Context, sweep Sweep, opts RunOptions) iter.Seq2[Event, 
 			inst  InstanceResult
 			cache *CacheStats
 		}
-
-		jobCh := make(chan int)
-		resCh := make(chan packet, workers)
-		errCh := make(chan error, workers)
-
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				cache := analytic.NewPlatformCache()
-				for idx := range jobCh {
-					j := jobs[idx]
-					// Instance boundary: a cancelled campaign starts no
-					// new simulations.
-					if ctx.Err() != nil {
-						return
+		newRun := func() poolRun[job, packet] {
+			cache := analytic.NewPlatformCache()
+			return func(ctx context.Context, j job, emit func(packet)) error {
+				if len(j.pairs) > 0 {
+					insts, cst, err := runCell(ctx, &sweep, modelByName[j.c.Model], j.c.Model, j.c.Point, j.pairs, cache)
+					for _, inst := range insts {
+						emit(packet{inst: inst, cache: cst})
 					}
-					var packets []packet
-					if len(j.pairs) > 0 {
-						insts, cst, err := runCell(ctx, &sweep, modelByName[j.c.Model], j.c.Model, j.c.Point, j.pairs, cache)
-						if err != nil {
-							if !errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded) {
-								select {
-								case errCh <- err:
-								default:
-								}
-							}
-							cancel()
-							return
-						}
-						for _, inst := range insts {
-							packets = append(packets, packet{inst: inst, cache: cst})
-						}
-					} else {
-						res, err := runInstance(ctx, &sweep, modelByName[j.c.Model], j.c.Point, j.c.Trial, j.h, cache)
-						if err != nil {
-							// A run aborted by cancellation is not a campaign
-							// failure; the stream reports the context's error
-							// once, at the end.
-							if !errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded) {
-								select {
-								case errCh <- err:
-								default:
-								}
-							}
-							cancel()
-							return
-						}
-						packets = []packet{{inst: InstanceResult{
-							Point:     j.c.Point,
-							Trial:     j.c.Trial,
-							Model:     j.c.Model,
-							Heuristic: j.h,
-							Makespan:  res.Makespan,
-							Failed:    res.Failed,
-						}}}
-					}
-					for _, pk := range packets {
-						select {
-						case resCh <- pk:
-						case <-ctx.Done():
-							return
-						}
-					}
+					return err
 				}
-			}()
-		}
-		go func() { // feeder
-			defer close(jobCh)
-			for idx := range jobs {
-				select {
-				case jobCh <- idx:
-				case <-ctx.Done():
-					return
+				res, err := runInstance(ctx, &sweep, modelByName[j.c.Model], j.c.Point, j.c.Trial, j.h, cache)
+				if err == nil {
+					emit(packet{inst: InstanceResult{Point: j.c.Point, Trial: j.c.Trial, Model: j.c.Model,
+						Heuristic: j.h, Makespan: res.Makespan, Failed: res.Failed}})
 				}
-			}
-		}()
-		go func() { // closer: resCh ends exactly when the pool has exited
-			wg.Wait()
-			close(resCh)
-		}()
-
-		// shutdown stops the pool and blocks until every worker has
-		// exited, so returning from the iterator never leaks goroutines.
-		// Results still queued when the consumer quits are dropped
-		// without journaling — a later Resume re-runs exactly those.
-		shutdown := func() {
-			cancel()
-			for range resCh {
+				return err
 			}
 		}
-
 		// The iterator's caller is the collector: journal appends happen
 		// here, before the event is yielded, so every instance a consumer
 		// observes is already durable.
-		for pk := range resCh {
+		err := runPool(ctx, workers, jobs, newRun, func(pk packet) error {
 			inst := pk.inst
 			if pk.cache != nil {
 				cellStats[pointKey{modelName(inst), inst.Point}] = pk.cache
 			}
 			if opts.Journal != nil {
 				if err := opts.Journal.Append(inst); err != nil {
-					shutdown()
-					yield(nil, err)
-					return
+					return err
 				}
 			}
 			if !emitInstance(inst, false) || !yield(Progress{Completed: completed, Total: total}, nil) {
-				shutdown()
+				return errStopped
+			}
+			return nil
+		})
+		if errors.Is(err, errStopped) {
+			return // the consumer broke out: yield must not be called again
+		}
+		// Surface a worker or journal error, or the cancellation that cut
+		// the campaign short.
+		if err == nil && completed < total {
+			err = ctx.Err()
+		}
+		if err != nil {
+			yield(nil, err)
+		}
+	}
+}
+
+// poolRun runs one job on a pool worker, handing each of its results to
+// emit. An error that is not a cancellation fails the whole pool.
+type poolRun[J, R any] func(ctx context.Context, job J, emit func(R)) error
+
+// errStopped is what a collector returns to stop the pool when nothing
+// went wrong (a Stream consumer broke out of its loop).
+var errStopped = errors.New("exp: campaign stopped by its consumer")
+
+// runPool is the campaign worker pool behind Stream and RunGridContext.
+// It runs jobs on up to workers goroutines (GOMAXPROCS when workers <=
+// 0); each goroutine gets its own run from newRun, so per-worker state
+// such as an analytic cache stays goroutine-confined. collect receives
+// every result on the calling goroutine, in completion order; an error
+// from it stops the pool and is returned.
+//
+// Cancelling ctx stops the pool at job boundaries: no worker starts a
+// job once ctx is done, and a result emitted after that may be dropped.
+// Otherwise runPool returns the first run error that is not a
+// cancellation, and nil when there is none — a pool cut short by ctx is
+// for the caller, who knows how many results it expected, to report.
+// Either way no goroutine outlives the call.
+func runPool[J, R any](ctx context.Context, workers int, jobs []J, newRun func() poolRun[J, R], collect func(R) error) error {
+	if len(jobs) == 0 {
+		return nil
+	}
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	workers = min(workers, len(jobs))
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	jobCh := make(chan J)
+	// One slot per worker: a worker that finishes a job hands its result
+	// over and starts the next without waiting for the collector.
+	resCh := make(chan R, workers)
+	errCh := make(chan error, 1)
+	var wg sync.WaitGroup
+	for range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			run := newRun()
+			emit := func(r R) {
+				select {
+				case resCh <- r:
+				case <-ctx.Done():
+				}
+			}
+			for j := range jobCh {
+				// Instance boundary: a cancelled campaign starts no new
+				// simulations.
+				if ctx.Err() != nil {
+					return
+				}
+				if err := run(ctx, j, emit); err != nil {
+					// A run aborted by cancellation is not a campaign
+					// failure; the caller reports the context's error.
+					if !errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded) {
+						select {
+						case errCh <- err:
+						default:
+						}
+					}
+					cancel()
+					return
+				}
+			}
+		}()
+	}
+	go func() { // feeder
+		defer close(jobCh)
+		for _, j := range jobs {
+			select {
+			case jobCh <- j:
+			case <-ctx.Done():
 				return
 			}
 		}
-		// Pool exited. Surface a worker error, or the cancellation that
-		// cut the campaign short.
-		select {
-		case err := <-errCh:
-			yield(nil, err)
-			return
-		default:
+	}()
+	go func() { // closer: resCh ends exactly when the pool has exited
+		wg.Wait()
+		close(resCh)
+	}()
+	for r := range resCh {
+		if err := collect(r); err != nil {
+			// Shutdown: stop the pool and block until every worker has
+			// exited. Results still queued are dropped uncollected — a
+			// later resume re-runs exactly those.
+			cancel()
+			for range resCh {
+			}
+			return err
 		}
-		if err := ctx.Err(); err != nil && completed < total {
-			yield(nil, err)
-		}
+	}
+	select {
+	case err := <-errCh:
+		return err
+	default:
+		return nil
 	}
 }

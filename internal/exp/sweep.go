@@ -51,7 +51,8 @@ type Sweep struct {
 	// same realization every trial — use Trials = 1 with those. See
 	// internal/avail.
 	Models []avail.Model
-	// Workers bounds the number of parallel simulations (NumCPU when 0).
+	// Workers bounds the number of parallel simulations (GOMAXPROCS when
+	// 0).
 	Workers int
 	// InitialAllUp starts processors UP instead of at stationarity.
 	InitialAllUp bool

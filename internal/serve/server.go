@@ -26,7 +26,7 @@ type Config struct {
 	// own worker pool parallelizes inside its runner slot.
 	Runners int
 	// Workers is the default per-campaign worker count applied when a
-	// spec leaves run.workers at 0 (0: NumCPU).
+	// spec leaves run.workers at 0 (0: GOMAXPROCS).
 	Workers int
 	// MaxSpecBytes bounds a submitted spec document (default 1 MiB).
 	MaxSpecBytes int64

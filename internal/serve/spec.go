@@ -105,7 +105,7 @@ type Spec struct {
 //	run:                       # optional runtime knobs (never in identity)
 //	  advance: leap            # leap | slot | batch
 //	  maxLeap: 0               # macro-step bound (0 = default)
-//	  workers: 0               # per-campaign parallel sims (0 = NumCPU)
+//	  workers: 0               # per-campaign parallel sims (0 = GOMAXPROCS)
 //	  journal: true            # journal to the daemon's data dir
 //	  format: jsonl            # journal encoding: jsonl | binary
 //	  shard: 0/3               # run one slice of the grid

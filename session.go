@@ -236,7 +236,7 @@ func WithCustomHeuristic(h Heuristic) Option {
 	return scoped("WithCustomHeuristic", scopeSessionRun, func(c *sessionConfig) { c.run.Custom = h })
 }
 
-// WithWorkers bounds the parallel simulations of a campaign (NumCPU when
+// WithWorkers bounds the parallel simulations of a campaign (GOMAXPROCS when
 // unset). It overrides the sweep's own Workers field when positive, and
 // is the only way to bound a ResumeSweep or ResumeOnline, whose sweep is
 // rebuilt from the journal spec.
@@ -341,7 +341,7 @@ func ParseTimeAdvance(name string) (TimeAdvance, error) {
 // SweepRuntime carries the runtime knobs a SweepSpec deliberately omits
 // because they change speed, never results: the time-advance core, the
 // macro-step bound, and the per-campaign worker count. The zero value is
-// the default configuration (event-leap core, DefaultMaxLeap, NumCPU
+// the default configuration (event-leap core, DefaultMaxLeap, GOMAXPROCS
 // workers).
 type SweepRuntime struct {
 	// Advance selects the time-advance core (AdvanceLeap when zero).
@@ -349,7 +349,7 @@ type SweepRuntime struct {
 	// MaxLeap caps one leap macro-step in slots (DefaultMaxLeap when 0),
 	// bounding a run's worst-case cancellation latency.
 	MaxLeap int64
-	// Workers bounds the campaign's parallel simulations (NumCPU when 0).
+	// Workers bounds the campaign's parallel simulations (GOMAXPROCS when 0).
 	Workers int
 }
 
