@@ -47,7 +47,7 @@ func miniSweep(m int) exp.Sweep {
 func BenchmarkTableI(b *testing.B) {
 	sweep := miniSweep(5)
 	for i := 0; i < b.N; i++ {
-		res, err := exp.Run(sweep, nil)
+		res, err := exp.Run(context.Background(), sweep, exp.RunOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -68,7 +68,7 @@ func BenchmarkTableII(b *testing.B) {
 	sweep := miniSweep(10)
 	sweep.Heuristics = []string{"Y-IE", "P-IE", "E-IAY", "E-IY", "E-IP", "IAY", "IY", "IE"}
 	for i := 0; i < b.N; i++ {
-		res, err := exp.Run(sweep, nil)
+		res, err := exp.Run(context.Background(), sweep, exp.RunOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -89,7 +89,7 @@ func BenchmarkFigure2(b *testing.B) {
 	sweep.Wmins = []int{1, 2}
 	sweep.Heuristics = []string{"Y-IE", "P-IE", "IE", "IAY"}
 	for i := 0; i < b.N; i++ {
-		res, err := exp.Run(sweep, nil)
+		res, err := exp.Run(context.Background(), sweep, exp.RunOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -249,16 +249,16 @@ func BenchmarkStatsOfCached(b *testing.B) {
 
 // BenchmarkSweepPoint runs one full campaign point end-to-end — platform
 // generation, per-worker analytic cache, simulation, aggregation — the
-// unit the campaign throughput north-star multiplies. Since the Session
-// redesign this is also the "old callback path": exp.Run is a shim over
-// the event stream, so the pair (SweepPoint, StreamOverhead) measures the
-// same work consumed through the two API shapes.
+// unit the campaign throughput north-star multiplies. It is also the
+// callback path: exp.Run consumes the event stream, so the pair
+// (SweepPoint, StreamOverhead) measures the same work consumed through
+// the two API shapes.
 func BenchmarkSweepPoint(b *testing.B) {
 	sweep := miniSweep(5)
 	sweep.Heuristics = []string{"IE", "Y-IE", "RANDOM"}
 	sweep.Workers = 1 // single-threaded: ns/op must not depend on core count
 	for i := 0; i < b.N; i++ {
-		res, err := exp.Run(sweep, nil)
+		res, err := exp.Run(context.Background(), sweep, exp.RunOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -270,7 +270,7 @@ func BenchmarkSweepPoint(b *testing.B) {
 
 // BenchmarkStreamOverhead runs exactly BenchmarkSweepPoint's campaign
 // point but consumes it through the raw exp.Stream event iterator — the
-// path every Session campaign (and the rebuilt callback family) rides.
+// path every Session campaign (and exp.Run's callbacks) rides.
 // The benchgate CI job gates its ns/op against the committed baseline;
 // the design requirement is that events cost < 5% over the callback
 // figure of BenchmarkSweepPoint, which the baseline pair documents (the
@@ -642,9 +642,11 @@ func BenchmarkBatchSweepCell(b *testing.B) {
 // passive heuristic on a paper-size platform.
 func BenchmarkEngineSlots(b *testing.B) {
 	sc := tightsched.PaperScenario(5, 10, 3, 42)
+	session := tightsched.NewSession(tightsched.WithCap(5_000))
+	ctx := context.Background()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := tightsched.Run(sc, "IE", tightsched.Options{Seed: uint64(i), Cap: 5_000})
+		res, err := session.Run(ctx, sc, "IE", tightsched.WithSeed(uint64(i)))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -753,8 +755,9 @@ func BenchmarkAblationProactive(b *testing.B) {
 	for _, name := range []string{"IE", "Y-IE", "P-IE"} {
 		b.Run(name, func(b *testing.B) {
 			sc := tightsched.PaperScenario(5, 10, 2, 77)
+			session := tightsched.NewSession(tightsched.WithSeed(13), tightsched.WithCap(200_000))
 			for i := 0; i < b.N; i++ {
-				res, err := tightsched.Run(sc, name, tightsched.Options{Seed: 13, Cap: 200_000})
+				res, err := session.Run(context.Background(), sc, name)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -65,14 +65,16 @@ var goldenRuns = []struct {
 // default path (no model set) and through an explicit MarkovModel — and
 // requires both to match the pinned pre-refactor results exactly.
 func TestMarkovModelGoldenParity(t *testing.T) {
+	ctx := context.Background()
+	session := tightsched.NewSession(tightsched.WithCap(200_000))
 	for _, g := range goldenRuns {
 		for _, explicit := range []bool{false, true} {
-			opt := tightsched.Options{Seed: g.seed, Cap: 200_000}
+			opts := []tightsched.Option{tightsched.WithSeed(g.seed)}
 			if explicit {
-				opt.Model = tightsched.MarkovModel{}
+				opts = append(opts, tightsched.WithModel(tightsched.MarkovModel{}))
 			}
 			sc := tightsched.PaperScenario(g.m, 10, 2, 11)
-			res, err := tightsched.Run(sc, g.heuristic, opt)
+			res, err := session.Run(ctx, sc, g.heuristic, opts...)
 			if err != nil {
 				t.Fatalf("%s m=%d seed=%d: %v", g.heuristic, g.m, g.seed, err)
 			}
@@ -95,16 +97,16 @@ func TestMarkovModelGoldenParity(t *testing.T) {
 // TestMarkovModelGoldenParity, so together these pin cache-on == cache-off
 // == seed.)
 func TestEvaluationCacheGoldenParity(t *testing.T) {
+	ctx := context.Background()
+	session := tightsched.NewSession(tightsched.WithCap(200_000))
 	for _, g := range goldenRuns {
 		sc := tightsched.PaperScenario(g.m, 10, 2, 11)
-		base, err := tightsched.Run(sc, g.heuristic, tightsched.Options{Seed: g.seed, Cap: 200_000})
+		base, err := session.Run(ctx, sc, g.heuristic, tightsched.WithSeed(g.seed))
 		if err != nil {
 			t.Fatalf("%s m=%d seed=%d: %v", g.heuristic, g.m, g.seed, err)
 		}
-		uncached, err := tightsched.Run(sc, g.heuristic, tightsched.Options{
-			Seed: g.seed, Cap: 200_000,
-			Analytic: tightsched.AnalyticOptions{DisableMemo: true},
-		})
+		uncached, err := session.Run(ctx, sc, g.heuristic, tightsched.WithSeed(g.seed),
+			tightsched.WithAnalytic(tightsched.AnalyticOptions{DisableMemo: true}))
 		if err != nil {
 			t.Fatalf("%s m=%d seed=%d uncached: %v", g.heuristic, g.m, g.seed, err)
 		}
@@ -119,15 +121,14 @@ func TestEvaluationCacheGoldenParity(t *testing.T) {
 // the evaluation precision (so no bit-parity), but every run must still
 // complete all iterations under the cap.
 func TestSpectralGoldenScenarios(t *testing.T) {
+	session := tightsched.NewSession(tightsched.WithCap(200_000),
+		tightsched.WithAnalytic(tightsched.AnalyticOptions{Spectral: true}))
 	for _, g := range goldenRuns {
 		if g.heuristic == "RANDOM" || g.heuristic == "FASTEST" {
 			continue // no analytic evaluation involved
 		}
 		sc := tightsched.PaperScenario(g.m, 10, 2, 11)
-		res, err := tightsched.Run(sc, g.heuristic, tightsched.Options{
-			Seed: g.seed, Cap: 200_000,
-			Analytic: tightsched.AnalyticOptions{Spectral: true},
-		})
+		res, err := session.Run(context.Background(), sc, g.heuristic, tightsched.WithSeed(g.seed))
 		if err != nil {
 			t.Fatalf("%s m=%d seed=%d spectral: %v", g.heuristic, g.m, g.seed, err)
 		}
@@ -154,7 +155,7 @@ func TestLeapGoldenParity(t *testing.T) {
 		return s
 	}
 	render := func(sweep tightsched.Sweep, table int) string {
-		res, err := tightsched.RunSweep(sweep, nil)
+		res, err := tightsched.NewSession().RunSweep(context.Background(), sweep)
 		if err != nil {
 			t.Fatalf("table %d advance=%v: %v", table, sweep.Advance, err)
 		}
@@ -222,7 +223,7 @@ func TestBatchGoldenParity(t *testing.T) {
 		return s
 	}
 	render := func(sweep tightsched.Sweep, table int) string {
-		res, err := tightsched.RunSweep(sweep, nil)
+		res, err := tightsched.NewSession().RunSweep(context.Background(), sweep)
 		if err != nil {
 			t.Fatalf("table %d advance=%v: %v", table, sweep.Advance, err)
 		}
@@ -290,7 +291,7 @@ func TestQuickSweepDeterministicAcrossWorkers(t *testing.T) {
 	for _, workers := range []int{1, 4, 16} {
 		sweep := base
 		sweep.Workers = workers
-		res, err := tightsched.RunSweep(sweep, nil)
+		res, err := tightsched.NewSession().RunSweep(context.Background(), sweep)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}

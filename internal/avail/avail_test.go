@@ -252,7 +252,7 @@ func TestParseScriptErrors(t *testing.T) {
 }
 
 func TestBuiltinRegistry(t *testing.T) {
-	for _, name := range BuiltinNames() {
+	for _, name := range Names() {
 		m, err := Builtin(name)
 		if err != nil {
 			t.Fatal(err)

@@ -74,12 +74,6 @@ func Names() []string {
 	return names
 }
 
-// BuiltinNames returns the names accepted by Builtin.
-//
-// Deprecated: it is an alias for Names, which covers registered extras
-// too; new code should call Names.
-func BuiltinNames() []string { return Names() }
-
 // Builtin returns a fresh registered model by name. Out of the box:
 //
 //	markov     — the paper's Markov chains (exact believed matrices)

@@ -82,7 +82,7 @@ func unitRecords(t *testing.T, sweep exp.Sweep, unit string) []Record {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := exp.RunWithContext(context.Background(), sweep, exp.RunOptions{Shard: sh})
+	res, err := exp.Run(context.Background(), sweep, exp.RunOptions{Shard: sh})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +203,7 @@ func TestLeaseLifecycle(t *testing.T) {
 		t.Fatal("Done channel not closed after full coverage")
 	}
 
-	ref, err := exp.Run(s, nil)
+	ref, err := exp.Run(context.Background(), s, exp.RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -416,7 +416,7 @@ func TestCoordinatorRestart(t *testing.T) {
 	}
 
 	drain(t, co2, s)
-	ref, err := exp.Run(s, nil)
+	ref, err := exp.Run(context.Background(), s, exp.RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -618,7 +618,7 @@ func TestWorkerFleetWithCrash(t *testing.T) {
 	cancel()
 	fleet.Wait()
 
-	ref, err := exp.Run(s, nil)
+	ref, err := exp.Run(context.Background(), s, exp.RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

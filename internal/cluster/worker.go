@@ -180,7 +180,7 @@ func (cfg WorkerConfig) runLease(ctx context.Context, grant *LeaseGrant) error {
 	defer hb.Wait()
 	defer cancel()
 
-	_, err = exp.RunWithContext(leaseCtx, sweep, exp.RunOptions{
+	_, err = exp.Run(leaseCtx, sweep, exp.RunOptions{
 		Shard:            unit,
 		Workers:          cfg.Parallelism,
 		DiscardInstances: true,

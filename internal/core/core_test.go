@@ -1,17 +1,21 @@
-package core
+// Package core_test keeps the scenario, run, compare and estimate checks
+// that once covered the layer under the root façade. That layer now lives in
+// tightsched.Session, so every case here drives the public Session API.
+package core_test
 
 import (
+	"context"
 	"testing"
 
+	"tightsched"
 	"tightsched/internal/app"
 	"tightsched/internal/markov"
 	"tightsched/internal/platform"
 	"tightsched/internal/sched"
-	"tightsched/internal/trace"
 )
 
 func TestPaperScenarioShape(t *testing.T) {
-	sc := PaperScenario(5, 10, 3, 42)
+	sc := tightsched.PaperScenario(5, 10, 3, 42)
 	if err := sc.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -24,15 +28,15 @@ func TestPaperScenarioShape(t *testing.T) {
 }
 
 func TestScenarioValidate(t *testing.T) {
-	if (Scenario{}).Validate() == nil {
+	if (tightsched.Scenario{}).Validate() == nil {
 		t.Fatal("empty scenario accepted")
 	}
-	sc := PaperScenario(5, 10, 1, 1)
+	sc := tightsched.PaperScenario(5, 10, 1, 1)
 	sc.App.Tasks = 0
 	if sc.Validate() == nil {
 		t.Fatal("invalid app accepted")
 	}
-	tiny := Scenario{
+	tiny := tightsched.Scenario{
 		Platform: platform.Homogeneous(1, 1, 1, 1, markov.Uniform(0.9)),
 		App:      app.Application{Tasks: 5, Iterations: 1},
 	}
@@ -42,9 +46,10 @@ func TestScenarioValidate(t *testing.T) {
 }
 
 func TestRunEndToEnd(t *testing.T) {
-	sc := PaperScenario(3, 10, 1, 7)
-	rec := &trace.Recorder{}
-	res, err := Run(sc, "Y-IE", Options{Seed: 5, Cap: 100000, Recorder: rec})
+	sc := tightsched.PaperScenario(3, 10, 1, 7)
+	rec := &tightsched.Recorder{}
+	res, err := tightsched.NewSession(tightsched.WithSeed(5), tightsched.WithCap(100000)).
+		Run(context.Background(), sc, "Y-IE", tightsched.WithRecorder(rec))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,37 +62,41 @@ func TestRunEndToEnd(t *testing.T) {
 }
 
 func TestRunRejectsInvalid(t *testing.T) {
-	if _, err := Run(Scenario{}, "IE", Options{}); err == nil {
+	s := tightsched.NewSession()
+	ctx := context.Background()
+	if _, err := s.Run(ctx, tightsched.Scenario{}, "IE"); err == nil {
 		t.Fatal("invalid scenario accepted")
 	}
-	sc := PaperScenario(3, 10, 1, 7)
-	if _, err := Run(sc, "NOPE", Options{}); err == nil {
+	sc := tightsched.PaperScenario(3, 10, 1, 7)
+	if _, err := s.Run(ctx, sc, "NOPE"); err == nil {
 		t.Fatal("unknown heuristic accepted")
 	}
 }
 
 func TestHeuristicsList(t *testing.T) {
-	if len(Heuristics()) != 17 {
-		t.Fatalf("got %d heuristics", len(Heuristics()))
+	if len(tightsched.PaperHeuristics()) != 17 {
+		t.Fatalf("got %d heuristics", len(tightsched.PaperHeuristics()))
 	}
 }
 
 func TestCompare(t *testing.T) {
-	sc := PaperScenario(3, 10, 1, 9)
-	sums, err := Compare(sc, []string{"IE", "RANDOM"}, 3, 11, Options{Cap: 100000})
+	sc := tightsched.PaperScenario(3, 10, 1, 9)
+	s := tightsched.NewSession(tightsched.WithSeed(11), tightsched.WithCap(100000))
+	ctx := context.Background()
+	sums, err := s.Compare(ctx, sc, []string{"IE", "RANDOM"}, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(sums) != 2 || sums[0].Heuristic != "IE" || sums[1].Heuristic != "RANDOM" {
 		t.Fatalf("summaries: %+v", sums)
 	}
-	for _, s := range sums {
-		if s.Fails+s.Makespan.N != 3 {
-			t.Fatalf("%s: fails %d + makespans %d != trials", s.Heuristic, s.Fails, s.Makespan.N)
+	for _, sum := range sums {
+		if sum.Fails+sum.Makespan.N != 3 {
+			t.Fatalf("%s: fails %d + makespans %d != trials", sum.Heuristic, sum.Fails, sum.Makespan.N)
 		}
 	}
 	// Deterministic.
-	again, err := Compare(sc, []string{"IE", "RANDOM"}, 3, 11, Options{Cap: 100000})
+	again, err := s.Compare(ctx, sc, []string{"IE", "RANDOM"}, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,21 +108,24 @@ func TestCompare(t *testing.T) {
 }
 
 func TestCompareValidation(t *testing.T) {
-	sc := PaperScenario(3, 10, 1, 9)
-	if _, err := Compare(sc, nil, 0, 1, Options{}); err == nil {
+	sc := tightsched.PaperScenario(3, 10, 1, 9)
+	s := tightsched.NewSession(tightsched.WithSeed(1))
+	ctx := context.Background()
+	if _, err := s.Compare(ctx, sc, nil, 0); err == nil {
 		t.Fatal("0 trials accepted")
 	}
-	if _, err := Compare(Scenario{}, nil, 1, 1, Options{}); err == nil {
+	if _, err := s.Compare(ctx, tightsched.Scenario{}, nil, 1); err == nil {
 		t.Fatal("invalid scenario accepted")
 	}
-	if _, err := Compare(sc, []string{"NOPE"}, 1, 1, Options{Cap: 1000}); err == nil {
+	if _, err := s.Compare(ctx, sc, []string{"NOPE"}, 1, tightsched.WithCap(1000)); err == nil {
 		t.Fatal("unknown heuristic accepted")
 	}
 }
 
 func TestCompareDefaultsToAllHeuristics(t *testing.T) {
-	sc := PaperScenario(2, 20, 1, 13)
-	sums, err := Compare(sc, nil, 1, 3, Options{Cap: 50000})
+	sc := tightsched.PaperScenario(2, 20, 1, 13)
+	sums, err := tightsched.NewSession(tightsched.WithSeed(3), tightsched.WithCap(50000)).
+		Compare(context.Background(), sc, nil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,8 +135,8 @@ func TestCompareDefaultsToAllHeuristics(t *testing.T) {
 }
 
 func TestEstimate(t *testing.T) {
-	sc := PaperScenario(5, 10, 1, 21)
-	est, err := Estimate(sc, []int{0, 1, 2}, 5)
+	sc := tightsched.PaperScenario(5, 10, 1, 21)
+	est, err := tightsched.NewSession().Estimate(context.Background(), sc, []int{0, 1, 2}, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +152,9 @@ func TestEstimate(t *testing.T) {
 }
 
 func TestEstimateValidation(t *testing.T) {
-	sc := PaperScenario(5, 10, 1, 21)
+	sc := tightsched.PaperScenario(5, 10, 1, 21)
+	s := tightsched.NewSession()
+	ctx := context.Background()
 	cases := []struct {
 		workers []int
 		w       int
@@ -151,22 +165,22 @@ func TestEstimateValidation(t *testing.T) {
 		{[]int{-1}, 5},
 	}
 	for i, c := range cases {
-		if _, err := Estimate(sc, c.workers, c.w); err == nil {
+		if _, err := s.Estimate(ctx, sc, c.workers, c.w); err == nil {
 			t.Fatalf("case %d accepted", i)
 		}
 	}
-	if _, err := Estimate(Scenario{}, []int{0}, 1); err == nil {
+	if _, err := s.Estimate(ctx, tightsched.Scenario{}, []int{0}, 1); err == nil {
 		t.Fatal("invalid scenario accepted")
 	}
 }
 
 func TestRunWithCustomHeuristic(t *testing.T) {
-	sc := Scenario{
+	sc := tightsched.Scenario{
 		Platform: platform.Homogeneous(3, 1, platform.UnboundedCapacity, 3, markov.AlwaysUp()),
 		App:      app.Application{Tasks: 3, Tprog: 1, Tdata: 1, Iterations: 2},
 	}
-	custom := &everythingOnAll{}
-	res, err := Run(sc, "", Options{Custom: custom, Cap: 1000})
+	res, err := tightsched.NewSession(tightsched.WithCap(1000)).
+		Run(context.Background(), sc, "", tightsched.WithCustomHeuristic(&everythingOnAll{}))
 	if err != nil {
 		t.Fatal(err)
 	}

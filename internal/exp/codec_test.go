@@ -2,6 +2,7 @@ package exp
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
@@ -34,7 +35,7 @@ func journalRun(t *testing.T, path string, s Sweep, format Format, stopAfter int
 	}
 	interrupted := errors.New("interrupted")
 	n := 0
-	res, err := RunWith(s, RunOptions{Journal: j, Sink: func(InstanceResult) error {
+	res, err := Run(context.Background(), s, RunOptions{Journal: j, Sink: func(InstanceResult) error {
 		if n++; stopAfter > 0 && n >= stopAfter {
 			return interrupted
 		}
@@ -166,7 +167,7 @@ func interruptJournaled(t *testing.T, dir string, s Sweep, format Format) string
 // directions.
 func TestCrossFormatResumeParity(t *testing.T) {
 	s := codecSweep()
-	ref, err := Run(s, nil)
+	ref, err := Run(context.Background(), s, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +191,7 @@ func TestCrossFormatResumeParity(t *testing.T) {
 			if err := ConvertJournal(partial, converted, dir.to); err != nil {
 				t.Fatal(err)
 			}
-			res, err := Resume(converted, nil)
+			res, err := Resume(context.Background(), converted, RunOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -362,7 +363,7 @@ func TestAggregateJournalParity(t *testing.T) {
 // instances yet renders the same table bytes as a collecting run.
 func TestDiscardInstancesStreamingTables(t *testing.T) {
 	s := codecSweep()
-	ref, err := Run(s, nil)
+	ref, err := Run(context.Background(), s, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -370,7 +371,7 @@ func TestDiscardInstancesStreamingTables(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := RunWith(s, RunOptions{DiscardInstances: true})
+	res, err := Run(context.Background(), s, RunOptions{DiscardInstances: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -55,6 +55,16 @@ func TestSweepValidate(t *testing.T) {
 	if bad.Validate() == nil {
 		t.Fatal("negative max leap accepted")
 	}
+	bad = s
+	bad.Workers = -1
+	if bad.Validate() == nil {
+		t.Fatal("negative workers accepted")
+	}
+	badGrid := gridTestSweep()
+	badGrid.Workers = -1
+	if badGrid.Validate() == nil {
+		t.Fatal("negative grid workers accepted")
+	}
 	ok := s
 	ok.Advance = sim.AdvanceBatch
 	if err := ok.Validate(); err != nil {
@@ -85,7 +95,7 @@ func TestPaperAndQuickSweeps(t *testing.T) {
 func TestRunSmallSweep(t *testing.T) {
 	s := tinySweep([]string{"IE", "RANDOM", "Y-IE"})
 	var lastDone, total int
-	res, err := Run(s, func(done, tot int) { lastDone, total = done, tot })
+	res, err := Run(context.Background(), s, RunOptions{Progress: func(done, tot int) { lastDone, total = done, tot }})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,12 +119,12 @@ func TestRunSmallSweep(t *testing.T) {
 func TestRunDeterministicAcrossWorkerCounts(t *testing.T) {
 	s := tinySweep([]string{"IE", "Y-IE"})
 	s.Workers = 1
-	a, err := Run(s, nil)
+	a, err := Run(context.Background(), s, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	s.Workers = 4
-	b, err := Run(s, nil)
+	b, err := Run(context.Background(), s, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,7 +230,7 @@ func TestFormatTable(t *testing.T) {
 
 func TestFigure2Shape(t *testing.T) {
 	s := tinySweep([]string{"IE", "RANDOM"})
-	res, err := Run(s, nil)
+	res, err := Run(context.Background(), s, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -318,7 +328,7 @@ func TestHeuristicsDefault(t *testing.T) {
 // leaves nil).
 func TestBatchSweepMatchesSequential(t *testing.T) {
 	base := tinySweep([]string{"IE", "Y-IE", "IP"})
-	seq, err := Run(base, nil)
+	seq, err := Run(context.Background(), base, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -349,7 +359,7 @@ func TestBatchSweepMatchesSequential(t *testing.T) {
 		t.Fatalf("batch streamed %d instances, sequential %d", len(insts), len(seq.Instances))
 	}
 	// Events arrive in completion order; compare in canonical order, as
-	// the RunWith family does.
+	// Run does.
 	sortInstances(insts)
 	for i := range insts {
 		if insts[i] != seq.Instances[i] {

@@ -91,7 +91,7 @@ func writeFixture(path string, online bool, format Format) error {
 	if err != nil {
 		return err
 	}
-	if _, err := RunWith(s, RunOptions{Journal: j}); err != nil {
+	if _, err := Run(context.Background(), s, RunOptions{Journal: j}); err != nil {
 		j.Close()
 		return err
 	}
@@ -102,7 +102,7 @@ func writeFixture(path string, online bool, format Format) error {
 // committed bytes, and the committed files resume, load, aggregate and
 // convert to the results a fresh run gives.
 func TestJournalFixturesByteIdentical(t *testing.T) {
-	sweepRef, err := Run(fixtureSweep(), nil)
+	sweepRef, err := Run(context.Background(), fixtureSweep(), RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +153,7 @@ func TestJournalFixturesByteIdentical(t *testing.T) {
 					t.Fatalf("aggregated Table IV differs:\n%s\nwant\n%s", got, want)
 				}
 			} else {
-				res, err := Resume(committed, nil)
+				res, err := Resume(context.Background(), committed, RunOptions{})
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -154,6 +154,9 @@ func (g *GridSweep) Validate() error {
 	if g.Trials <= 0 {
 		return fmt.Errorf("exp: grid trials %d, want positive", g.Trials)
 	}
+	if g.Workers < 0 {
+		return fmt.Errorf("exp: negative grid workers %d", g.Workers)
+	}
 	if _, ok := sched.Lookup(g.Heuristic); !ok {
 		return fmt.Errorf("exp: unknown heuristic %q", g.Heuristic)
 	}

@@ -379,13 +379,13 @@ func (s *Sweep) Spec() SweepSpec {
 // resolved by name through the open registry (avail.Builtin), so any
 // built-in or avail.Register'd model reconstructs headlessly; only a
 // model constructed directly and never registered cannot — resume those
-// with RunWith, passing the original Sweep alongside OpenJournal.
+// with Run, passing the original Sweep alongside OpenJournal.
 func (sp SweepSpec) Sweep() (Sweep, error) {
 	s := sp.sweepDims()
 	for _, name := range sp.Models {
 		m, err := avail.Builtin(name)
 		if err != nil {
-			return Sweep{}, fmt.Errorf("exp: journal model %q is not registered; resume with RunWith and the original Sweep: %w", name, err)
+			return Sweep{}, fmt.Errorf("exp: journal model %q is not registered; resume with Run and the original Sweep: %w", name, err)
 		}
 		s.Models = append(s.Models, m)
 	}
@@ -478,19 +478,13 @@ func OpenJournal(path string) (*Journal, error) {
 // are re-run — each from its coordinate-derived seed, so the final Result
 // is bit-identical to an uninterrupted run's. Models resolve by name
 // through the open registry; only campaigns whose availability models
-// were never registered must instead resume via RunWith with the
-// original Sweep and OpenJournal.
-func Resume(journalPath string, progress func(done, total int)) (*Result, error) {
-	return ResumeWith(context.Background(), journalPath, RunOptions{Progress: progress})
-}
-
-// ResumeWith is Resume under a context with full consumption options:
-// the journal and shard are read from the file (the Journal and Shard
-// fields of opts are ignored), everything else — progress, sink,
-// observer, instance discarding — applies as in RunWithContext. The
-// journal is closed, flushed and resumable again when ResumeWith returns,
-// whether the campaign completed or the context was cancelled.
-func ResumeWith(ctx context.Context, journalPath string, opts RunOptions) (*Result, error) {
+// were never registered must instead resume via Run with the original
+// Sweep and OpenJournal. The journal and shard are read from the file
+// (the Journal and Shard fields of opts are ignored); everything else —
+// workers, progress, sink, observer, instance discarding — applies as in
+// Run. The journal is closed, flushed and resumable again when Resume
+// returns, whether the campaign completed or the context was cancelled.
+func Resume(ctx context.Context, journalPath string, opts RunOptions) (*Result, error) {
 	j, err := OpenJournal(journalPath)
 	if err != nil {
 		return nil, err
@@ -502,7 +496,7 @@ func ResumeWith(ctx context.Context, journalPath string, opts RunOptions) (*Resu
 	}
 	opts.Journal = j
 	opts.Shard = j.Shard()
-	return RunWithContext(ctx, sweep, opts)
+	return Run(ctx, sweep, opts)
 }
 
 // LoadJournal reads a journal into a Result without running anything or

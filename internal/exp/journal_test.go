@@ -72,7 +72,7 @@ func journalHarnesses() []journalHarness {
 			return j.DoneCount(), nil
 		},
 		resume: func(path string) (any, error) {
-			res, err := Resume(path, nil)
+			res, err := Resume(context.Background(), path, RunOptions{})
 			if err != nil {
 				return nil, err
 			}
@@ -86,11 +86,11 @@ func journalHarnesses() []journalHarness {
 			defer j.Close()
 			other := codecSweep()
 			other.Seed++
-			_, err = RunWith(other, RunOptions{Journal: j})
+			_, err = Run(context.Background(), other, RunOptions{Journal: j})
 			return err
 		},
 		ref: func(t *testing.T) any {
-			res, err := Run(codecSweep(), nil)
+			res, err := Run(context.Background(), codecSweep(), RunOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -175,7 +175,7 @@ func TestJournalResumeByteIdentical(t *testing.T) {
 	s := journalSweep()
 
 	// The uninterrupted reference run.
-	ref, err := Run(s, nil)
+	ref, err := Run(context.Background(), s, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +195,7 @@ func TestJournalResumeByteIdentical(t *testing.T) {
 	limit := len(ref.Instances) / 3
 	interrupted := errors.New("interrupted")
 	n := 0
-	_, err = RunWith(s, RunOptions{
+	_, err = Run(context.Background(), s, RunOptions{
 		Journal: j,
 		Sink: func(InstanceResult) error {
 			n++
@@ -228,12 +228,12 @@ func TestJournalResumeByteIdentical(t *testing.T) {
 
 	// Resume from the journal alone and require bit-identical everything.
 	var firstDone, lastDone, total int
-	res, err := Resume(path, func(done, tot int) {
+	res, err := Resume(context.Background(), path, RunOptions{Progress: func(done, tot int) {
 		if firstDone == 0 {
 			firstDone = done
 		}
 		lastDone, total = done, tot
-	})
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,7 +269,7 @@ func TestResumeOfCompleteJournalRunsNothing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, err := RunWith(s, RunOptions{Journal: j})
+	full, err := Run(context.Background(), s, RunOptions{Journal: j})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,10 +277,10 @@ func TestResumeOfCompleteJournalRunsNothing(t *testing.T) {
 
 	var calls int
 	var firstDone, total int
-	res, err := Resume(path, func(done, tot int) {
+	res, err := Resume(context.Background(), path, RunOptions{Progress: func(done, tot int) {
 		calls++
 		firstDone, total = done, tot
-	})
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -317,7 +317,7 @@ func TestJournalSpecMismatch(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer j.Close()
-		if _, err := RunWith(s, RunOptions{Journal: j, Shard: Shard{Index: 0, Count: 2}}); err == nil {
+		if _, err := Run(context.Background(), s, RunOptions{Journal: j, Shard: Shard{Index: 0, Count: 2}}); err == nil {
 			t.Fatal("whole-campaign journal accepted a sharded run")
 		}
 	})
@@ -357,7 +357,7 @@ func TestJournalCorruptMiddleRejected(t *testing.T) {
 func TestMergeJournalsTolerateTornTail(t *testing.T) {
 	s := tinySweep([]string{"IE", "RANDOM"})
 
-	ref, err := Run(s, nil)
+	ref, err := Run(context.Background(), s, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -369,7 +369,7 @@ func TestMergeJournalsTolerateTornTail(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := RunWith(s, RunOptions{Journal: j, Shard: sh}); err != nil {
+		if _, err := Run(context.Background(), s, RunOptions{Journal: j, Shard: sh}); err != nil {
 			t.Fatal(err)
 		}
 		j.Close()
@@ -446,7 +446,7 @@ func TestMergeJournalsTolerateTornTail(t *testing.T) {
 
 			// The same tear is resumable in place: the lost instance is
 			// re-run, bit-identically.
-			res, err := Resume(b, nil)
+			res, err := Resume(context.Background(), b, RunOptions{})
 			if err != nil {
 				t.Fatalf("resume of torn shard: %v", err)
 			}
@@ -490,7 +490,7 @@ func TestCreateJournalRefusesExisting(t *testing.T) {
 func TestDiscardInstances(t *testing.T) {
 	s := tinySweep([]string{"IE", "RANDOM"})
 	seen := 0
-	res, err := RunWith(s, RunOptions{
+	res, err := Run(context.Background(), s, RunOptions{
 		DiscardInstances: true,
 		Sink:             func(InstanceResult) error { seen++; return nil },
 	})
@@ -534,7 +534,9 @@ func TestReadersRejectWrongKind(t *testing.T) {
 		{"OpenJournal", "sweep", func(p string) error { _, err := OpenJournal(p); return err }},
 		{"LoadJournal", "sweep", func(p string) error { _, _, err := LoadJournal(p); return err }},
 		{"AggregateJournal", "sweep", func(p string) error { _, err := AggregateJournal(p); return err }},
-		{"ResumeWith", "sweep", func(p string) error { _, err := ResumeWith(ctx, p, RunOptions{}); return err }},
+		// Resume keeps the subtest label of its former name, ResumeWith,
+		// so the test IDs stay stable.
+		{"ResumeWith", "sweep", func(p string) error { _, err := Resume(ctx, p, RunOptions{}); return err }},
 		{"MergeJournals", "sweep", func(p string) error { _, err := MergeJournals(p); return err }},
 		{"ExportColumns", "sweep", func(p string) error { return ExportColumns(p, p+".columns") }},
 		{"OpenGridJournal", "grid", func(p string) error { _, err := OpenGridJournal(p, &g); return err }},

@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -26,7 +27,7 @@ func TestSweepModelsAxisEndToEnd(t *testing.T) {
 	if s.InstanceCount() != 2*1*2*2*2 {
 		t.Fatalf("instance count %d", s.InstanceCount())
 	}
-	res, err := Run(s, nil)
+	res, err := Run(context.Background(), s, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,12 +77,12 @@ func TestSweepModelsAxisEndToEnd(t *testing.T) {
 // single-model axis to reproduce the default campaign exactly.
 func TestSweepMarkovModelAxisMatchesImplicit(t *testing.T) {
 	s := tinySweep([]string{"IE", "RANDOM"})
-	implicit, err := Run(s, nil)
+	implicit, err := Run(context.Background(), s, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	s.Models = []avail.Model{avail.MarkovModel{}}
-	explicit, err := Run(s, nil)
+	explicit, err := Run(context.Background(), s, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +125,7 @@ func TestSweepModelPanicBecomesError(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.Models = []avail.Model{tm}
-	if _, err := Run(s, nil); err == nil || !strings.Contains(err.Error(), "short") {
+	if _, err := Run(context.Background(), s, RunOptions{}); err == nil || !strings.Contains(err.Error(), "short") {
 		t.Fatalf("err = %v, want model panic surfaced", err)
 	}
 }
@@ -156,7 +157,7 @@ func TestSweepTraceModel(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.Models = []avail.Model{tm}
-	res, err := Run(s, nil)
+	res, err := Run(context.Background(), s, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

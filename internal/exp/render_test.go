@@ -23,7 +23,7 @@ func TestRenderTableArtifact(t *testing.T) {
 		P: 8, Iterations: 2, Cap: 50_000, Seed: 3,
 		Heuristics: []string{"IE", "Y-IE", "RANDOM"},
 	}
-	res, err := RunWithContext(context.Background(), sweep, RunOptions{})
+	res, err := Run(context.Background(), sweep, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

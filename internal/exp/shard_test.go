@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"testing"
@@ -74,7 +75,7 @@ func TestShardPartition(t *testing.T) {
 // the exact instances and tables of a single-machine run.
 func TestShardedJournalsMergeToFullRun(t *testing.T) {
 	s := tinySweep([]string{"IE", "Y-IE", "RANDOM"})
-	full, err := Run(s, nil)
+	full, err := Run(context.Background(), s, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +94,7 @@ func TestShardedJournalsMergeToFullRun(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := RunWith(s, RunOptions{Journal: j, Shard: sh, DiscardInstances: true})
+		res, err := Run(context.Background(), s, RunOptions{Journal: j, Shard: sh, DiscardInstances: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -140,7 +141,7 @@ func TestShardedJournalsMergeToFullRun(t *testing.T) {
 // someone journaled a different world.
 func TestMergeConflictRejected(t *testing.T) {
 	s := tinySweep([]string{"IE"})
-	a, err := Run(s, nil)
+	a, err := Run(context.Background(), s, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,8 +14,8 @@ import (
 
 // This file is the streamed campaign-event API: Stream runs a sweep's
 // worker pool and delivers completions as a Go 1.23+ range-over-func
-// iterator instead of a callback, which is what the RunWith family and
-// the façade Session are built on. Three event kinds flow, all emitted
+// iterator instead of a callback, which is what Run, Resume and the
+// façade Session are built on. Three event kinds flow, all emitted
 // from the consumer's goroutine in completion order:
 //
 //   - InstanceDone — one (model, point, trial, heuristic) result, already
@@ -129,7 +129,7 @@ func (InstanceDone) sweepEvent() {}
 func (PointDone) sweepEvent()    {}
 func (Progress) sweepEvent()     {}
 
-// Observer receives typed campaign events. RunWith-family calls invoke it
+// Observer receives typed campaign events. Run and Resume invoke it
 // from a single goroutine, in completion order; implementations need no
 // internal locking.
 type Observer interface {
@@ -158,7 +158,7 @@ type pointKey struct {
 //
 // Only the execution fields of opts (Journal, Shard, Workers) apply
 // here; the consumption fields (Progress, Sink, Observer,
-// DiscardInstances) belong to the RunWith family, for which the stream
+// DiscardInstances) belong to Run and Resume, for which the stream
 // itself is the delivery mechanism.
 func Stream(ctx context.Context, sweep Sweep, opts RunOptions) iter.Seq2[Event, error] {
 	return func(yield func(Event, error) bool) {

@@ -129,6 +129,9 @@ func (s *Sweep) Validate() error {
 	if s.MaxLeap < 0 {
 		return fmt.Errorf("exp: negative max leap %d", s.MaxLeap)
 	}
+	if s.Workers < 0 {
+		return fmt.Errorf("exp: negative workers %d", s.Workers)
+	}
 	return nil
 }
 
@@ -241,8 +244,8 @@ func (s *Sweep) TrialSeed(pt Point, trial int) uint64 {
 // TrialStream returns the deterministic RNG stream of trial i under a
 // master seed: the per-trial derivation used outside the sweep grid,
 // where there is no Point to key on (cmd/offline's instance generators
-// draw from it directly; core.Compare derives its per-trial sim seeds the
-// same way).
+// draw from it directly; Session.Compare in the root package derives its
+// per-trial sim seeds the same way).
 func TrialStream(master uint64, trial int) *rng.Stream {
 	return rng.NewKeyed(master, uint64(trial))
 }
@@ -349,7 +352,7 @@ func runCell(ctx context.Context, s *Sweep, model avail.Model, modelName string,
 // plain in-memory run.
 //
 // The consumption fields (Progress, Sink, Observer, DiscardInstances)
-// apply to the RunWith family, which is built on the Stream event
+// apply to Run and Resume, which are built on the Stream event
 // iterator; Stream itself ignores them — its events are the delivery
 // mechanism.
 type RunOptions struct {
@@ -388,29 +391,17 @@ type RunOptions struct {
 	DiscardInstances bool
 }
 
-// Run executes the campaign in memory. Instances are distributed over a
-// worker pool; results are deterministic and order-independent. The
-// optional progress callback receives (completed, total) counts.
-func Run(sweep Sweep, progress func(done, total int)) (*Result, error) {
-	return RunWith(sweep, RunOptions{Progress: progress})
-}
-
-// RunWith executes the campaign with journaling, sharding and streaming
-// options. Completed instances are streamed — journaled, handed to the
-// sink, and (unless discarded) collected — as they finish rather than
-// gathered at the end, so an interrupted run loses only in-flight work.
-func RunWith(sweep Sweep, opts RunOptions) (*Result, error) {
-	return RunWithContext(context.Background(), sweep, opts)
-}
-
-// RunWithContext is RunWith under a context, consuming the Stream event
-// iterator: cancellation is checked at instance boundaries in the worker
-// pool and at macro-step boundaries inside each simulation, every already
-// completed instance is journaled before the campaign returns, and the
-// returned error is the context's. The journal is left resumable: a later
-// Resume re-runs only what was lost in flight and reproduces the
-// uninterrupted result bit for bit.
-func RunWithContext(ctx context.Context, sweep Sweep, opts RunOptions) (*Result, error) {
+// Run executes the campaign by consuming the Stream event iterator.
+// Instances are distributed over a worker pool; results are deterministic
+// and order-independent. Completed instances are streamed — journaled,
+// handed to the sink, and (unless discarded) collected — as they finish
+// rather than gathered at the end. Cancellation is checked at instance
+// boundaries in the worker pool and at macro-step boundaries inside each
+// simulation; every already completed instance is journaled before the
+// campaign returns, and the returned error is the context's. The journal
+// is left resumable: a later Resume re-runs only what was lost in flight
+// and reproduces the uninterrupted result bit for bit.
+func Run(ctx context.Context, sweep Sweep, opts RunOptions) (*Result, error) {
 	var collected []InstanceResult
 	var acc *tableAccumulator
 	if opts.DiscardInstances {

@@ -4,23 +4,28 @@ import (
 	"context"
 	"fmt"
 	"iter"
+	"runtime"
+	"sync"
+	"sync/atomic"
 
+	"tightsched/internal/analytic"
 	"tightsched/internal/avail"
-	"tightsched/internal/core"
 	"tightsched/internal/exp"
+	"tightsched/internal/rng"
 	"tightsched/internal/sched"
 	"tightsched/internal/sim"
+	"tightsched/internal/stats"
 )
 
-// This file is the context-aware Session API, the package's primary
-// surface: every entry point takes a context.Context (checked at
+// This file is the context-aware Session API, the package's only way to
+// run a simulation or a campaign: every entry point takes a context.Context (checked at
 // macro-step boundaries inside simulations — see WithTimeAdvance and
-// WithMaxLeap — and at instance boundaries in campaign worker pools),
-// configuration flows through functional options instead of positional
-// structs, campaign progress is observable as a typed event stream, and
-// the heuristic/model extension points are open string-keyed registries.
-// The struct-options entry points at the bottom of tightsched.go remain
-// as thin deprecated shims.
+// WithMaxLeap — and at instance boundaries in worker pools),
+// configuration flows through functional options, campaign progress is
+// observable as a typed event stream, and the heuristic/model extension
+// points are open string-keyed registries. Run, Compare and Estimate sit
+// directly on the simulator (internal/sim) and the Section V evaluator
+// (internal/analytic); the campaign entry points on internal/exp.
 //
 //	s := tightsched.NewSession(tightsched.WithCap(200_000))
 //	res, err := s.Run(ctx, sc, "Y-IE", tightsched.WithSeed(7))
@@ -119,7 +124,9 @@ type appliedOption struct {
 
 // sessionConfig is the resolved option set of a Session or one call.
 type sessionConfig struct {
-	run      core.Options
+	// run carries the simulation options; each run fills in the
+	// scenario and heuristic.
+	run      sim.Config
 	workers  int
 	journal  *exp.Journal
 	shard    exp.Shard
@@ -239,9 +246,15 @@ func WithCustomHeuristic(h Heuristic) Option {
 // WithWorkers bounds the parallel simulations of a campaign (GOMAXPROCS when
 // unset). It overrides the sweep's own Workers field when positive, and
 // is the only way to bound a ResumeSweep or ResumeOnline, whose sweep is
-// rebuilt from the journal spec.
+// rebuilt from the journal spec. A negative count is rejected when the
+// entry point runs, never silently defaulted.
 func WithWorkers(n int) Option {
-	return scoped("WithWorkers", scopeExec|scopeResumeSweep|scopeOnline, func(c *sessionConfig) { c.workers = n })
+	return scoped("WithWorkers", scopeExec|scopeResumeSweep|scopeOnline, func(c *sessionConfig) {
+		if n < 0 && c.err == nil {
+			c.err = fmt.Errorf("tightsched: WithWorkers: negative worker count %d", n)
+		}
+		c.workers = n
+	})
 }
 
 // WithJournal streams every completed campaign instance to the journal
@@ -357,24 +370,14 @@ type SweepRuntime struct {
 // family: it reconstructs a runnable Sweep from its serialized identity —
 // the same SweepSpec contract stamped in journal headers and submitted to
 // the service daemon — and applies the runtime knobs the spec omits,
-// with the same validation rules as the functional options (an
-// out-of-range Advance or negative MaxLeap is an error, never a silent
-// default; models resolve by name through the open registry). The
-// returned Sweep is validated and ready for Session.RunSweep or
-// Session.Stream.
+// validated by Sweep.Validate like every other campaign (an out-of-range
+// Advance, a negative MaxLeap or a negative Workers is an error, never a
+// silent default; models resolve by name through the open registry). The
+// returned Sweep is ready for Session.RunSweep or Session.Stream.
 func SweepFromSpec(spec SweepSpec, rt SweepRuntime) (Sweep, error) {
 	sweep, err := spec.Sweep()
 	if err != nil {
 		return Sweep{}, err
-	}
-	if err := rt.Advance.Validate(); err != nil {
-		return Sweep{}, fmt.Errorf("tightsched: SweepFromSpec: %w", err)
-	}
-	if rt.MaxLeap < 0 {
-		return Sweep{}, fmt.Errorf("tightsched: SweepFromSpec: negative max leap %d", rt.MaxLeap)
-	}
-	if rt.Workers < 0 {
-		return Sweep{}, fmt.Errorf("tightsched: SweepFromSpec: negative workers %d", rt.Workers)
 	}
 	sweep.Advance = rt.Advance
 	sweep.MaxLeap = rt.MaxLeap
@@ -473,27 +476,119 @@ func (s *Session) Run(ctx context.Context, sc Scenario, heuristic string, opts .
 	if err := c.check(scopeSessionRun, "Session.Run"); err != nil {
 		return Result{}, err
 	}
-	return core.RunContext(ctx, sc, heuristic, c.run)
+	cfg := c.run
+	cfg.Platform, cfg.App, cfg.Heuristic = sc.Platform, sc.App, heuristic
+	return sim.RunContext(ctx, cfg)
 }
 
-// Compare runs several heuristics over shared availability realizations
-// (trials realizations derived from the WithSeed base seed) and
-// summarizes each. A cancelled context starts no further runs.
+// Compare runs several heuristics (the paper's 17 when none are named)
+// over shared availability realizations — trial i of every heuristic
+// runs under the seed derived from (WithSeed base seed, i) — and
+// summarizes each. Runs execute on GOMAXPROCS workers; results are
+// deterministic. A cancelled context starts no further runs.
 func (s *Session) Compare(ctx context.Context, sc Scenario, heuristics []string, trials int, opts ...Option) ([]HeuristicSummary, error) {
 	c := s.config(opts)
 	if err := c.check(scopeCompare, "Session.Compare"); err != nil {
 		return nil, err
 	}
-	return core.CompareContext(ctx, sc, heuristics, trials, c.run.Seed, c.run)
+	if err := sc.Validate(); err != nil {
+		return nil, err
+	}
+	if trials <= 0 {
+		return nil, fmt.Errorf("tightsched: %d trials", trials)
+	}
+	if len(heuristics) == 0 {
+		heuristics = PaperHeuristics()
+	}
+	base := c.run
+	base.Platform, base.App = sc.Platform, sc.App
+	// Session-level WithRecorder/WithCustomHeuristic do not apply: a
+	// comparison runs named heuristics and has no single trace.
+	base.Recorder, base.Custom = nil, nil
+
+	// Job i is trial i%trials of heuristic i/trials.
+	results := make([]Result, len(heuristics)*trials)
+	errs := make([]error, len(results))
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for range min(runtime.GOMAXPROCS(0), len(results)) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				i := int(next.Add(1)) - 1
+				if i >= len(results) {
+					return
+				}
+				if errs[i] = ctx.Err(); errs[i] != nil {
+					return
+				}
+				cfg := base
+				cfg.Heuristic = heuristics[i/trials]
+				cfg.Seed = rng.NewKeyed(c.run.Seed, uint64(i%trials)).Uint64()
+				results[i], errs[i] = sim.RunContext(ctx, cfg)
+			}
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+	}
+
+	out := make([]HeuristicSummary, len(heuristics))
+	for h, name := range heuristics {
+		var makespans []float64
+		fails := 0
+		var restarts, reconfigs float64
+		for _, res := range results[h*trials : (h+1)*trials] {
+			if res.Failed {
+				fails++
+			} else {
+				makespans = append(makespans, float64(res.Makespan))
+			}
+			restarts += float64(res.Restarts)
+			reconfigs += float64(res.Reconfigs)
+		}
+		out[h] = HeuristicSummary{
+			Heuristic:     name,
+			Fails:         fails,
+			Makespan:      stats.Summarize(makespans),
+			MeanRestarts:  restarts / float64(trials),
+			MeanReconfigs: reconfigs / float64(trials),
+		}
+	}
+	return out, nil
 }
 
-// Estimate computes P⁺, success probability and conditional expected
-// duration for a worker set executing w coupled compute slots.
+// Estimate computes the Section V quantities — P⁺, success probability
+// and conditional expected duration — for the given workers of the
+// scenario's platform executing w coupled compute slots.
 func (s *Session) Estimate(ctx context.Context, sc Scenario, workers []int, w int) (SetEstimate, error) {
 	if err := ctx.Err(); err != nil {
 		return SetEstimate{}, err
 	}
-	return core.Estimate(sc, workers, w)
+	if err := sc.Validate(); err != nil {
+		return SetEstimate{}, err
+	}
+	if len(workers) == 0 {
+		return SetEstimate{}, fmt.Errorf("tightsched: empty worker set")
+	}
+	for _, q := range workers {
+		if q < 0 || q >= sc.Platform.Size() {
+			return SetEstimate{}, fmt.Errorf("tightsched: worker %d out of range", q)
+		}
+	}
+	if w <= 0 {
+		return SetEstimate{}, fmt.Errorf("tightsched: workload %d", w)
+	}
+	st := analytic.NewPlatform(sc.Platform.BelievedMatrices(), analytic.DefaultEps).StatsOf(workers)
+	return SetEstimate{
+		Pplus:            st.Pplus,
+		SuccessProb:      st.ProbSuccess(w),
+		ExpectedDuration: st.ExpectedCompletion(w),
+	}, nil
 }
 
 // RunSweep executes a campaign with the session's journal, shard,
@@ -506,7 +601,7 @@ func (s *Session) RunSweep(ctx context.Context, sweep Sweep, opts ...Option) (*S
 	if err := c.check(scopeRunSweep, "Session.RunSweep"); err != nil {
 		return nil, err
 	}
-	return exp.RunWithContext(ctx, sweep, c.sweepOptions())
+	return exp.Run(ctx, sweep, c.sweepOptions())
 }
 
 // Stream executes a campaign and returns its typed event stream
@@ -533,7 +628,7 @@ func (s *Session) ResumeSweep(ctx context.Context, journalPath string, opts ...O
 	if err := c.check(scopeResumeSweep, "Session.ResumeSweep"); err != nil {
 		return nil, err
 	}
-	return exp.ResumeWith(ctx, journalPath, c.sweepOptions())
+	return exp.Resume(ctx, journalPath, c.sweepOptions())
 }
 
 // gridOptions maps the resolved config onto the online campaign harness.

@@ -1,8 +1,8 @@
 // Tests for the context-aware Session API: cancellation semantics
 // (cancel mid-campaign, resume bit-identically), the typed event stream
-// and its shutdown guarantees, functional-option parity with the
-// deprecated struct entry points, and the open heuristic/model
-// registries driven from outside internal/sched and internal/avail.
+// and its shutdown guarantees, pinned results of the functional-option
+// entry points, and the open heuristic/model registries driven from
+// outside internal/sched and internal/avail.
 package tightsched_test
 
 import (
@@ -20,6 +20,7 @@ import (
 	"tightsched/internal/exp"
 	"tightsched/internal/markov"
 	"tightsched/internal/sched"
+	"tightsched/internal/stats"
 )
 
 // sessionSweep is a small campaign preserving the Section VII shape.
@@ -165,41 +166,53 @@ func TestSessionRunCancelled(t *testing.T) {
 	}
 }
 
-// TestSessionOptionParity: the functional-option path must reproduce the
-// deprecated struct-options path bit for bit — the Session API is a
-// reshaping, not a semantic change.
+// TestSessionOptionParity: the functional-option path reproduces, field
+// for field, the results the struct-options entry points gave before
+// they were removed — pinned Run results and Compare summaries, so
+// Compare's per-trial seed derivation (trial i runs under the seed keyed
+// by (base seed, i)) cannot drift.
 func TestSessionOptionParity(t *testing.T) {
 	ctx := context.Background()
 	sc := tightsched.PaperScenario(5, 10, 2, 11)
 	session := tightsched.NewSession(tightsched.WithCap(200_000))
-	for _, h := range []string{"IE", "Y-IE", "RANDOM"} {
-		for _, seed := range []uint64{1, 7} {
-			oldRes, err := tightsched.Run(sc, h, tightsched.Options{Seed: seed, Cap: 200_000})
-			if err != nil {
-				t.Fatal(err)
-			}
-			newRes, err := session.Run(ctx, sc, h, tightsched.WithSeed(seed))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if oldRes != newRes {
-				t.Fatalf("%s seed %d: session %+v != deprecated %+v", h, seed, newRes, oldRes)
-			}
+	runs := []struct {
+		seed uint64
+		want tightsched.Result
+	}{
+		{1, tightsched.Result{Heuristic: "IE", Completed: 10, Makespan: 667, Restarts: 18, CommSlots: 422, ComputeSlots: 313}},
+		{7, tightsched.Result{Heuristic: "IE", Completed: 10, Makespan: 337, Restarts: 9, CommSlots: 272, ComputeSlots: 104}},
+		{1, tightsched.Result{Heuristic: "Y-IE", Completed: 10, Makespan: 622, Reconfigs: 12, Restarts: 18, CommSlots: 460, ComputeSlots: 257}},
+		{7, tightsched.Result{Heuristic: "Y-IE", Completed: 10, Makespan: 432, Reconfigs: 10, Restarts: 13, CommSlots: 337, ComputeSlots: 154}},
+		{1, tightsched.Result{Heuristic: "RANDOM", Completed: 10, Makespan: 4400, Restarts: 303, CommSlots: 6035, ComputeSlots: 729}},
+		{7, tightsched.Result{Heuristic: "RANDOM", Completed: 10, Makespan: 2628, Restarts: 193, CommSlots: 4070, ComputeSlots: 476}},
+	}
+	for _, r := range runs {
+		got, err := session.Run(ctx, sc, r.want.Heuristic, tightsched.WithSeed(r.seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != r.want {
+			t.Fatalf("%s seed %d: got %+v, want %+v", r.want.Heuristic, r.seed, got, r.want)
 		}
 	}
 
-	oldSums, err := tightsched.Compare(sc, []string{"IE", "Y-IE"}, 3, 5, tightsched.Options{Cap: 100_000})
-	if err != nil {
-		t.Fatal(err)
+	want := []tightsched.HeuristicSummary{
+		{Heuristic: "IE", Makespan: stats.Summary{N: 3, Mean: 396.3333333333333, Stdev: 97.32591295915662, Min: 286, Median: 433, Max: 470},
+			MeanRestarts: 5.666666666666667},
+		{Heuristic: "Y-IE", Makespan: stats.Summary{N: 3, Mean: 356.3333333333333, Stdev: 101.31798129322027, Min: 241, Median: 397, Max: 431},
+			MeanRestarts: 3.3333333333333335, MeanReconfigs: 4.333333333333333},
 	}
-	newSums, err := session.Compare(ctx, sc, []string{"IE", "Y-IE"}, 3,
+	sums, err := session.Compare(ctx, sc, []string{"IE", "Y-IE"}, 3,
 		tightsched.WithSeed(5), tightsched.WithCap(100_000))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range oldSums {
-		if oldSums[i] != newSums[i] {
-			t.Fatalf("summary %d: session %+v != deprecated %+v", i, newSums[i], oldSums[i])
+	if len(sums) != len(want) {
+		t.Fatalf("got %d summaries, want %d", len(sums), len(want))
+	}
+	for i := range want {
+		if sums[i] != want[i] {
+			t.Fatalf("summary %d: got %+v, want %+v", i, sums[i], want[i])
 		}
 	}
 }
@@ -215,6 +228,10 @@ func TestSessionOptionScope(t *testing.T) {
 
 	if _, err := session.Run(ctx, sc, "IE", tightsched.WithWorkers(2)); err == nil {
 		t.Fatal("Run accepted the campaign option WithWorkers")
+	}
+	if _, err := session.RunSweep(ctx, sweep, tightsched.WithWorkers(-1)); err == nil ||
+		!strings.Contains(err.Error(), "WithWorkers") {
+		t.Fatalf("RunSweep accepted WithWorkers(-1) (err=%v)", err)
 	}
 	if _, err := session.Compare(ctx, sc, []string{"IE"}, 1, tightsched.WithDiscardInstances()); err == nil {
 		t.Fatal("Compare accepted the campaign option WithDiscardInstances")
@@ -545,7 +562,7 @@ func TestAvailabilityModelsDefensiveCopy(t *testing.T) {
 	}
 }
 
-// TestSweepOptionsObserver: the RunSweep family delivers typed events to
+// TestSweepObserver: the RunSweep family delivers typed events to
 // a registered Observer, matching the instance count exactly.
 type countingObserver struct {
 	instances, points, progresses int
@@ -645,7 +662,7 @@ func TestStreamUnknownHeuristicError(t *testing.T) {
 		t.Fatal("unknown heuristic accepted by Stream")
 	}
 	// The exp layer rejects it before any goroutine spawns.
-	if _, err := exp.Run(sweep, nil); err == nil {
+	if _, err := exp.Run(context.Background(), sweep, exp.RunOptions{}); err == nil {
 		t.Fatal("unknown heuristic accepted by Run")
 	}
 }

@@ -36,30 +36,32 @@
 // configuration flows through functional options (WithSeed, WithModel,
 // WithJournal, ...), campaigns stream typed events (Session.Stream,
 // Observer), and new heuristics/availability models plug in by name via
-// RegisterHeuristic/RegisterModel. The struct-options functions kept in
-// this file are deprecated shims over the same implementations.
+// RegisterHeuristic/RegisterModel. This file holds the model, campaign
+// and journal types plus the stateless helpers around them; every
+// operation that runs something is a Session method.
 //
 // See the examples/ directory and DESIGN.md for the full tour.
 package tightsched
 
 import (
+	"fmt"
+
 	"tightsched/internal/analytic"
 	"tightsched/internal/app"
 	"tightsched/internal/avail"
-	"tightsched/internal/core"
 	"tightsched/internal/exp"
 	"tightsched/internal/grid"
 	"tightsched/internal/markov"
 	"tightsched/internal/platform"
+	"tightsched/internal/rng"
 	"tightsched/internal/sched"
 	"tightsched/internal/sim"
+	"tightsched/internal/stats"
 	"tightsched/internal/trace"
 )
 
 // Model types.
 type (
-	// Scenario bundles a platform and an application.
-	Scenario = core.Scenario
 	// Platform is a desktop grid: volatile processors plus the master's
 	// communication capacity.
 	Platform = platform.Platform
@@ -89,7 +91,7 @@ const (
 type (
 	// AvailabilityModel is the pluggable ground-truth availability
 	// process, selected per platform (Platform.Model) or per run
-	// (Options.Model).
+	// (WithModel).
 	AvailabilityModel = avail.Model
 	// MarkovModel is the paper's Section III.B model (the default).
 	MarkovModel = avail.MarkovModel
@@ -141,9 +143,7 @@ func ModelByName(name string) (AvailabilityModel, error) { return avail.Builtin(
 
 // Simulation types.
 type (
-	// Options tune a single run.
-	Options = core.Options
-	// AnalyticOptions tune the Section V evaluator (Options.Analytic):
+	// AnalyticOptions tune the Section V evaluator (WithAnalytic):
 	// membership-keyed set-statistics memoization is on by default
 	// (canonical values — every evaluation of a set returns the same
 	// floats, and golden simulations match the memo-disabled path byte
@@ -153,7 +153,7 @@ type (
 	// Result is the outcome of one run.
 	Result = sim.Result
 	// TimeAdvance selects the simulator's time-advance core
-	// (WithTimeAdvance / Options.Advance / Sweep.Advance).
+	// (WithTimeAdvance / Sweep.Advance).
 	TimeAdvance = sim.TimeAdvance
 	// Recorder captures execution traces (see Figure 1), run-length
 	// encoded: memory scales with availability/activity transitions, not
@@ -162,12 +162,8 @@ type (
 	// TraceStep is one reconstructed slot of a recorded trace.
 	TraceStep = trace.Step
 	// Heuristic is the scheduling-policy interface; implement it to plug
-	// a custom policy into the simulator via Options.Custom.
+	// a custom policy into the simulator via WithCustomHeuristic.
 	Heuristic = sched.Heuristic
-	// HeuristicSummary aggregates one heuristic's results over trials.
-	HeuristicSummary = core.HeuristicSummary
-	// SetEstimate carries the Section V probabilistic estimates.
-	SetEstimate = core.SetEstimate
 )
 
 // Experiment-harness types.
@@ -178,9 +174,6 @@ type (
 	SweepResult = exp.Result
 	// TableRow is one line of Table I / Table II.
 	TableRow = exp.TableRow
-	// SweepOptions tune campaign execution: journaling, resuming,
-	// sharding, and streaming consumption.
-	SweepOptions = exp.RunOptions
 	// SweepJournal is an append-only on-disk record of a campaign's
 	// completed instances — the unit of resume and shard recombination.
 	SweepJournal = exp.Journal
@@ -188,7 +181,7 @@ type (
 	// grid (shard i of n; the zero value is the whole campaign).
 	SweepShard = exp.Shard
 	// SweepInstance is one (model, point, trial, heuristic) outcome —
-	// what a SweepOptions.Sink receives and a journal records.
+	// what a WithSink callback receives and a journal records.
 	SweepInstance = exp.InstanceResult
 	// SweepKey is an instance's unique campaign coordinate.
 	SweepKey = exp.Key
@@ -217,9 +210,61 @@ const (
 // DefaultMaxLeap is the default cap on one leap macro-step in slots.
 const DefaultMaxLeap = sim.DefaultMaxLeap
 
-// PaperScenario draws a random scenario with the Section VII.A parameters.
+// Scenario bundles a platform and an application: everything that defines
+// a scheduling problem except the availability realization.
+type Scenario struct {
+	Platform *Platform
+	App      Application
+}
+
+// Validate checks both halves of the scenario.
+func (sc Scenario) Validate() error {
+	if sc.Platform == nil {
+		return fmt.Errorf("tightsched: scenario has no platform")
+	}
+	if err := sc.Platform.Validate(); err != nil {
+		return err
+	}
+	if err := sc.App.Validate(); err != nil {
+		return err
+	}
+	if sc.Platform.TotalCapacity() < sc.App.Tasks {
+		return fmt.Errorf("tightsched: platform capacity below %d tasks", sc.App.Tasks)
+	}
+	return nil
+}
+
+// PaperScenario draws a random scenario with the Section VII.A parameters:
+// p = 20 processors, self-loop probabilities uniform in [0.90, 0.99),
+// w_q ~ U[wmin, 10·wmin], Tdata = wmin, Tprog = 5·wmin, 10 iterations.
 func PaperScenario(m, ncom, wmin int, seed uint64) Scenario {
-	return core.PaperScenario(m, ncom, wmin, seed)
+	pl := platform.GeneratePaper(platform.DefaultPaperConfig(wmin, ncom), rng.New(seed))
+	return Scenario{
+		Platform: pl,
+		App:      Application{Tasks: m, Tprog: 5 * wmin, Tdata: wmin, Iterations: 10},
+	}
+}
+
+// HeuristicSummary aggregates one heuristic's results over trials.
+type HeuristicSummary struct {
+	Heuristic string
+	// Fails counts trials that hit the cap.
+	Fails int
+	// Makespan summarizes the makespans of succeeding trials.
+	Makespan stats.Summary
+	// MeanRestarts and MeanReconfigs average over all trials.
+	MeanRestarts  float64
+	MeanReconfigs float64
+}
+
+// SetEstimate carries the Section V approximations for a worker set of a
+// scenario: the probability P⁺ that the set is simultaneously UP again
+// before a failure, the success probability and conditional expected
+// duration of a W-slot coupled computation.
+type SetEstimate struct {
+	Pplus            float64
+	SuccessProb      float64
+	ExpectedDuration float64
 }
 
 // Heuristics returns the names of every registered heuristic — the
@@ -232,54 +277,13 @@ func Heuristics() []string { return sched.Registered() }
 // PaperHeuristics returns the paper's 17 heuristic names in the paper's
 // order (the default heuristic set of Compare and sweeps). The slice is a
 // fresh copy.
-func PaperHeuristics() []string { return core.Heuristics() }
-
-// Run simulates a scenario under the named heuristic.
-//
-// Deprecated: use Session.Run, which adds cancellation and functional
-// options. This shim is kept for the golden tests' frozen entry points.
-func Run(sc Scenario, heuristic string, opt Options) (Result, error) {
-	return core.Run(sc, heuristic, opt)
-}
-
-// Compare runs several heuristics over shared availability realizations.
-//
-// Deprecated: use Session.Compare.
-func Compare(sc Scenario, heuristics []string, trials int, baseSeed uint64, opt Options) ([]HeuristicSummary, error) {
-	return core.Compare(sc, heuristics, trials, baseSeed, opt)
-}
-
-// Estimate computes P⁺, success probability and conditional expected
-// duration for a worker set executing w coupled compute slots.
-//
-// Deprecated: use Session.Estimate.
-func Estimate(sc Scenario, workers []int, w int) (SetEstimate, error) {
-	return core.Estimate(sc, workers, w)
-}
+func PaperHeuristics() []string { return sched.Names() }
 
 // PaperSweep returns the full Section VII campaign for m tasks.
 func PaperSweep(m int) Sweep { return exp.PaperSweep(m) }
 
 // QuickSweep returns a reduced campaign preserving the sweep's shape.
 func QuickSweep(m int) Sweep { return exp.QuickSweep(m) }
-
-// RunSweep executes a campaign (in parallel; deterministic).
-//
-// Deprecated: use Session.RunSweep (cancellation, functional options) or
-// Session.Stream (typed events instead of a callback).
-func RunSweep(sweep Sweep, progress func(done, total int)) (*SweepResult, error) {
-	return exp.Run(sweep, progress)
-}
-
-// RunSweepWith executes a campaign with journal/resume/shard/streaming
-// options: completed instances stream to the journal and sink as they
-// finish, so an interrupted campaign loses only in-flight work and a
-// sharded one can run as n disjoint jobs.
-//
-// Deprecated: use Session.RunSweep with WithJournal/WithShard/WithSink.
-func RunSweepWith(sweep Sweep, opts SweepOptions) (*SweepResult, error) {
-	return exp.RunWith(sweep, opts)
-}
 
 // CreateSweepJournal starts a new journal for the sweep (shard is the
 // slice stamp; the zero SweepShard means the whole campaign).
@@ -291,14 +295,6 @@ func CreateSweepJournal(path string, sweep Sweep, shard SweepShard) (*SweepJourn
 // crash-torn final line.
 func OpenSweepJournal(path string) (*SweepJournal, error) {
 	return exp.OpenJournal(path)
-}
-
-// ResumeSweep continues an interrupted journaled campaign from its file
-// alone; the result is bit-identical to an uninterrupted run's.
-//
-// Deprecated: use Session.ResumeSweep.
-func ResumeSweep(journalPath string, progress func(done, total int)) (*SweepResult, error) {
-	return exp.Resume(journalPath, progress)
 }
 
 // MergeSweepJournals recombines shard journals of one campaign into one

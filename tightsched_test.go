@@ -1,33 +1,61 @@
 package tightsched_test
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"strings"
 	"testing"
 
 	"tightsched"
+	"tightsched/internal/app"
 	"tightsched/internal/markov"
+	"tightsched/internal/platform"
+	"tightsched/internal/sched"
 )
 
 func TestFacadeRun(t *testing.T) {
-	sc := tightsched.PaperScenario(4, 10, 1, 5)
-	rec := &tightsched.Recorder{}
-	res, err := tightsched.Run(sc, "Y-IE", tightsched.Options{Seed: 2, Cap: 100000, Recorder: rec})
-	if err != nil {
+	ctx := context.Background()
+	session := tightsched.NewSession(tightsched.WithCap(100_000))
+
+	// PaperScenario draws the Section VII.A shape.
+	sc := tightsched.PaperScenario(5, 10, 3, 42)
+	if err := sc.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if res.Failed || res.Completed != 10 {
-		t.Fatalf("run: %+v", res)
+	if sc.Platform.Size() != 20 || sc.Platform.Ncom != 10 {
+		t.Fatalf("platform: %d procs, ncom %d", sc.Platform.Size(), sc.Platform.Ncom)
 	}
-	if rec.Len() == 0 {
-		t.Fatal("no trace recorded")
+	if sc.App.Tasks != 5 || sc.App.Tprog != 15 || sc.App.Tdata != 3 || sc.App.Iterations != 10 {
+		t.Fatalf("application: %+v", sc.App)
+	}
+
+	// The recorded trace covers the whole run, one step per slot.
+	for _, c := range []struct {
+		sc        tightsched.Scenario
+		heuristic string
+		seed      uint64
+	}{
+		{tightsched.PaperScenario(4, 10, 1, 5), "Y-IE", 2},
+		{tightsched.PaperScenario(3, 10, 1, 7), "Y-IE", 5},
+	} {
+		rec := &tightsched.Recorder{}
+		res, err := session.Run(ctx, c.sc, c.heuristic, tightsched.WithSeed(c.seed), tightsched.WithRecorder(rec))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Failed || res.Completed != 10 {
+			t.Fatalf("run: %+v", res)
+		}
+		if rec.Len() == 0 || int64(rec.Len()) != res.Makespan {
+			t.Fatalf("trace length %d vs makespan %d", rec.Len(), res.Makespan)
+		}
 	}
 }
 
 func TestFacadeHeuristics(t *testing.T) {
 	paper := tightsched.PaperHeuristics()
-	if len(paper) != 17 {
+	if len(paper) != 17 { // also Compare's default set
 		t.Fatalf("%d paper heuristics", len(paper))
 	}
 	names := tightsched.Heuristics()
@@ -59,6 +87,8 @@ func TestFacadeStates(t *testing.T) {
 }
 
 func TestFacadeCustomScenario(t *testing.T) {
+	ctx := context.Background()
+	session := tightsched.NewSession(tightsched.WithCap(100_000))
 	avail := tightsched.AvailabilityMatrix{
 		{0.95, 0.03, 0.02},
 		{0.5, 0.48, 0.02},
@@ -72,30 +102,151 @@ func TestFacadeCustomScenario(t *testing.T) {
 		Platform: &tightsched.Platform{Procs: procs, Ncom: 3},
 		App:      tightsched.Application{Tasks: 4, Tprog: 3, Tdata: 1, Iterations: 3},
 	}
-	res, err := tightsched.Run(sc, "E-IAY", tightsched.Options{Seed: 1, Cap: 100000})
+	res, err := session.Run(ctx, sc, "E-IAY", tightsched.WithSeed(1))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Completed != 3 {
 		t.Fatalf("completed %d", res.Completed)
 	}
+
+	// A custom heuristic instance runs in place of a named one.
+	allUp := tightsched.Scenario{
+		Platform: platform.Homogeneous(3, 1, platform.UnboundedCapacity, 3, markov.AlwaysUp()),
+		App:      tightsched.Application{Tasks: 3, Tprog: 1, Tdata: 1, Iterations: 2},
+	}
+	res, err = session.Run(ctx, allUp, "", tightsched.WithCustomHeuristic(&everythingOnAll{}), tightsched.WithCap(1000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Failed || res.Heuristic != "ALL" {
+		t.Fatalf("custom run: %+v", res)
+	}
+
+	// Invalid scenarios and unknown heuristics are rejected.
+	badApp := tightsched.PaperScenario(5, 10, 1, 1)
+	badApp.App.Tasks = 0
+	tiny := tightsched.Scenario{
+		Platform: platform.Homogeneous(1, 1, 1, 1, markov.Uniform(0.9)),
+		App:      tightsched.Application{Tasks: 5, Iterations: 1},
+	}
+	for name, bad := range map[string]tightsched.Scenario{"empty": {}, "invalid app": badApp, "under-capacity": tiny} {
+		if bad.Validate() == nil {
+			t.Fatalf("%s scenario validated", name)
+		}
+		if _, err := session.Run(ctx, bad, "IE"); err == nil {
+			t.Fatalf("%s scenario accepted by Run", name)
+		}
+	}
+	if _, err := session.Run(ctx, allUp, "NOPE"); err == nil {
+		t.Fatal("unknown heuristic accepted")
+	}
+}
+
+// everythingOnAll enrolls every processor with one task.
+type everythingOnAll struct{}
+
+func (e *everythingOnAll) Name() string { return "ALL" }
+
+func (e *everythingOnAll) Decide(v *sched.View) app.Assignment {
+	if v.Current != nil {
+		return v.Current
+	}
+	asg := make(app.Assignment, len(v.States))
+	for q := range asg {
+		if v.States[q] != markov.Up {
+			return nil
+		}
+		asg[q] = 1
+	}
+	return asg
 }
 
 func TestFacadeEstimateAndCompare(t *testing.T) {
-	sc := tightsched.PaperScenario(3, 10, 1, 8)
-	est, err := tightsched.Estimate(sc, []int{0, 1}, 4)
-	if err != nil {
-		t.Fatal(err)
+	ctx := context.Background()
+	session := tightsched.NewSession()
+	for _, c := range []struct {
+		sc      tightsched.Scenario
+		workers []int
+		w       int
+	}{
+		{tightsched.PaperScenario(3, 10, 1, 8), []int{0, 1}, 4},
+		{tightsched.PaperScenario(5, 10, 1, 21), []int{0, 1, 2}, 5},
+	} {
+		est, err := session.Estimate(ctx, c.sc, c.workers, c.w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if est.Pplus <= 0 || est.Pplus >= 1 {
+			t.Fatalf("estimate: %+v", est)
+		}
+		if est.SuccessProb <= 0 || est.SuccessProb > est.Pplus {
+			t.Fatalf("SuccessProb = %v", est.SuccessProb)
+		}
+		if est.ExpectedDuration < float64(c.w) {
+			t.Fatalf("ExpectedDuration = %v below workload %d", est.ExpectedDuration, c.w)
+		}
 	}
-	if est.Pplus <= 0 || est.Pplus >= 1 {
-		t.Fatalf("estimate: %+v", est)
+	sc := tightsched.PaperScenario(5, 10, 1, 21)
+	for _, bad := range []struct {
+		workers []int
+		w       int
+	}{{nil, 5}, {[]int{0}, 0}, {[]int{99}, 5}, {[]int{-1}, 5}} {
+		if _, err := session.Estimate(ctx, sc, bad.workers, bad.w); err == nil {
+			t.Fatalf("Estimate accepted workers %v, w %d", bad.workers, bad.w)
+		}
 	}
-	sums, err := tightsched.Compare(sc, []string{"IE", "Y-IE"}, 2, 3, tightsched.Options{Cap: 50000})
-	if err != nil {
-		t.Fatal(err)
+	if _, err := session.Estimate(ctx, tightsched.Scenario{}, []int{0}, 1); err == nil {
+		t.Fatal("Estimate accepted an invalid scenario")
 	}
-	if len(sums) != 2 {
-		t.Fatalf("summaries: %+v", sums)
+
+	for _, c := range []struct {
+		sc         tightsched.Scenario
+		heuristics []string
+		trials     int
+		seed       uint64
+		cap        int64
+	}{
+		{tightsched.PaperScenario(3, 10, 1, 8), []string{"IE", "Y-IE"}, 2, 3, 50_000},
+		{tightsched.PaperScenario(3, 10, 1, 9), []string{"IE", "RANDOM"}, 3, 11, 100_000},
+		{tightsched.PaperScenario(2, 20, 1, 13), nil, 1, 3, 50_000}, // the paper's 17
+	} {
+		opts := []tightsched.Option{tightsched.WithSeed(c.seed), tightsched.WithCap(c.cap)}
+		sums, err := session.Compare(ctx, c.sc, c.heuristics, c.trials, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := c.heuristics
+		if want == nil {
+			want = tightsched.PaperHeuristics()
+		}
+		if len(sums) != len(want) {
+			t.Fatalf("got %d summaries, want %d", len(sums), len(want))
+		}
+		for i, s := range sums {
+			if s.Heuristic != want[i] || s.Fails+s.Makespan.N != c.trials {
+				t.Fatalf("summary %d: %+v (want %s over %d trials)", i, s, want[i], c.trials)
+			}
+		}
+		again, err := session.Compare(ctx, c.sc, c.heuristics, c.trials, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range sums {
+			if sums[i] != again[i] {
+				t.Fatalf("Compare not deterministic: %+v != %+v", sums[i], again[i])
+			}
+		}
+	}
+	sc = tightsched.PaperScenario(3, 10, 1, 9)
+	if _, err := session.Compare(ctx, sc, nil, 0); err == nil {
+		t.Fatal("0 trials accepted")
+	}
+	if _, err := session.Compare(ctx, tightsched.Scenario{}, nil, 1); err == nil {
+		t.Fatal("invalid scenario accepted")
+	}
+	if _, err := session.Compare(ctx, sc, []string{"NOPE"}, 1, tightsched.WithCap(1000)); err == nil {
+		t.Fatal("unknown heuristic accepted")
 	}
 }
 
@@ -107,7 +258,7 @@ func TestFacadeSweep(t *testing.T) {
 	sweep.Trials = 1
 	sweep.Heuristics = []string{"IE", "RANDOM"}
 	sweep.Cap = 50000
-	res, err := tightsched.RunSweep(sweep, nil)
+	res, err := tightsched.NewSession().RunSweep(context.Background(), sweep)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,13 +298,15 @@ func TestFacadeAvailabilityModels(t *testing.T) {
 }
 
 // TestFacadeNonMarkovRun drives a semi-Markov ground truth through the
-// façade: Options.Model selects the model, the heuristics believe its
+// façade: WithModel selects the model, the heuristics believe its
 // fitted matrices, and the run still completes.
 func TestFacadeNonMarkovRun(t *testing.T) {
+	ctx := context.Background()
+	session := tightsched.NewSession(tightsched.WithSeed(2), tightsched.WithCap(200_000))
 	sc := tightsched.PaperScenario(4, 10, 1, 5)
 	model := tightsched.NewSemiMarkovModel(0.8)
 	model.CalibrationSlots = 2_000
-	res, err := tightsched.Run(sc, "Y-IE", tightsched.Options{Seed: 2, Cap: 200_000, Model: model})
+	res, err := session.Run(ctx, sc, "Y-IE", tightsched.WithModel(model))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +314,7 @@ func TestFacadeNonMarkovRun(t *testing.T) {
 		t.Fatalf("non-Markov run: %+v", res)
 	}
 	// The same seed under Markov ground truth is a different realization.
-	ref, err := tightsched.Run(sc, "Y-IE", tightsched.Options{Seed: 2, Cap: 200_000})
+	ref, err := session.Run(ctx, sc, "Y-IE")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +337,7 @@ func TestFacadeSweepNonMarkov(t *testing.T) {
 	model := tightsched.NewSemiMarkovModel(0.6)
 	model.CalibrationSlots = 2_000
 	sweep.Models = []tightsched.AvailabilityModel{model}
-	res, err := tightsched.RunSweep(sweep, nil)
+	res, err := tightsched.NewSession().RunSweep(context.Background(), sweep)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,8 +367,10 @@ func TestFacadeJournaledShardedSweep(t *testing.T) {
 	sweep.Trials = 1
 	sweep.Heuristics = []string{"IE", "RANDOM"}
 	sweep.Cap = 50000
+	ctx := context.Background()
+	session := tightsched.NewSession()
 
-	full, err := tightsched.RunSweep(sweep, nil)
+	full, err := session.RunSweep(ctx, sweep)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +386,7 @@ func TestFacadeJournaledShardedSweep(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := tightsched.RunSweepWith(sweep, tightsched.SweepOptions{Journal: j, Shard: shard}); err != nil {
+		if _, err := session.RunSweep(ctx, sweep, tightsched.WithJournal(j), tightsched.WithShard(shard)); err != nil {
 			t.Fatal(err)
 		}
 		j.Close()
@@ -251,7 +406,7 @@ func TestFacadeJournaledShardedSweep(t *testing.T) {
 	}
 
 	// A complete shard journal resumes as pure replay.
-	res, err := tightsched.ResumeSweep(paths[0], nil)
+	res, err := session.ResumeSweep(ctx, paths[0])
 	if err != nil {
 		t.Fatal(err)
 	}
