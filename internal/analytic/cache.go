@@ -180,9 +180,15 @@ type PlatformCache struct {
 	entries map[string]*Platform
 }
 
-// platformCacheLimit bounds the number of distinct matrix sets held. A
-// sweep worker processes points in grid order, so consecutive jobs
-// overwhelmingly share one matrix set; on overflow the cache is cleared.
+// platformCacheLimit bounds the number of distinct matrix sets held; on
+// overflow the cache is cleared. A sweep worker processes points in grid
+// order, so consecutive jobs overwhelmingly share one matrix set. An
+// online grid worker sees one matrix set per processor block an
+// admission was granted, across the trials it runs: on the paper-scale
+// online campaign (300 apps, 10 trials, 2 workers) a limit of 8 misses
+// about 860 of 19,951 lookups and 64 misses 220, at the same throughput
+// but with peak RSS up from 27.6 to 48.8 MB — every held platform keeps
+// its whole set-statistics memo — so the limit stays small.
 const platformCacheLimit = 8
 
 // NewPlatformCache returns an empty single-goroutine platform cache.

@@ -7,7 +7,9 @@ import (
 	"math"
 	"sort"
 	"strings"
+	"sync"
 
+	"tightsched/internal/analytic"
 	"tightsched/internal/avail"
 	"tightsched/internal/grid"
 	"tightsched/internal/platform"
@@ -345,14 +347,23 @@ func RunGridContext(ctx context.Context, g GridSweep, opt GridRunOptions) (*Grid
 	if opt.Workers > 0 {
 		workers = opt.Workers
 	}
-	run := func(ctx context.Context, key GridKey, emit func(GridInstance)) error {
-		inst, err := g.runInstance(ctx, key, model, opt.Telemetry)
-		if err == nil {
-			emit(inst)
+	trials := newGridTrials(&g, model, jobs)
+	// One analytic platform cache per worker (caches are goroutine-
+	// confined): every admission of every instance the worker runs
+	// reuses the platforms of the blocks it has seen.
+	newRun := func() poolRun[GridKey, GridInstance] {
+		cache := analytic.NewPlatformCache()
+		return func(ctx context.Context, key GridKey, emit func(GridInstance)) error {
+			tr := trials.acquire(key)
+			defer trials.release(key)
+			inst, err := g.runInstance(ctx, key, tr, model, cache, opt.Telemetry)
+			if err == nil {
+				emit(inst)
+			}
+			return err
 		}
-		return err
 	}
-	err = runPool(ctx, workers, jobs, func() poolRun[GridKey, GridInstance] { return run },
+	err = runPool(ctx, workers, jobs, newRun,
 		func(inst GridInstance) error {
 			if opt.Journal != nil {
 				if err := opt.Journal.Append(inst); err != nil {
@@ -375,9 +386,76 @@ func RunGridContext(ctx context.Context, g GridSweep, opt GridRunOptions) (*Grid
 	return &GridResult{Sweep: g, Instances: instances}, nil
 }
 
-// runInstance executes one online simulation and aggregates its report.
-func (g *GridSweep) runInstance(ctx context.Context, key GridKey, model avail.Model, tele grid.Telemetry) (GridInstance, error) {
-	seed := g.GridTrialSeed(key.Arrival, key.Trial)
+// gridTrial is what every policy combination of one (arrival, trial)
+// shares: the platform draw and the availability history.
+type gridTrial struct {
+	seed     uint64
+	platform *platform.Platform
+	history  *grid.History
+	// pending counts the campaign's jobs of this trial not yet finished.
+	pending int
+}
+
+// gridTrials hands the jobs of a campaign their trial's shared state,
+// built on the first job to need it and dropped after the last one
+// finishes, so a trial's walk is materialized once for all its policy
+// instances and held only while any of them is still to run.
+type gridTrials struct {
+	g     *GridSweep
+	model avail.Model
+	mu    sync.Mutex
+	byKey map[gridTrialKey]*gridTrial
+}
+
+type gridTrialKey struct {
+	arrival string
+	trial   int
+}
+
+func newGridTrials(g *GridSweep, model avail.Model, jobs []GridKey) *gridTrials {
+	ts := &gridTrials{g: g, model: model, byKey: make(map[gridTrialKey]*gridTrial)}
+	for _, key := range jobs {
+		k := gridTrialKey{key.Arrival, key.Trial}
+		tr := ts.byKey[k]
+		if tr == nil {
+			tr = &gridTrial{seed: g.GridTrialSeed(key.Arrival, key.Trial)}
+			ts.byKey[k] = tr
+		}
+		tr.pending++
+	}
+	return ts
+}
+
+// acquire returns the trial state of key's job, building it on first use.
+func (ts *gridTrials) acquire(key GridKey) *gridTrial {
+	ts.mu.Lock()
+	defer ts.mu.Unlock()
+	tr := ts.byKey[gridTrialKey{key.Arrival, key.Trial}]
+	if tr.history == nil {
+		tr.platform = ts.g.gridPlatform(tr.seed)
+		tr.history = grid.NewHistory(ts.model, tr.platform, tr.seed)
+	}
+	return tr
+}
+
+// release marks key's job finished, dropping its trial's state after the
+// trial's last job.
+func (ts *gridTrials) release(key GridKey) {
+	ts.mu.Lock()
+	defer ts.mu.Unlock()
+	k := gridTrialKey{key.Arrival, key.Trial}
+	tr := ts.byKey[k]
+	tr.pending--
+	if tr.pending == 0 {
+		delete(ts.byKey, k)
+	}
+}
+
+// runInstance executes one online simulation on its trial's shared
+// platform and history and aggregates its report.
+func (g *GridSweep) runInstance(ctx context.Context, key GridKey, tr *gridTrial, model avail.Model,
+	cache *analytic.PlatformCache, tele grid.Telemetry) (GridInstance, error) {
+	seed := tr.seed
 	spec, err := g.arrivalSpec(key.Arrival)
 	if err != nil {
 		return GridInstance{}, err
@@ -392,16 +470,18 @@ func (g *GridSweep) runInstance(ctx context.Context, key GridKey, model avail.Mo
 	}
 	shape := g.shape()
 	rep, err := grid.Simulate(ctx, grid.Scenario{
-		Platform:   g.gridPlatform(seed),
-		Model:      model,
-		Shape:      shape,
-		Horizon:    g.Horizon,
-		Heuristic:  g.Heuristic,
-		Seed:       seed,
-		Arrivals:   spec.Materialize(rng.NewKeyed(seed, 0xa221), shape),
-		Admission:  adm,
-		Preemption: pre,
-		Telemetry:  tele,
+		Platform:      tr.platform,
+		Model:         model,
+		Shape:         shape,
+		Horizon:       g.Horizon,
+		Heuristic:     g.Heuristic,
+		Seed:          seed,
+		Arrivals:      spec.Materialize(rng.NewKeyed(seed, 0xa221), shape),
+		Admission:     adm,
+		Preemption:    pre,
+		Telemetry:     tele,
+		History:       tr.history,
+		AnalyticCache: cache,
 	})
 	if err != nil {
 		return GridInstance{}, err

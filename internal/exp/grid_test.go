@@ -7,6 +7,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"tightsched/internal/avail"
 )
 
 // gridTestSweep shrinks QuickOnlineSweep to test scale while keeping
@@ -22,25 +24,80 @@ func gridTestSweep() GridSweep {
 
 // TestGridDeterministicAcrossWorkers: the campaign's instances — and
 // the rendered Table IV — must be byte-identical whether one worker or
-// eight ran it. This is the online layer's core acceptance property.
+// several ran it, although concurrent workers share each trial's
+// availability history and run its policy instances in any order. This
+// is the online layer's core acceptance property.
 func TestGridDeterministicAcrossWorkers(t *testing.T) {
 	g := gridTestSweep()
 	serial, err := RunGridContext(context.Background(), g, GridRunOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := RunGridContext(context.Background(), g, GridRunOptions{Workers: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if len(serial.Instances) != g.InstanceCount() {
 		t.Fatalf("serial run produced %d instances, want %d", len(serial.Instances), g.InstanceCount())
 	}
-	if !reflect.DeepEqual(serial.Instances, parallel.Instances) {
-		t.Fatal("instances differ between 1 and 8 workers")
+	want := FormatTableIV(serial.TableIV())
+	for _, workers := range []int{2, 4, 8} {
+		parallel, err := RunGridContext(context.Background(), g, GridRunOptions{Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(serial.Instances, parallel.Instances) {
+			t.Fatalf("instances differ between 1 and %d workers", workers)
+		}
+		if got := FormatTableIV(parallel.TableIV()); got != want {
+			t.Fatalf("Table IV differs between worker counts:\n--- 1 worker\n%s--- %d workers\n%s", want, workers, got)
+		}
 	}
-	if a, b := FormatTableIV(serial.TableIV()), FormatTableIV(parallel.TableIV()); a != b {
-		t.Fatalf("Table IV differs between worker counts:\n--- 1 worker\n%s--- 8 workers\n%s", a, b)
+}
+
+// TestGridTrialsShareAndRelease: every policy job of one (arrival,
+// trial) gets the same platform and history, other trials get their
+// own, and a trial's state is dropped exactly when its last job
+// finishes.
+func TestGridTrialsShareAndRelease(t *testing.T) {
+	g := gridTestSweep()
+	var jobs []GridKey
+	for _, adm := range g.Admissions {
+		for _, pre := range g.Preemptions {
+			for trial := 0; trial < g.Trials; trial++ {
+				jobs = append(jobs, GridKey{Arrival: "trace", Admission: adm, Preemption: pre, Trial: trial})
+			}
+		}
+	}
+	model, err := avail.Builtin(g.Model)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := newGridTrials(&g, model, jobs)
+	if len(ts.byKey) != g.Trials {
+		t.Fatalf("%d trials tracked, want %d", len(ts.byKey), g.Trials)
+	}
+	first := map[int]*gridTrial{}
+	for i, key := range jobs {
+		tr := ts.acquire(key)
+		if tr.seed != g.GridTrialSeed(key.Arrival, key.Trial) {
+			t.Fatalf("job %+v got the seed of another trial", key)
+		}
+		if prev, ok := first[key.Trial]; !ok {
+			first[key.Trial] = tr
+		} else if tr != prev || tr.history != prev.history || tr.platform != prev.platform {
+			t.Fatalf("job %+v got a different trial state than its trial's first job", key)
+		}
+		ts.release(key)
+		// The trial is dropped exactly after its last job.
+		last := true
+		for _, later := range jobs[i+1:] {
+			if later.Trial == key.Trial {
+				last = false
+			}
+		}
+		if _, held := ts.byKey[gridTrialKey{key.Arrival, key.Trial}]; held == last {
+			t.Fatalf("after job %d (%+v): trial held = %v, want %v", i, key, held, !last)
+		}
+	}
+	if first[0] == first[1] || first[0].history == first[1].history {
+		t.Fatal("two trials share one history")
 	}
 }
 

@@ -5,9 +5,9 @@ import (
 	"fmt"
 	"slices"
 
+	"tightsched/internal/analytic"
 	"tightsched/internal/app"
 	"tightsched/internal/avail"
-	"tightsched/internal/markov"
 	"tightsched/internal/platform"
 	"tightsched/internal/rng"
 	"tightsched/internal/sim"
@@ -67,6 +67,17 @@ type Scenario struct {
 	Preemption PreemptionPolicy
 	// Telemetry receives live gauges (optional).
 	Telemetry Telemetry
+	// History is the trial's availability realization (optional):
+	// NewHistory(Model, Platform, Seed) when nil, and a History passed
+	// here must be built the same way. Scenarios of one trial that
+	// differ only in policies may share one History, concurrently, and
+	// materialize the identical walk once between them.
+	History *History
+	// AnalyticCache reuses analytic platforms across the admissions of
+	// the simulation (optional; see sim.Config.AnalyticCache). Like the
+	// platforms it holds it must stay confined to one goroutine, so a
+	// campaign worker may carry one across its scenarios.
+	AnalyticCache *analytic.PlatformCache
 }
 
 // AppReport is one application's outcome.
@@ -143,7 +154,12 @@ func Simulate(ctx context.Context, sc Scenario) (Report, error) {
 	if e.model == nil {
 		e.model = sc.Platform.AvailModel()
 	}
-	e.walk = newWalk(e.model.Provider(sc.Platform.Matrices(), rng.NewKeyed(sc.Seed, 0x9a1c).Uint64(), false), p)
+	e.hist = sc.History
+	if e.hist == nil {
+		e.hist = NewHistory(e.model, sc.Platform, sc.Seed)
+	} else if e.hist.p != p {
+		return Report{}, fmt.Errorf("grid: history of %d processors, platform has %d", e.hist.p, p)
+	}
 	e.free = make([]int, p)
 	for q := range e.free {
 		e.free[q] = q
@@ -181,7 +197,7 @@ type engine struct {
 	sc    Scenario
 	model avail.Model
 	tele  Telemetry
-	walk  *walk
+	hist  *History
 	free  []int // free processor indices, ascending
 	apps  []*appState
 	queue []*appState
@@ -319,7 +335,8 @@ func (e *engine) preempt(ctx context.Context, now int64) error {
 }
 
 // start admits a onto the lowest-indexed free block and simulates its
-// run against the shared availability walk, scheduling its completion.
+// run against the trial's availability history, scheduling its
+// completion.
 func (e *engine) start(ctx context.Context, a *appState, now int64) error {
 	k := e.sc.Shape.AppProcs
 	procs := slices.Clone(e.free[:k])
@@ -329,13 +346,14 @@ func (e *engine) start(ctx context.Context, a *appState, now int64) error {
 		sub.Procs[i] = e.sc.Platform.Procs[q]
 	}
 	res, err := sim.RunContext(ctx, sim.Config{
-		Platform:  sub,
-		App:       app.Application{Tasks: e.sc.Shape.M, Tprog: 5 * a.arr.Wmin, Tdata: a.arr.Wmin, Iterations: e.sc.Shape.Iterations},
-		Heuristic: e.sc.Heuristic,
-		Seed:      rng.NewKeyed(e.sc.Seed, 0x0a44, uint64(a.idx), uint64(a.preemptions), uint64(now)).Uint64(),
-		Cap:       e.sc.Horizon - now,
-		Model:     e.model,
-		Provider:  &window{walk: e.walk, procs: procs, offset: now},
+		Platform:      sub,
+		App:           app.Application{Tasks: e.sc.Shape.M, Tprog: 5 * a.arr.Wmin, Tdata: a.arr.Wmin, Iterations: e.sc.Shape.Iterations},
+		Heuristic:     e.sc.Heuristic,
+		Seed:          rng.NewKeyed(e.sc.Seed, 0x0a44, uint64(a.idx), uint64(a.preemptions), uint64(now)).Uint64(),
+		Cap:           e.sc.Horizon - now,
+		Model:         e.model,
+		Provider:      newWindow(e.hist, procs, now),
+		AnalyticCache: e.sc.AnalyticCache,
 	})
 	if err != nil {
 		return err
@@ -389,42 +407,4 @@ func (e *engine) finish(a *appState, t int64, completed bool) {
 	if missed {
 		e.tele.GridDeadlineMiss()
 	}
-}
-
-// walk is one trial's shared availability realization: the ground-truth
-// provider walked once, slot by slot, with every vector cached so that
-// application runs admitted at different slots on different blocks read
-// the same history. States are one byte each; memory is horizon·p.
-type walk struct {
-	prov avail.StateProvider
-	p    int
-	hist []markov.State
-	buf  []markov.State
-}
-
-func newWalk(prov avail.StateProvider, p int) *walk {
-	return &walk{prov: prov, p: p, buf: make([]markov.State, p)}
-}
-
-func (w *walk) at(slot int64, procs []int, dst []markov.State) {
-	for int64(len(w.hist))/int64(w.p) <= slot {
-		w.prov.States(int64(len(w.hist))/int64(w.p), w.buf)
-		w.hist = append(w.hist, w.buf...)
-	}
-	base := slot * int64(w.p)
-	for i, q := range procs {
-		dst[i] = w.hist[base+int64(q)]
-	}
-}
-
-// window is a run's view of the shared walk: the engine's slot 0 is the
-// admission slot, and only the granted block's processors are visible.
-type window struct {
-	walk   *walk
-	procs  []int
-	offset int64
-}
-
-func (v *window) States(slot int64, dst []markov.State) {
-	v.walk.at(v.offset+slot, v.procs, dst)
 }

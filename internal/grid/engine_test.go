@@ -193,6 +193,9 @@ func TestSimulateValidation(t *testing.T) {
 		{"bad horizon", func(s *Scenario) { s.Horizon = 0 }, "horizon"},
 		{"no admission", func(s *Scenario) { s.Admission = nil }, "admission"},
 		{"no preemption", func(s *Scenario) { s.Preemption = nil }, "admission/preemption"},
+		{"history of another platform", func(s *Scenario) {
+			s.History = NewHistory(nil, platform.Homogeneous(3, 1, platform.UnboundedCapacity, 6, markov.PerState(0.9, 0.9, 0.9)), 1)
+		}, "history of 3 processors"},
 		{"unordered arrivals", func(s *Scenario) {
 			s.Arrivals = []Arrival{{T: 10, App: "a", Wmin: 1}, {T: 0, App: "b", Wmin: 1}}
 		}, "out of order"},

@@ -12,6 +12,7 @@ import (
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -778,25 +779,48 @@ func TestSessionRunOnline(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Journal + cancel mid-campaign, then resume byte-identically.
+	// Journal + cancel mid-campaign, then resume byte-identically. The
+	// cancel point is an event-loop call, not a progress callback: the
+	// single worker runs the campaign's jobs in order, so the first
+	// instance's telemetry call count (measured on its own) locates the
+	// first call of the second instance, and cancelling there stops that
+	// instance whatever the goroutine schedule.
+	first := &hookTelemetry{}
+	if _, err := session.RunOnline(ctx, onlineGridFromResult(res),
+		tightsched.WithPreemption("none"), // the first job alone
+		tightsched.WithWorkers(1),
+		tightsched.WithGridTelemetry(first),
+	); err != nil {
+		t.Fatal(err)
+	}
+	firstCalls := first.calls.Load()
+	if firstCalls == 0 {
+		t.Fatal("the first instance made no telemetry calls")
+	}
+
 	path := filepath.Join(t.TempDir(), "grid.journal")
 	j, err := tightsched.CreateOnlineJournal(path, onlineGridFromResult(res))
 	if err != nil {
 		t.Fatal(err)
 	}
 	cctx, cancel := context.WithCancel(ctx)
+	var progressed []int
 	_, err = session.RunOnline(cctx, onlineGridFromResult(res),
 		tightsched.WithOnlineJournal(j),
 		tightsched.WithWorkers(1),
-		tightsched.WithProgress(func(done, total int) {
-			if done >= 1 {
+		tightsched.WithGridTelemetry(&hookTelemetry{onCall: func(n int64) {
+			if n == firstCalls+1 {
 				cancel()
 			}
-		}),
+		}}),
+		tightsched.WithProgress(func(done, total int) { progressed = append(progressed, done) }),
 	)
 	cancel()
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled RunOnline returned %v, want context.Canceled", err)
+	}
+	if got := progressed[len(progressed)-1]; got != 1 {
+		t.Fatalf("cancelled campaign journaled %d instances, want exactly the first", got)
 	}
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
@@ -813,6 +837,25 @@ func TestSessionRunOnline(t *testing.T) {
 		t.Fatalf("resumed Table IV differs:\n--- resumed ---\n%s--- want ---\n%s", got, want)
 	}
 }
+
+// hookTelemetry is a GridTelemetry that counts the calls the online
+// event loops make into it, running onCall (when set) with each call's
+// 1-based index on the calling goroutine.
+type hookTelemetry struct {
+	calls  atomic.Int64
+	onCall func(n int64)
+}
+
+func (h *hookTelemetry) call() {
+	n := h.calls.Add(1)
+	if h.onCall != nil {
+		h.onCall(n)
+	}
+}
+
+func (h *hookTelemetry) GridQueued(int)    { h.call() }
+func (h *hookTelemetry) GridRunning(int)   { h.call() }
+func (h *hookTelemetry) GridDeadlineMiss() { h.call() }
 
 // onlineGridFromResult rebuilds the exact campaign a result ran — the
 // sweep with the axis overrides applied — for journaling it again.
