@@ -800,8 +800,9 @@ func BenchmarkOnlineStep(b *testing.B) {
 	g.Arrivals = g.Arrivals[1:2] // the recorded trace
 	g.Admissions = []string{"edf"}
 	g.Preemptions = []string{"lowest-priority"}
+	g.Workers = 1
 	for i := 0; i < b.N; i++ {
-		res, err := exp.RunGridContext(context.Background(), g, exp.GridRunOptions{Workers: 1})
+		res, err := exp.RunGrid(context.Background(), g, nil, nil, nil)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -281,20 +281,8 @@ func main() {
 		}
 		fmt.Println(")")
 
-		start := time.Now()
-		progress := func(done, total int) {
-			if *quiet {
-				return
-			}
-			if done%200 == 0 || done == total {
-				fmt.Fprintf(os.Stderr, "\r%d/%d simulations (%.0fs)", done, total, time.Since(start).Seconds())
-				if done == total {
-					fmt.Fprintln(os.Stderr)
-				}
-			}
-		}
 		session := tightsched.NewSession(
-			tightsched.WithProgress(progress),
+			tightsched.WithProgress(progressLine(*quiet, 200, "simulations")),
 			tightsched.WithShard(shard),
 		)
 		var runOpts []tightsched.Option
@@ -305,39 +293,15 @@ func main() {
 		}
 		var j *tightsched.SweepJournal
 		if *journal != "" {
-			var err error
-			j, err = openOrCreateJournal(*journal, jfmt, *resume, sweep, shard)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "tables:", err)
-				os.Exit(1)
-			}
-			if n := j.DoneCount(); *resume && n > 0 {
-				fmt.Printf("# resuming: %d instances already journaled\n", n)
-			}
+			j = openOrCreateJournal(*journal, *resume, tightsched.OpenSweepJournal,
+				func(path string) (*tightsched.SweepJournal, error) {
+					return tightsched.CreateSweepJournalFormat(path, sweep, shard, jfmt)
+				})
 			runOpts = append(runOpts, tightsched.WithJournal(j))
 		}
 		var err error
 		res, err = session.RunSweep(ctx, sweep, runOpts...)
-		// Close the journal before acting on any error: a cancelled run
-		// must leave a flushed, resumable file, not a torn tail.
-		if j != nil {
-			if cerr := j.Close(); cerr != nil && err == nil {
-				err = cerr
-			}
-		}
-		if err != nil {
-			if errors.Is(err, context.Canceled) {
-				fmt.Fprintln(os.Stderr)
-				if *journal != "" {
-					fmt.Fprintf(os.Stderr, "tables: interrupted — journal %s is intact; rerun with -resume to continue\n", *journal)
-				} else {
-					fmt.Fprintln(os.Stderr, "tables: interrupted — no journal was attached; pass -journal to make long runs resumable")
-				}
-				os.Exit(cli.ExitInterrupted)
-			}
-			fmt.Fprintln(os.Stderr, "tables:", err)
-			os.Exit(1)
-		}
+		endRun(err, j, *journal)
 		if *shardSpec != "" {
 			fmt.Printf("# NOTE: shard %s only — tables below aggregate a partial grid; recombine journals with -merge\n", shard)
 		}
@@ -420,70 +384,25 @@ func runTable4(ctx context.Context, scale string, trials, workers int, seed uint
 	fmt.Printf("# online grid: arrivals=%v admissions=%v preemptions=%v trials=%d horizon=%d heuristic=%s model=%s seed=%d (%d instances)\n",
 		arrivals, g.Admissions, g.Preemptions, g.Trials, g.Horizon, g.Heuristic, g.Model, g.Seed, g.InstanceCount())
 
-	start := time.Now()
-	progress := func(done, total int) {
-		if quiet {
-			return
-		}
-		if done%10 == 0 || done == total {
-			fmt.Fprintf(os.Stderr, "\r%d/%d instances (%.0fs)", done, total, time.Since(start).Seconds())
-			if done == total {
-				fmt.Fprintln(os.Stderr)
-			}
-		}
-	}
-	session := tightsched.NewSession(tightsched.WithProgress(progress))
+	session := tightsched.NewSession(tightsched.WithProgress(progressLine(quiet, 10, "instances")))
 	var runOpts []tightsched.Option
 	var j *tightsched.OnlineJournal
 	if journalPath != "" {
-		var err error
-		j, err = openOrCreateOnlineJournal(journalPath, format, resume, g)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "tables:", err)
-			os.Exit(1)
-		}
-		if n := j.DoneCount(); resume && n > 0 {
-			fmt.Printf("# resuming: %d instances already journaled\n", n)
-		}
+		j = openOrCreateJournal(journalPath, resume,
+			func(path string) (*tightsched.OnlineJournal, error) { return tightsched.OpenOnlineJournal(path, g) },
+			func(path string) (*tightsched.OnlineJournal, error) {
+				return tightsched.CreateOnlineJournalFormat(path, g, format)
+			})
 		runOpts = append(runOpts, tightsched.WithOnlineJournal(j))
 	}
 	res, err := session.RunOnline(ctx, g, runOpts...)
-	if j != nil {
-		if cerr := j.Close(); cerr != nil && err == nil {
-			err = cerr
-		}
-	}
-	if err != nil {
-		if errors.Is(err, context.Canceled) {
-			fmt.Fprintln(os.Stderr)
-			if journalPath != "" {
-				fmt.Fprintf(os.Stderr, "tables: interrupted — journal %s is intact; rerun with -resume to continue\n", journalPath)
-			} else {
-				fmt.Fprintln(os.Stderr, "tables: interrupted — no journal was attached; pass -journal to make long runs resumable")
-			}
-			os.Exit(cli.ExitInterrupted)
-		}
-		fmt.Fprintln(os.Stderr, "tables:", err)
-		os.Exit(1)
-	}
+	endRun(err, j, journalPath)
 	artifact, err := tightsched.RenderTableArtifact(res, 4)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "tables:", err)
 		os.Exit(1)
 	}
 	fmt.Print(artifact)
-}
-
-// openOrCreateOnlineJournal is openOrCreateJournal's grid counterpart.
-func openOrCreateOnlineJournal(path string, format tightsched.JournalFormat, resume bool, g tightsched.OnlineSweep) (*tightsched.OnlineJournal, error) {
-	if resume {
-		if _, err := os.Stat(path); err == nil {
-			return tightsched.OpenOnlineJournal(path, g)
-		} else if !os.IsNotExist(err) {
-			return nil, err
-		}
-	}
-	return tightsched.CreateOnlineJournalFormat(path, g, format)
 }
 
 // sweepHeuristics returns the campaign's resolved heuristic list.
@@ -513,20 +432,80 @@ func pct(hits, total uint64) string {
 	return fmt.Sprintf("%.1f%%", 100*float64(hits)/float64(total))
 }
 
-// openOrCreateJournal resumes an existing journal file or starts a fresh
-// one; with -resume a missing file is created instead of failing, so one
-// command line works both on first run and on restart after a crash.
-// format applies only to a freshly created file — reopening sniffs the
-// encoding from the file itself.
-func openOrCreateJournal(path string, format tightsched.JournalFormat, resume bool, sweep tightsched.Sweep, shard tightsched.SweepShard) (*tightsched.SweepJournal, error) {
-	if resume {
-		if _, err := os.Stat(path); err == nil {
-			return tightsched.OpenSweepJournal(path)
-		} else if !os.IsNotExist(err) {
-			return nil, err
+// progressLine returns a progress callback that redraws one stderr line
+// every `every` completed units and at the end (nothing when quiet).
+func progressLine(quiet bool, every int, unit string) func(done, total int) {
+	start := time.Now()
+	return func(done, total int) {
+		if quiet || (done%every != 0 && done != total) {
+			return
+		}
+		fmt.Fprintf(os.Stderr, "\r%d/%d %s (%.0fs)", done, total, unit, time.Since(start).Seconds())
+		if done == total {
+			fmt.Fprintln(os.Stderr)
 		}
 	}
-	return tightsched.CreateSweepJournalFormat(path, sweep, shard, format)
+}
+
+// journalFile is a sweep or online journal, as the run path uses it.
+type journalFile interface {
+	DoneCount() int
+	Close() error
+}
+
+// openOrCreateJournal resumes an existing journal file or starts a fresh
+// one, exiting on failure; with -resume a missing file is created
+// instead of failing, so one command line works both on first run and
+// on restart after a crash. The -journal-format flag applies only to a
+// freshly created file — reopening sniffs the encoding from the file
+// itself.
+func openOrCreateJournal[J journalFile](path string, resume bool, open, create func(path string) (J, error)) J {
+	mk := create
+	if resume {
+		if _, err := os.Stat(path); err == nil {
+			mk = open
+		} else if !os.IsNotExist(err) {
+			fmt.Fprintln(os.Stderr, "tables:", err)
+			os.Exit(1)
+		}
+	}
+	j, err := mk(path)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "tables:", err)
+		os.Exit(1)
+	}
+	if n := j.DoneCount(); resume && n > 0 {
+		fmt.Printf("# resuming: %d instances already journaled\n", n)
+	}
+	return j
+}
+
+// endRun closes the journal j opened for journalPath (there is none
+// when journalPath is empty) and then ends the process if the campaign
+// run failed, closing first so a cancelled run leaves a flushed,
+// resumable file rather than a torn tail. An interrupt (Ctrl-C,
+// SIGTERM) exits with cli.ExitInterrupted, pointing at -resume when a
+// journal was attached; any other error exits 1.
+func endRun(err error, j journalFile, journalPath string) {
+	if journalPath != "" {
+		if cerr := j.Close(); cerr != nil && err == nil {
+			err = cerr
+		}
+	}
+	if err == nil {
+		return
+	}
+	if errors.Is(err, context.Canceled) {
+		fmt.Fprintln(os.Stderr)
+		if journalPath != "" {
+			fmt.Fprintf(os.Stderr, "tables: interrupted — journal %s is intact; rerun with -resume to continue\n", journalPath)
+		} else {
+			fmt.Fprintln(os.Stderr, "tables: interrupted — no journal was attached; pass -journal to make long runs resumable")
+		}
+		os.Exit(cli.ExitInterrupted)
+	}
+	fmt.Fprintln(os.Stderr, "tables:", err)
+	os.Exit(1)
 }
 
 func modelNames(sweep tightsched.Sweep) []string {

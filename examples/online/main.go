@@ -55,13 +55,12 @@ func main() {
 		}},
 	}
 
-	// Axis overrides compose through options, the same vocabulary as
-	// offline sweeps (WithOnlineJournal + ResumeOnline would make this
-	// crash-safe; cmd/tables -table 4 runs the same campaign).
-	res, err := session.RunOnline(ctx, g,
-		tightsched.WithAdmission("fcfs", "edf"),
-		tightsched.WithPreemption("none", "lowest-priority"),
-	)
+	// The policy axes are plain fields too. Execution options compose
+	// as for offline sweeps (WithOnlineJournal + ResumeOnline would make
+	// this crash-safe; cmd/tables -table 4 runs the same campaign).
+	g.Admissions = []string{"fcfs", "edf"}
+	g.Preemptions = []string{"none", "lowest-priority"}
+	res, err := session.RunOnline(ctx, g)
 	if err != nil {
 		log.Fatal(err)
 	}

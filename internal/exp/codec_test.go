@@ -394,7 +394,7 @@ func TestDiscardInstancesStreamingTables(t *testing.T) {
 // across formats with byte-identical Table IV.
 func TestGridCrossFormatConvertResume(t *testing.T) {
 	g := gridTestSweep()
-	ref, err := RunGridContext(t.Context(), g, GridRunOptions{})
+	ref, err := RunGrid(t.Context(), g, nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -406,7 +406,7 @@ func TestGridCrossFormatConvertResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := RunGridContext(t.Context(), g, GridRunOptions{Journal: j}); err != nil {
+	if _, err := RunGrid(t.Context(), g, j, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := j.Close(); err != nil {
@@ -414,7 +414,7 @@ func TestGridCrossFormatConvertResume(t *testing.T) {
 	}
 
 	// Pure replay of the complete binary journal.
-	res, err := ResumeGrid(t.Context(), binPath, GridRunOptions{})
+	res, err := ResumeGrid(t.Context(), binPath, 0, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -427,7 +427,7 @@ func TestGridCrossFormatConvertResume(t *testing.T) {
 	if err := ConvertJournal(binPath, jsonlPath, FormatJSONL); err != nil {
 		t.Fatal(err)
 	}
-	res2, err := ResumeGrid(t.Context(), jsonlPath, GridRunOptions{})
+	res2, err := ResumeGrid(t.Context(), jsonlPath, 0, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

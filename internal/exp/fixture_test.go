@@ -80,7 +80,7 @@ func writeFixture(path string, online bool, format Format) error {
 		if err != nil {
 			return err
 		}
-		if _, err := RunGridContext(context.Background(), g, GridRunOptions{Journal: j}); err != nil {
+		if _, err := RunGrid(context.Background(), g, j, nil, nil); err != nil {
 			j.Close()
 			return err
 		}
@@ -106,7 +106,7 @@ func TestJournalFixturesByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gridRef, err := RunGridContext(t.Context(), fixtureGrid(), GridRunOptions{})
+	gridRef, err := RunGrid(t.Context(), fixtureGrid(), nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +131,7 @@ func TestJournalFixturesByteIdentical(t *testing.T) {
 				t.Fatal(err)
 			}
 			if c.grid {
-				res, err := ResumeGrid(t.Context(), committed, GridRunOptions{})
+				res, err := ResumeGrid(t.Context(), committed, 0, nil, nil)
 				if err != nil {
 					t.Fatal(err)
 				}

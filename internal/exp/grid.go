@@ -283,27 +283,15 @@ type GridResult struct {
 	agg *tableIVAccumulator
 }
 
-// GridRunOptions are the execution knobs of RunGridContext; the zero
-// value runs with GOMAXPROCS workers, no journal, no callbacks.
-type GridRunOptions struct {
-	// Workers overrides the sweep's worker count when positive.
-	Workers int
-	// Journal persists each instance as it completes; instances already
-	// journaled are replayed, not re-run (resume is bit-identical —
-	// instances are deterministic and canonically sorted).
-	Journal *GridJournal
-	// Progress is called after every completed (or replayed) instance.
-	Progress func(completed, total int)
-	// Telemetry receives live engine gauges (the daemon's /metrics).
-	Telemetry grid.Telemetry
-}
-
-// RunGridContext executes the campaign on the shared worker pool
-// (runPool): cancelling ctx stops it at instance boundaries, and every
-// instance completed by then is journaled. Results are canonically
-// sorted, so any worker count — and any resume split — produces
-// identical bytes.
-func RunGridContext(ctx context.Context, g GridSweep, opt GridRunOptions) (*GridResult, error) {
+// RunGrid executes the campaign on the campaign executor: cancelling
+// ctx stops it at instance boundaries, and every instance completed by
+// then is journaled. j, when set, journals every instance and skips the
+// ones it already holds; progress (optional) receives completion counts
+// once after journal replay and after every live instance; tele
+// (optional) receives live engine gauges, such as the daemon's /metrics.
+// Results are canonically sorted, so any worker count — and any resume
+// split — produces identical bytes.
+func RunGrid(ctx context.Context, g GridSweep, j *GridJournal, progress func(done, total int), tele grid.Telemetry) (*GridResult, error) {
 	if err := g.Validate(); err != nil {
 		return nil, err
 	}
@@ -314,71 +302,59 @@ func RunGridContext(ctx context.Context, g GridSweep, opt GridRunOptions) (*Grid
 	if err != nil {
 		return nil, err
 	}
-	if opt.Journal != nil {
-		if err := opt.Journal.matches(g.Spec(), Shard{}); err != nil {
+	if j != nil {
+		if err := j.matches(g.Spec(), Shard{}); err != nil {
 			return nil, err
 		}
 	}
-
-	total := g.InstanceCount()
-	instances := make([]GridInstance, 0, total)
-	var jobs []GridKey
+	keys := make([]GridKey, 0, g.InstanceCount())
 	for _, a := range g.Arrivals {
 		for _, adm := range g.Admissions {
 			for _, pre := range g.Preemptions {
 				for trial := 0; trial < g.Trials; trial++ {
-					key := GridKey{Arrival: a.Name(), Admission: adm, Preemption: pre, Trial: trial}
-					if opt.Journal != nil {
-						if inst, ok := opt.Journal.Done(key); ok {
-							instances = append(instances, inst)
-							continue
-						}
-					}
-					jobs = append(jobs, key)
+					keys = append(keys, GridKey{Arrival: a.Name(), Admission: adm, Preemption: pre, Trial: trial})
 				}
 			}
 		}
 	}
-	if opt.Progress != nil {
-		opt.Progress(len(instances), total)
-	}
-
-	workers := g.Workers
-	if opt.Workers > 0 {
-		workers = opt.Workers
-	}
-	trials := newGridTrials(&g, model, jobs)
-	// One analytic platform cache per worker (caches are goroutine-
-	// confined): every admission of every instance the worker runs
-	// reuses the platforms of the blocks it has seen.
-	newRun := func() poolRun[GridKey, GridInstance] {
-		cache := analytic.NewPlatformCache()
-		return func(ctx context.Context, key GridKey, emit func(GridInstance)) error {
-			tr := trials.acquire(key)
-			defer trials.release(key)
-			inst, err := g.runInstance(ctx, key, tr, model, cache, opt.Telemetry)
-			if err == nil {
-				emit(inst)
-			}
-			return err
-		}
-	}
-	err = runPool(ctx, workers, jobs, newRun,
-		func(inst GridInstance) error {
-			if opt.Journal != nil {
-				if err := opt.Journal.Append(inst); err != nil {
-					return err
+	trials := newGridTrials(&g, model)
+	c := campaign[GridKey, GridInstance, GridSpec, GridKey]{
+		journal: j,
+		keys:    keys,
+		unit:    1,
+		workers: g.Workers,
+		// One analytic platform cache per worker (caches are goroutine-
+		// confined): every admission of every instance the worker runs
+		// reuses the platforms of the blocks it has seen.
+		newRun: func() poolRun[GridKey, GridInstance] {
+			cache := analytic.NewPlatformCache()
+			return func(ctx context.Context, key GridKey, emit func(GridInstance)) error {
+				tr := trials.acquire(key)
+				defer trials.release(key)
+				inst, err := g.runInstance(ctx, key, tr, model, cache, tele)
+				if err == nil {
+					emit(inst)
 				}
+				return err
 			}
+		},
+	}
+	instances := make([]GridInstance, 0, len(keys))
+	err = c.run(ctx,
+		func(_, live []GridKey) []GridKey {
+			trials.add(live)
+			return live
+		},
+		func(inst GridInstance, _ bool, _, _ int) bool {
 			instances = append(instances, inst)
-			if opt.Progress != nil {
-				opt.Progress(len(instances), total)
+			return true
+		},
+		func(done, total int) bool {
+			if progress != nil {
+				progress(done, total)
 			}
-			return nil
+			return true
 		})
-	if err == nil && len(instances) < total {
-		err = ctx.Err()
-	}
 	if err != nil {
 		return nil, err
 	}
@@ -412,18 +388,22 @@ type gridTrialKey struct {
 	trial   int
 }
 
-func newGridTrials(g *GridSweep, model avail.Model, jobs []GridKey) *gridTrials {
-	ts := &gridTrials{g: g, model: model, byKey: make(map[gridTrialKey]*gridTrial)}
+func newGridTrials(g *GridSweep, model avail.Model) *gridTrials {
+	return &gridTrials{g: g, model: model, byKey: make(map[gridTrialKey]*gridTrial)}
+}
+
+// add counts the campaign's jobs against their trials. It runs before
+// any job starts.
+func (ts *gridTrials) add(jobs []GridKey) {
 	for _, key := range jobs {
 		k := gridTrialKey{key.Arrival, key.Trial}
 		tr := ts.byKey[k]
 		if tr == nil {
-			tr = &gridTrial{seed: g.GridTrialSeed(key.Arrival, key.Trial)}
+			tr = &gridTrial{seed: ts.g.GridTrialSeed(key.Arrival, key.Trial)}
 			ts.byKey[k] = tr
 		}
 		tr.pending++
 	}
-	return ts
 }
 
 // acquire returns the trial state of key's job, building it on first use.
@@ -621,17 +601,17 @@ func OpenGridJournal(path string, g *GridSweep) (*GridJournal, error) {
 }
 
 // ResumeGrid completes a journaled online campaign: the sweep comes from
-// the header, journaled instances replay, and only missing ones run.
-// The result is bit-identical to an uninterrupted run (instances are
-// deterministic and canonically sorted).
-func ResumeGrid(ctx context.Context, path string, opt GridRunOptions) (*GridResult, error) {
-	j, err := openJournal(gridKind, path, nil)
-	if err != nil {
-		return nil, err
-	}
-	defer j.Close()
-	opt.Journal = j
-	return RunGridContext(ctx, j.Spec().Sweep(), opt)
+// the header, journaled instances replay, and only missing ones run, on
+// workers goroutines (GOMAXPROCS when 0 — the header holds no runtime
+// knobs). progress and tele are RunGrid's. The result is bit-identical
+// to an uninterrupted run (instances are deterministic and canonically
+// sorted).
+func ResumeGrid(ctx context.Context, path string, workers int, progress func(done, total int), tele grid.Telemetry) (*GridResult, error) {
+	return resume(gridKind, path, func(j *GridJournal) (*GridResult, error) {
+		g := j.Spec().Sweep()
+		g.Workers = workers
+		return RunGrid(ctx, g, j, progress, tele)
+	})
 }
 
 // LoadGridJournal loads a journal read-only into a (possibly partial)

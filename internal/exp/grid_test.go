@@ -29,7 +29,8 @@ func gridTestSweep() GridSweep {
 // is the online layer's core acceptance property.
 func TestGridDeterministicAcrossWorkers(t *testing.T) {
 	g := gridTestSweep()
-	serial, err := RunGridContext(context.Background(), g, GridRunOptions{Workers: 1})
+	g.Workers = 1
+	serial, err := RunGrid(context.Background(), g, nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +39,8 @@ func TestGridDeterministicAcrossWorkers(t *testing.T) {
 	}
 	want := FormatTableIV(serial.TableIV())
 	for _, workers := range []int{2, 4, 8} {
-		parallel, err := RunGridContext(context.Background(), g, GridRunOptions{Workers: workers})
+		g.Workers = workers
+		parallel, err := RunGrid(context.Background(), g, nil, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -69,7 +71,8 @@ func TestGridTrialsShareAndRelease(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := newGridTrials(&g, model, jobs)
+	ts := newGridTrials(&g, model)
+	ts.add(jobs)
 	if len(ts.byKey) != g.Trials {
 		t.Fatalf("%d trials tracked, want %d", len(ts.byKey), g.Trials)
 	}
@@ -107,7 +110,7 @@ func TestGridTrialsShareAndRelease(t *testing.T) {
 // policies, never between workloads.
 func TestGridArrivalsSharedAcrossPolicies(t *testing.T) {
 	g := gridTestSweep()
-	res, err := RunGridContext(context.Background(), g, GridRunOptions{})
+	res, err := RunGrid(context.Background(), g, nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +133,7 @@ func TestGridArrivalsSharedAcrossPolicies(t *testing.T) {
 // uninterrupted run — instances and rendered bytes — exactly.
 func TestGridCancelResumeByteIdentical(t *testing.T) {
 	g := gridTestSweep()
-	ref, err := RunGridContext(context.Background(), g, GridRunOptions{})
+	ref, err := RunGrid(context.Background(), g, nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,15 +146,12 @@ func TestGridCancelResumeByteIdentical(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	limit := len(ref.Instances) / 3
-	_, err = RunGridContext(ctx, g, GridRunOptions{
-		Workers: 1,
-		Journal: j,
-		Progress: func(done, total int) {
-			if done >= limit {
-				cancel()
-			}
-		},
-	})
+	g.Workers = 1
+	_, err = RunGrid(ctx, g, j, func(done, total int) {
+		if done >= limit {
+			cancel()
+		}
+	}, nil)
 	cancel()
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled run returned %v, want context.Canceled", err)
@@ -165,14 +165,12 @@ func TestGridCancelResumeByteIdentical(t *testing.T) {
 	}
 
 	var firstDone, lastDone, total int
-	res, err := ResumeGrid(context.Background(), path, GridRunOptions{
-		Progress: func(done, tot int) {
-			if firstDone == 0 {
-				firstDone = done
-			}
-			lastDone, total = done, tot
-		},
-	})
+	res, err := ResumeGrid(context.Background(), path, 0, func(done, tot int) {
+		if firstDone == 0 {
+			firstDone = done
+		}
+		lastDone, total = done, tot
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,13 +187,20 @@ func TestGridCancelResumeByteIdentical(t *testing.T) {
 		t.Fatalf("Table IV differs after resume:\n--- uninterrupted\n%s--- resumed\n%s", refTable, got)
 	}
 
-	// A second resume of the now-complete journal is pure replay.
-	again, err := ResumeGrid(context.Background(), path, GridRunOptions{})
+	// A second resume of the now-complete journal is pure replay — and,
+	// under an already-cancelled context, a cancellation: a cancelled
+	// campaign never reports success, even with nothing left to run.
+	again, err := ResumeGrid(context.Background(), path, 0, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(again.Instances, ref.Instances) {
 		t.Fatal("replay of the complete journal differs")
+	}
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := ResumeGrid(cancelled, path, 0, nil, nil); !errors.Is(err, context.Canceled) {
+		t.Fatalf("resume of the complete journal under a cancelled context returned %v, want context.Canceled", err)
 	}
 }
 

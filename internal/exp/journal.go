@@ -485,18 +485,15 @@ func OpenJournal(path string) (*Journal, error) {
 // Run. The journal is closed, flushed and resumable again when Resume
 // returns, whether the campaign completed or the context was cancelled.
 func Resume(ctx context.Context, journalPath string, opts RunOptions) (*Result, error) {
-	j, err := OpenJournal(journalPath)
-	if err != nil {
-		return nil, err
-	}
-	defer j.Close()
-	sweep, err := j.Spec().Sweep()
-	if err != nil {
-		return nil, err
-	}
-	opts.Journal = j
-	opts.Shard = j.Shard()
-	return Run(ctx, sweep, opts)
+	return resume(sweepKind, journalPath, func(j *Journal) (*Result, error) {
+		sweep, err := j.Spec().Sweep()
+		if err != nil {
+			return nil, err
+		}
+		opts.Journal = j
+		opts.Shard = j.Shard()
+		return Run(ctx, sweep, opts)
+	})
 }
 
 // LoadJournal reads a journal into a Result without running anything or

@@ -115,12 +115,12 @@ func journalHarnesses() []journalHarness {
 			}
 			ctx, cancel := context.WithCancel(t.Context())
 			defer cancel()
-			_, err = RunGridContext(ctx, g, GridRunOptions{Journal: j, Workers: 1,
-				Progress: func(done, _ int) {
-					if stopAfter > 0 && done >= stopAfter {
-						cancel()
-					}
-				}})
+			g.Workers = 1
+			_, err = RunGrid(ctx, g, j, func(done, _ int) {
+				if stopAfter > 0 && done >= stopAfter {
+					cancel()
+				}
+			}, nil)
 			if (stopAfter > 0 && !errors.Is(err, context.Canceled)) || (stopAfter <= 0 && err != nil) {
 				t.Fatalf("journaled run returned %v", err)
 			}
@@ -138,7 +138,7 @@ func journalHarnesses() []journalHarness {
 			return j.DoneCount(), nil
 		},
 		resume: func(path string) (any, error) {
-			res, err := ResumeGrid(context.Background(), path, GridRunOptions{})
+			res, err := ResumeGrid(context.Background(), path, 0, nil, nil)
 			if err != nil {
 				return nil, err
 			}
@@ -153,11 +153,11 @@ func journalHarnesses() []journalHarness {
 			defer j.Close()
 			other := contractGrid()
 			other.Seed++
-			_, err = RunGridContext(context.Background(), other, GridRunOptions{Journal: j})
+			_, err = RunGrid(context.Background(), other, j, nil, nil)
 			return err
 		},
 		ref: func(t *testing.T) any {
-			res, err := RunGridContext(t.Context(), contractGrid(), GridRunOptions{})
+			res, err := RunGrid(t.Context(), contractGrid(), nil, nil, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -542,7 +542,7 @@ func TestReadersRejectWrongKind(t *testing.T) {
 		{"OpenGridJournal", "grid", func(p string) error { _, err := OpenGridJournal(p, &g); return err }},
 		{"LoadGridJournal", "grid", func(p string) error { _, err := LoadGridJournal(p); return err }},
 		{"AggregateGridJournal", "grid", func(p string) error { _, err := AggregateGridJournal(p); return err }},
-		{"ResumeGrid", "grid", func(p string) error { _, err := ResumeGrid(ctx, p, GridRunOptions{}); return err }},
+		{"ResumeGrid", "grid", func(p string) error { _, err := ResumeGrid(ctx, p, 0, nil, nil); return err }},
 		{"ConvertJournal", "sweep or grid", func(p string) error { return ConvertJournal(p, p+".converted", FormatJSONL) }},
 	}
 	// Journals of each kind in each format: the committed fixtures, plus

@@ -4,11 +4,9 @@ import (
 	"context"
 	"errors"
 	"iter"
-	"runtime"
 	"sync"
 
 	"tightsched/internal/analytic"
-	"tightsched/internal/avail"
 	"tightsched/internal/sim"
 )
 
@@ -177,265 +175,110 @@ func Stream(ctx context.Context, sweep Sweep, opts RunOptions) iter.Seq2[Event, 
 			}
 		}
 		heuristics := sweep.heuristics()
-		modelByName := map[string]avail.Model{}
-		for _, m := range sweep.models() {
-			modelByName[m.Name()] = m
-		}
-
-		// Under the batch core the dispatch unit widens from one
-		// (coord, heuristic) instance to one (model, point) cell: every
-		// live (trial, heuristic) pair of the cell runs as a single
-		// lockstep batch on one worker, sharing availability walks and
-		// decision builds. Journal records and events stay per-instance
-		// either way.
-		batch := sweep.Advance == sim.AdvanceBatch
-		type job struct {
-			c Coord
-			h string
-			// pairs holds a batched cell's live work; empty for a
-			// sequential single-instance job.
-			pairs []cellPair
-		}
-		var jobs []job
-		var prior []InstanceResult
-		liveCount := 0
-		remaining := map[pointKey]int{}
-		for idx, c := range sweep.Coords() {
-			if !opts.Shard.Covers(idx) {
-				continue
-			}
+		coords := sweep.Coords()
+		keys := make([]Key, 0, len(coords)*len(heuristics))
+		for _, c := range coords {
 			for _, h := range heuristics {
-				remaining[pointKey{c.Model, c.Point}]++
-				if opts.Journal != nil {
-					if inst, ok := opts.Journal.Done(Key{c.Model, c.Point.Ncom, c.Point.Wmin, c.Point.Scenario, c.Trial, h}); ok {
-						prior = append(prior, inst)
-						continue
-					}
-				}
-				liveCount++
-				if batch {
-					// Coords enumerate trials of a cell contiguously, so
-					// the current cell is always the last job (if any).
-					if n := len(jobs); n == 0 || jobs[n-1].c.Model != c.Model || jobs[n-1].c.Point != c.Point {
-						jobs = append(jobs, job{c: Coord{Model: c.Model, Point: c.Point, Trial: -1}})
-					}
-					last := &jobs[len(jobs)-1]
-					last.pairs = append(last.pairs, cellPair{trial: c.Trial, h: h})
-					continue
-				}
-				jobs = append(jobs, job{c: c, h: h})
+				keys = append(keys, Key{c.Model, c.Point.Ncom, c.Point.Wmin, c.Point.Scenario, c.Trial, h})
 			}
 		}
-		total := liveCount + len(prior)
-		totalPoints := len(remaining)
-		completed, completedPoints := 0, 0
-
-		// cellStats holds batched cells' cache counters until their
-		// PointDone fires.
-		cellStats := map[pointKey]*CacheStats{}
-
-		// emitInstance yields the InstanceDone event (and the PointDone
-		// it may complete) and reports whether the consumer wants more.
-		emitInstance := func(inst InstanceResult, replayed bool) bool {
-			completed++
-			if !yield(InstanceDone{Instance: inst, Replayed: replayed, Completed: completed, Total: total}, nil) {
-				return false
-			}
-			pk := pointKey{modelName(inst), inst.Point}
-			remaining[pk]--
-			if remaining[pk] == 0 {
-				completedPoints++
-				if !yield(PointDone{Model: pk.Model, Point: pk.Point,
-					CompletedPoints: completedPoints, TotalPoints: totalPoints,
-					Cache: cellStats[pk]}, nil) {
-					return false
-				}
-				delete(cellStats, pk)
-			}
-			return true
-		}
-
-		// Journal replay first, in canonical order, then one summary
-		// Progress event — resuming consumers see recorded work exactly
-		// once without a per-instance progress storm. Replay honors
-		// cancellation at instance boundaries like the live pool does, so
-		// a cancelled campaign never masquerades as a completed one even
-		// when everything is already journaled.
-		sortInstances(prior)
-		for _, inst := range prior {
-			if err := ctx.Err(); err != nil {
-				yield(nil, err)
-				return
-			}
-			if !emitInstance(inst, true) {
-				return
-			}
-		}
-		if len(prior) > 0 {
-			if !yield(Progress{Completed: completed, Total: total}, nil) {
-				return
-			}
-		}
-
 		workers := sweep.Workers
 		if opts.Workers > 0 {
 			workers = opts.Workers
 		}
-		// packet carries one completed instance to the collector; batched
-		// cells attach their cache counters to every instance, and the
-		// collector keeps the last seen per cell.
-		type packet struct {
-			inst  InstanceResult
-			cache *CacheStats
-		}
-		newRun := func() poolRun[job, packet] {
-			cache := analytic.NewPlatformCache()
-			return func(ctx context.Context, j job, emit func(packet)) error {
-				if len(j.pairs) > 0 {
-					insts, cst, err := runCell(ctx, &sweep, modelByName[j.c.Model], j.c.Model, j.c.Point, j.pairs, cache)
+
+		// Under the batch core the dispatch unit widens from one
+		// instance to one (model, point) cell: every live (trial,
+		// heuristic) pair of the cell runs as a single lockstep batch on
+		// one worker, sharing availability walks and decision builds.
+		// Journal records and events stay per-instance either way.
+		batch := sweep.Advance == sim.AdvanceBatch
+		// cellStats holds batched cells' cache counters, stored by the
+		// worker that ran the cell, until the cell's PointDone.
+		var cellStats sync.Map // pointKey → *CacheStats
+		c := campaign[Key, InstanceResult, SweepSpec, []Key]{
+			journal: opts.Journal,
+			keys:    keys,
+			unit:    len(heuristics),
+			shard:   opts.Shard,
+			workers: workers,
+			newRun: func() poolRun[[]Key, InstanceResult] {
+				cache := analytic.NewPlatformCache()
+				return func(ctx context.Context, job []Key, emit func(InstanceResult)) error {
+					if !batch {
+						inst, err := runInstance(ctx, &sweep, job[0], cache)
+						if err == nil {
+							emit(inst)
+						}
+						return err
+					}
+					insts, cst, err := runCell(ctx, &sweep, job, cache)
+					if cst != nil {
+						cellStats.Store(job[0].cell(), cst)
+					}
 					for _, inst := range insts {
-						emit(packet{inst: inst, cache: cst})
+						emit(inst)
 					}
 					return err
 				}
-				res, err := runInstance(ctx, &sweep, modelByName[j.c.Model], j.c.Point, j.c.Trial, j.h, cache)
-				if err == nil {
-					emit(packet{inst: InstanceResult{Point: j.c.Point, Trial: j.c.Trial, Model: j.c.Model,
-						Heuristic: j.h, Makespan: res.Makespan, Failed: res.Failed}})
+			},
+		}
+		// remaining counts each cell's undelivered instances, for
+		// PointDone.
+		remaining := map[pointKey]int{}
+		completedPoints := 0
+		err := c.run(ctx,
+			func(planned, live []Key) [][]Key {
+				for _, k := range planned {
+					remaining[k.cell()]++
 				}
-				return err
-			}
-		}
-		// The iterator's caller is the collector: journal appends happen
-		// here, before the event is yielded, so every instance a consumer
-		// observes is already durable.
-		err := runPool(ctx, workers, jobs, newRun, func(pk packet) error {
-			inst := pk.inst
-			if pk.cache != nil {
-				cellStats[pointKey{modelName(inst), inst.Point}] = pk.cache
-			}
-			if opts.Journal != nil {
-				if err := opts.Journal.Append(inst); err != nil {
-					return err
+				return sweepJobs(live, batch)
+			},
+			func(inst InstanceResult, replayed bool, done, total int) bool {
+				if !yield(InstanceDone{Instance: inst, Replayed: replayed, Completed: done, Total: total}, nil) {
+					return false
 				}
-			}
-			if !emitInstance(inst, false) || !yield(Progress{Completed: completed, Total: total}, nil) {
-				return errStopped
-			}
-			return nil
-		})
-		if errors.Is(err, errStopped) {
-			return // the consumer broke out: yield must not be called again
-		}
-		// Surface a worker or journal error, or the cancellation that cut
-		// the campaign short.
-		if err == nil && completed < total {
-			err = ctx.Err()
-		}
-		if err != nil {
+				pk := pointKey{modelName(inst), inst.Point}
+				if remaining[pk]--; remaining[pk] > 0 {
+					return true
+				}
+				completedPoints++
+				cst, _ := cellStats.LoadAndDelete(pk)
+				ev := PointDone{Model: pk.Model, Point: pk.Point,
+					CompletedPoints: completedPoints, TotalPoints: len(remaining)}
+				ev.Cache, _ = cst.(*CacheStats)
+				return yield(ev, nil)
+			},
+			func(done, total int) bool {
+				return yield(Progress{Completed: done, Total: total}, nil)
+			})
+		// A worker or journal error, or the cancellation that cut the
+		// campaign short, ends the stream; a consumer that broke out
+		// must not be yielded to again.
+		if err != nil && !errors.Is(err, errStopped) {
 			yield(nil, err)
 		}
 	}
 }
 
-// poolRun runs one job on a pool worker, handing each of its results to
-// emit. An error that is not a cancellation fails the whole pool.
-type poolRun[J, R any] func(ctx context.Context, job J, emit func(R)) error
+// cell returns the (model, point) cell of a sweep key.
+func (k Key) cell() pointKey {
+	return pointKey{k.Model, Point{k.Ncom, k.Wmin, k.Scenario}}
+}
 
-// errStopped is what a collector returns to stop the pool when nothing
-// went wrong (a Stream consumer broke out of its loop).
-var errStopped = errors.New("exp: campaign stopped by its consumer")
-
-// runPool is the campaign worker pool behind Stream and RunGridContext.
-// It runs jobs on up to workers goroutines (GOMAXPROCS when workers <=
-// 0); each goroutine gets its own run from newRun, so per-worker state
-// such as an analytic cache stays goroutine-confined. collect receives
-// every result on the calling goroutine, in completion order; an error
-// from it stops the pool and is returned.
-//
-// Cancelling ctx stops the pool at job boundaries: no worker starts a
-// job once ctx is done, and a result emitted after that may be dropped.
-// Otherwise runPool returns the first run error that is not a
-// cancellation, and nil when there is none — a pool cut short by ctx is
-// for the caller, who knows how many results it expected, to report.
-// Either way no goroutine outlives the call.
-func runPool[J, R any](ctx context.Context, workers int, jobs []J, newRun func() poolRun[J, R], collect func(R) error) error {
-	if len(jobs) == 0 {
-		return nil
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	workers = min(workers, len(jobs))
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	jobCh := make(chan J)
-	// One slot per worker: a worker that finishes a job hands its result
-	// over and starts the next without waiting for the collector.
-	resCh := make(chan R, workers)
-	errCh := make(chan error, 1)
-	var wg sync.WaitGroup
-	for range workers {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			run := newRun()
-			emit := func(r R) {
-				select {
-				case resCh <- r:
-				case <-ctx.Done():
-				}
-			}
-			for j := range jobCh {
-				// Instance boundary: a cancelled campaign starts no new
-				// simulations.
-				if ctx.Err() != nil {
-					return
-				}
-				if err := run(ctx, j, emit); err != nil {
-					// A run aborted by cancellation is not a campaign
-					// failure; the caller reports the context's error.
-					if !errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded) {
-						select {
-						case errCh <- err:
-						default:
-						}
-					}
-					cancel()
-					return
-				}
-			}
-		}()
-	}
-	go func() { // feeder
-		defer close(jobCh)
-		for _, j := range jobs {
-			select {
-			case jobCh <- j:
-			case <-ctx.Done():
-				return
-			}
+// sweepJobs groups a sweep's live keys into pool jobs: one instance per
+// job, or under the batch core one (model, point) cell per job. Coords
+// enumerate a cell's trials contiguously, so a cell is a run of
+// consecutive keys; jobs are subslices of live.
+func sweepJobs(live []Key, batch bool) [][]Key {
+	jobs := make([][]Key, 0, len(live))
+	for i := 0; i < len(live); {
+		n := 1
+		for batch && i+n < len(live) && live[i+n].cell() == live[i].cell() {
+			n++
 		}
-	}()
-	go func() { // closer: resCh ends exactly when the pool has exited
-		wg.Wait()
-		close(resCh)
-	}()
-	for r := range resCh {
-		if err := collect(r); err != nil {
-			// Shutdown: stop the pool and block until every worker has
-			// exited. Results still queued are dropped uncollected — a
-			// later resume re-runs exactly those.
-			cancel()
-			for range resCh {
-			}
-			return err
-		}
+		jobs = append(jobs, live[i:i+n:i+n])
+		i += n
 	}
-	select {
-	case err := <-errCh:
-		return err
-	default:
-		return nil
-	}
+	return jobs
 }

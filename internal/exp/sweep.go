@@ -151,6 +151,16 @@ func (s *Sweep) models() []avail.Model {
 	return []avail.Model{avail.MarkovModel{}}
 }
 
+// model returns the model-axis entry of the given name.
+func (s *Sweep) model(name string) avail.Model {
+	for _, m := range s.models() {
+		if m.Name() == name {
+			return m
+		}
+	}
+	return nil
+}
+
 // InstanceCount returns the number of (model, point, scenario, trial)
 // instances, not counting the heuristic dimension.
 func (s *Sweep) InstanceCount() int {
@@ -262,7 +272,7 @@ func (s *Sweep) application(wmin int) app.Application {
 	}
 }
 
-// runInstance executes one simulation of the campaign, checking ctx at
+// runInstance executes one instance of the campaign, checking ctx at
 // macro-step boundaries. Model hooks run arbitrary plugged-in code (e.g. a
 // TraceModel panicking on a platform size mismatch); a panic is converted
 // into an error so the campaign fails cleanly instead of crashing the
@@ -275,59 +285,57 @@ func (s *Sweep) application(wmin int) app.Application {
 // Memoized statistics are canonical, so results are bit-identical to
 // cache-free execution whatever the job interleaving — the cross-worker
 // determinism test pins this.
-func runInstance(ctx context.Context, s *Sweep, model avail.Model, pt Point, trial int, h string, cache *analytic.PlatformCache) (res sim.Result, err error) {
+func runInstance(ctx context.Context, s *Sweep, k Key, cache *analytic.PlatformCache) (inst InstanceResult, err error) {
+	pk := k.cell()
 	defer func() {
 		if p := recover(); p != nil {
 			err = fmt.Errorf("exp: model %s, point %+v, trial %d, heuristic %s: panic: %v",
-				model.Name(), pt, trial, h, p)
+				pk.Model, pk.Point, k.Trial, k.Heuristic, p)
 		}
 	}()
-	return sim.RunContext(ctx, sim.Config{
-		Platform:      s.scenarioPlatform(pt),
-		App:           s.application(pt.Wmin),
-		Heuristic:     h,
-		Seed:          s.TrialSeed(pt, trial),
+	res, err := sim.RunContext(ctx, sim.Config{
+		Platform:      s.scenarioPlatform(pk.Point),
+		App:           s.application(pk.Point.Wmin),
+		Heuristic:     k.Heuristic,
+		Seed:          s.TrialSeed(pk.Point, k.Trial),
 		Cap:           s.Cap,
 		InitialAllUp:  s.InitialAllUp,
-		Model:         model,
+		Model:         s.model(k.Model),
 		AnalyticCache: cache,
 		Advance:       s.Advance,
 		MaxLeap:       s.MaxLeap,
 	})
+	return InstanceResult{Point: pk.Point, Trial: k.Trial, Model: k.Model, Heuristic: k.Heuristic,
+		Makespan: res.Makespan, Failed: res.Failed}, err
 }
 
-// cellPair is one live (trial, heuristic) pair of a batched cell job.
-type cellPair struct {
-	trial int
-	h     string
-}
-
-// runCell executes every live instance of one (model, point) cell as a
+// runCell executes the given instances of one (model, point) cell as a
 // single lockstep batch (sim.RunBatch): the sweep's batch dispatch unit.
 // Seeds come from the same TrialSeed schedule as runInstance, so each
 // returned InstanceResult is byte-identical to its sequential
-// counterpart; results are returned in pairs order along with the cell's
+// counterpart; results are returned in keys order along with the cell's
 // cache-effectiveness counters.
-func runCell(ctx context.Context, s *Sweep, model avail.Model, modelName string, pt Point, pairs []cellPair, cache *analytic.PlatformCache) (out []InstanceResult, cst *CacheStats, err error) {
+func runCell(ctx context.Context, s *Sweep, keys []Key, cache *analytic.PlatformCache) (out []InstanceResult, cst *CacheStats, err error) {
+	pk := keys[0].cell()
 	defer func() {
 		if p := recover(); p != nil {
 			out, cst = nil, nil
 			err = fmt.Errorf("exp: model %s, point %+v, batched cell: panic: %v",
-				modelName, pt, p)
+				pk.Model, pk.Point, p)
 		}
 	}()
 	base := sim.Config{
-		Platform:      s.scenarioPlatform(pt),
-		App:           s.application(pt.Wmin),
+		Platform:      s.scenarioPlatform(pk.Point),
+		App:           s.application(pk.Point.Wmin),
 		Cap:           s.Cap,
 		InitialAllUp:  s.InitialAllUp,
-		Model:         model,
+		Model:         s.model(pk.Model),
 		AnalyticCache: cache,
 		MaxLeap:       s.MaxLeap,
 	}
-	insts := make([]sim.BatchInstance, len(pairs))
-	for i, pr := range pairs {
-		insts[i] = sim.BatchInstance{Heuristic: pr.h, Seed: s.TrialSeed(pt, pr.trial)}
+	insts := make([]sim.BatchInstance, len(keys))
+	for i, k := range keys {
+		insts[i] = sim.BatchInstance{Heuristic: k.Heuristic, Seed: s.TrialSeed(pk.Point, k.Trial)}
 	}
 	results, stats, err := sim.RunBatch(ctx, base, insts)
 	if err != nil {
@@ -336,10 +344,10 @@ func runCell(ctx context.Context, s *Sweep, model avail.Model, modelName string,
 	out = make([]InstanceResult, len(results))
 	for i, r := range results {
 		out[i] = InstanceResult{
-			Point:     pt,
-			Trial:     pairs[i].trial,
-			Model:     modelName,
-			Heuristic: pairs[i].h,
+			Point:     pk.Point,
+			Trial:     keys[i].Trial,
+			Model:     pk.Model,
+			Heuristic: keys[i].Heuristic,
 			Makespan:  r.Makespan,
 			Failed:    r.Failed,
 		}

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"io"
 	"sync"
 	"time"
 
@@ -282,6 +283,17 @@ func (c *Campaign) markRunning(now time.Time) {
 	c.state = StateRunning
 	c.started = now
 	c.mu.Unlock()
+}
+
+// createJournal creates the journal file of an in-process campaign and
+// returns it with the option that attaches it to the session call.
+func (c *Campaign) createJournal() (io.Closer, tightsched.Option, error) {
+	if g := c.Spec.Grid; g != nil {
+		j, err := tightsched.CreateOnlineJournalFormat(c.journalPath, *g, c.Spec.Format)
+		return j, tightsched.WithOnlineJournal(j), err
+	}
+	j, err := tightsched.CreateSweepJournalFormat(c.journalPath, c.Spec.Sweep, c.Spec.Shard, c.Spec.Format)
+	return j, tightsched.WithJournal(j), err
 }
 
 // finish records the terminal state and wakes every waiter. err is the

@@ -237,63 +237,35 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	case spec.Cluster != nil:
 		go s.runClusterCampaign(ctx, c)
 	case spec.Grid != nil:
-		go s.runGridCampaign(ctx, c)
+		// Progress feeds the SSE broadcaster; live engine telemetry
+		// feeds the daemon's tightsched_grid_* metric families.
+		go s.runCampaign(ctx, c, func(opts ...tightsched.Option) (*tightsched.SweepResult, error) {
+			return tightsched.NewSession().RunOnline(ctx, *spec.Grid, append(opts,
+				tightsched.WithProgress(func(done, total int) {
+					observer{c}.OnProgress(tightsched.Progress{Completed: done, Total: total})
+				}),
+				tightsched.WithGridTelemetry(gridTelemetry{&s.metrics}))...)
+		})
 	default:
-		go s.runCampaign(ctx, c)
+		go s.runCampaign(ctx, c, func(opts ...tightsched.Option) (*tightsched.SweepResult, error) {
+			opts = append(opts, tightsched.WithObserver(metricsObserver{observer{c}, &s.metrics}))
+			if spec.Shard.Count > 1 {
+				opts = append(opts, tightsched.WithShard(spec.Shard))
+			}
+			return tightsched.NewSession().RunSweep(ctx, spec.Sweep, opts...)
+		})
 	}
 	writeJSON(w, http.StatusAccepted, c.Status(time.Now().UTC()))
 }
 
-// runCampaign executes one campaign on the runner pool.
-func (s *Server) runCampaign(ctx context.Context, c *Campaign) {
-	defer s.wg.Done()
-	// Queue for a runner slot; cancellation while pending (DELETE or
-	// shutdown) resolves the campaign without running anything.
-	select {
-	case s.slots <- struct{}{}:
-		defer func() { <-s.slots }()
-	case <-ctx.Done():
-		c.finish(ctx, ctx.Err(), nil, time.Now().UTC())
-		return
-	}
-	if ctx.Err() != nil {
-		c.finish(ctx, ctx.Err(), nil, time.Now().UTC())
-		return
-	}
-	c.markRunning(time.Now().UTC())
-
-	opts := []tightsched.Option{
-		tightsched.WithObserver(metricsObserver{observer{c}, &s.metrics}),
-	}
-	if c.Spec.Shard.Count > 1 {
-		opts = append(opts, tightsched.WithShard(c.Spec.Shard))
-	}
-	var journal *tightsched.SweepJournal
-	if c.journalPath != "" {
-		var err error
-		journal, err = tightsched.CreateSweepJournalFormat(c.journalPath, c.Spec.Sweep, c.Spec.Shard, c.Spec.Format)
-		if err != nil {
-			c.finish(ctx, err, nil, time.Now().UTC())
-			return
-		}
-		opts = append(opts, tightsched.WithJournal(journal))
-	}
-
-	session := tightsched.NewSession()
-	res, err := session.RunSweep(ctx, c.Spec.Sweep, opts...)
-	if journal != nil {
-		if cerr := journal.Close(); cerr != nil && err == nil {
-			err = cerr
-		}
-	}
-	c.finish(ctx, err, res, time.Now().UTC())
-}
-
-// runGridCampaign executes one online grid campaign on the runner pool:
-// the grid-journal mirror of runCampaign, with progress forwarded to the
-// SSE broadcaster and live engine telemetry feeding the daemon's
-// tightsched_grid_* metric families.
-func (s *Server) runGridCampaign(ctx context.Context, c *Campaign) {
+// runCampaign executes one in-process campaign — a sweep or an online
+// grid — on the runner pool. It waits for a runner slot (cancellation
+// while pending, by DELETE or shutdown, resolves the campaign without
+// running anything), creates the campaign's journal when it keeps one,
+// makes the kind's session call through run, and closes the journal
+// before recording the outcome, so a cancelled campaign leaves a
+// flushed, resumable file.
+func (s *Server) runCampaign(ctx context.Context, c *Campaign, run func(opts ...tightsched.Option) (*tightsched.SweepResult, error)) {
 	defer s.wg.Done()
 	select {
 	case s.slots <- struct{}{}:
@@ -308,27 +280,18 @@ func (s *Server) runGridCampaign(ctx context.Context, c *Campaign) {
 	}
 	c.markRunning(time.Now().UTC())
 
-	g := *c.Spec.Grid
-	obs := observer{c}
-	opts := []tightsched.Option{
-		tightsched.WithProgress(func(done, total int) {
-			obs.OnProgress(tightsched.Progress{Completed: done, Total: total})
-		}),
-		tightsched.WithGridTelemetry(gridTelemetry{&s.metrics}),
-	}
-	var journal *tightsched.OnlineJournal
+	var opts []tightsched.Option
+	var journal io.Closer
 	if c.journalPath != "" {
+		var opt tightsched.Option
 		var err error
-		journal, err = tightsched.CreateOnlineJournalFormat(c.journalPath, g, c.Spec.Format)
-		if err != nil {
+		if journal, opt, err = c.createJournal(); err != nil {
 			c.finish(ctx, err, nil, time.Now().UTC())
 			return
 		}
-		opts = append(opts, tightsched.WithOnlineJournal(journal))
+		opts = append(opts, opt)
 	}
-
-	session := tightsched.NewSession()
-	res, err := session.RunOnline(ctx, g, opts...)
+	res, err := run(opts...)
 	if journal != nil {
 		if cerr := journal.Close(); cerr != nil && err == nil {
 			err = cerr

@@ -134,10 +134,7 @@ type sessionConfig struct {
 	sink     func(SweepInstance) error
 	observer Observer
 	discard  bool
-	// Online grid overrides (RunOnline / ResumeOnline).
-	arrivals      []OnlineArrival
-	admissions    []string
-	preemptions   []string
+	// Online grid options (RunOnline / ResumeOnline).
 	gridJournal   *OnlineJournal
 	gridTelemetry GridTelemetry
 	// err records the first invalid option value (e.g. an out-of-range
@@ -300,31 +297,6 @@ func WithSink(f func(SweepInstance) error) Option {
 // complete, holding O(cells) state instead of the full campaign.
 func WithDiscardInstances() Option {
 	return scoped("WithDiscardInstances", scopeConsume, func(c *sessionConfig) { c.discard = true })
-}
-
-// WithArrivals replaces an online campaign's arrival axis for one
-// RunOnline call — a Session-level way to point the preset campaigns at
-// a recorded trace (LoadOnlineTrace) or a differently tuned Poisson
-// stream without rebuilding the OnlineSweep by hand. ResumeOnline reads
-// the arrival axis from the journal header.
-func WithArrivals(specs ...OnlineArrival) Option {
-	return scoped("WithArrivals", scopeRunOnline, func(c *sessionConfig) { c.arrivals = specs })
-}
-
-// WithAdmission replaces an online campaign's admission-policy axis for
-// one RunOnline call. Names resolve through the open policy registry
-// (AdmissionPolicies lists them); ResumeOnline reads the axis from the
-// journal header.
-func WithAdmission(names ...string) Option {
-	return scoped("WithAdmission", scopeRunOnline, func(c *sessionConfig) { c.admissions = names })
-}
-
-// WithPreemption replaces an online campaign's preemption-policy axis
-// for one RunOnline call. Names resolve through the open policy registry
-// (PreemptionPolicies lists them); ResumeOnline reads the axis from the
-// journal header.
-func WithPreemption(names ...string) Option {
-	return scoped("WithPreemption", scopeRunOnline, func(c *sessionConfig) { c.preemptions = names })
 }
 
 // WithOnlineJournal streams every completed online instance to the grid
@@ -631,41 +603,24 @@ func (s *Session) ResumeSweep(ctx context.Context, journalPath string, opts ...O
 	return exp.Resume(ctx, journalPath, c.sweepOptions())
 }
 
-// gridOptions maps the resolved config onto the online campaign harness.
-func (c *sessionConfig) gridOptions() exp.GridRunOptions {
-	return exp.GridRunOptions{
-		Workers:   c.workers,
-		Journal:   c.gridJournal,
-		Progress:  c.progress,
-		Telemetry: c.gridTelemetry,
-	}
-}
-
 // RunOnline executes an online multi-application campaign — arrival
 // streams feeding admission and preemption policies on a shared
 // heterogeneous grid — and returns its per-instance SLO metrics as a
 // SweepResult whose Grid field carries the online aggregation
-// (SweepResult.Grid.TableIV, RenderTableArtifact table 4). The
-// WithArrivals/WithAdmission/WithPreemption options override the
-// corresponding campaign axes; WithOnlineJournal streams completed
-// instances for crash-tolerant resume via ResumeOnline. Cancellation
-// stops the worker pool at instance boundaries, journals everything
-// completed so far, and returns the context's error.
+// (SweepResult.Grid.TableIV, RenderTableArtifact table 4). The campaign
+// axes are the OnlineSweep's own fields; WithOnlineJournal streams
+// completed instances for crash-tolerant resume via ResumeOnline.
+// Cancellation stops the worker pool at instance boundaries, journals
+// everything completed so far, and returns the context's error.
 func (s *Session) RunOnline(ctx context.Context, g OnlineSweep, opts ...Option) (*SweepResult, error) {
 	c := s.config(opts)
 	if err := c.check(scopeRunOnline, "Session.RunOnline"); err != nil {
 		return nil, err
 	}
-	if c.arrivals != nil {
-		g.Arrivals = c.arrivals
+	if c.workers > 0 {
+		g.Workers = c.workers
 	}
-	if c.admissions != nil {
-		g.Admissions = c.admissions
-	}
-	if c.preemptions != nil {
-		g.Preemptions = c.preemptions
-	}
-	gr, err := exp.RunGridContext(ctx, g, c.gridOptions())
+	gr, err := exp.RunGrid(ctx, g, c.gridJournal, c.progress, c.gridTelemetry)
 	if err != nil {
 		return nil, err
 	}
@@ -675,15 +630,14 @@ func (s *Session) RunOnline(ctx context.Context, g OnlineSweep, opts ...Option) 
 // ResumeOnline continues an interrupted journaled online campaign from
 // its file alone, re-running only unrecorded instances; the result is
 // bit-identical to an uninterrupted run's. The campaign axes come from
-// the journal header (WithArrivals/WithAdmission/WithPreemption and
-// WithOnlineJournal do not apply); WithWorkers, WithProgress and
-// WithGridTelemetry do.
+// the journal header (WithOnlineJournal does not apply); WithWorkers,
+// WithProgress and WithGridTelemetry do.
 func (s *Session) ResumeOnline(ctx context.Context, journalPath string, opts ...Option) (*SweepResult, error) {
 	c := s.config(opts)
 	if err := c.check(scopeResumeOnline, "Session.ResumeOnline"); err != nil {
 		return nil, err
 	}
-	gr, err := exp.ResumeGrid(ctx, journalPath, c.gridOptions())
+	gr, err := exp.ResumeGrid(ctx, journalPath, c.workers, c.progress, c.gridTelemetry)
 	if err != nil {
 		return nil, err
 	}

@@ -714,23 +714,12 @@ func onlineSessionSweep() tightsched.OnlineSweep {
 }
 
 // TestSessionOnlineOptionScope extends the scope contract to the online
-// entry points: offline entry points reject the online axis overrides,
-// RunOnline rejects simulation/offline-campaign options, and
-// ResumeOnline rejects the identity-changing overrides a journal has
-// already pinned.
+// entry points: RunOnline rejects simulation/offline-campaign options,
+// and ResumeOnline rejects a journal option — the file is the journal.
 func TestSessionOnlineOptionScope(t *testing.T) {
 	ctx := context.Background()
-	sc := tightsched.PaperScenario(5, 10, 2, 42)
 	session := tightsched.NewSession()
 
-	if _, err := session.Run(ctx, sc, "IE", tightsched.WithAdmission("fcfs")); err == nil ||
-		!strings.Contains(err.Error(), "WithAdmission") {
-		t.Fatalf("Run scope error = %v, want a WithAdmission complaint", err)
-	}
-	if _, err := session.RunSweep(ctx, sessionSweep(5, []string{"IE"}), tightsched.WithArrivals()); err == nil ||
-		!strings.Contains(err.Error(), "WithArrivals") {
-		t.Fatalf("RunSweep scope error = %v, want a WithArrivals complaint", err)
-	}
 	if _, err := session.RunOnline(ctx, onlineSessionSweep(), tightsched.WithCap(1)); err == nil ||
 		!strings.Contains(err.Error(), "WithCap") {
 		t.Fatalf("RunOnline scope error = %v, want a WithCap complaint", err)
@@ -739,36 +728,36 @@ func TestSessionOnlineOptionScope(t *testing.T) {
 		!strings.Contains(err.Error(), "WithRecorder") {
 		t.Fatalf("RunOnline scope error = %v, want a WithRecorder complaint", err)
 	}
-	if _, err := session.ResumeOnline(ctx, "/nonexistent", tightsched.WithPreemption("none")); err == nil ||
-		!strings.Contains(err.Error(), "WithPreemption") {
-		t.Fatalf("ResumeOnline scope error = %v, want a WithPreemption complaint", err)
+	if _, err := session.ResumeOnline(ctx, "/nonexistent", tightsched.WithOnlineJournal(nil)); err == nil ||
+		!strings.Contains(err.Error(), "WithOnlineJournal") {
+		t.Fatalf("ResumeOnline scope error = %v, want a WithOnlineJournal complaint", err)
 	}
 }
 
 // TestSessionRunOnline exercises the online entry point end to end: the
-// axis overrides replace the campaign's axes, progress fires per
-// instance, and cancel + ResumeOnline reproduces the uninterrupted
-// bytes (the CLI -resume path in library form).
+// sweep's axes are the ones that run, progress fires per instance, and
+// cancel + ResumeOnline reproduces the uninterrupted bytes (the CLI
+// -resume path in library form).
 func TestSessionRunOnline(t *testing.T) {
 	ctx := context.Background()
 	g := onlineSessionSweep()
+	g.Admissions = []string{"sjf"}
+	g.Preemptions = []string{"none", "lowest-priority"}
 	session := tightsched.NewSession()
 
 	var progress [][2]int
 	res, err := session.RunOnline(ctx, g,
-		tightsched.WithAdmission("sjf"),
-		tightsched.WithPreemption("none", "lowest-priority"),
 		tightsched.WithProgress(func(done, total int) { progress = append(progress, [2]int{done, total}) }),
 	)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res.Grid.Instances) != 2 { // 1 arrival x 1 admission x 2 preemptions x 1 trial
-		t.Fatalf("override campaign produced %d instances, want 2", len(res.Grid.Instances))
+		t.Fatalf("campaign produced %d instances, want 2", len(res.Grid.Instances))
 	}
 	for _, in := range res.Grid.Instances {
 		if in.Admission != "sjf" {
-			t.Fatalf("instance ran admission %q, want the sjf override", in.Admission)
+			t.Fatalf("instance ran admission %q, want the sweep's sjf", in.Admission)
 		}
 	}
 	if len(progress) == 0 || progress[len(progress)-1] != [2]int{2, 2} {
@@ -786,8 +775,9 @@ func TestSessionRunOnline(t *testing.T) {
 	// first call of the second instance, and cancelling there stops that
 	// instance whatever the goroutine schedule.
 	first := &hookTelemetry{}
-	if _, err := session.RunOnline(ctx, onlineGridFromResult(res),
-		tightsched.WithPreemption("none"), // the first job alone
+	firstJob := onlineGridFromResult(res)
+	firstJob.Preemptions = []string{"none"} // the first job alone
+	if _, err := session.RunOnline(ctx, firstJob,
 		tightsched.WithWorkers(1),
 		tightsched.WithGridTelemetry(first),
 	); err != nil {
@@ -857,8 +847,8 @@ func (h *hookTelemetry) GridQueued(int)    { h.call() }
 func (h *hookTelemetry) GridRunning(int)   { h.call() }
 func (h *hookTelemetry) GridDeadlineMiss() { h.call() }
 
-// onlineGridFromResult rebuilds the exact campaign a result ran — the
-// sweep with the axis overrides applied — for journaling it again.
+// onlineGridFromResult rebuilds the exact campaign a result ran, for
+// journaling it again.
 func onlineGridFromResult(res *tightsched.SweepResult) tightsched.OnlineSweep {
 	return res.Grid.Sweep
 }
