@@ -42,7 +42,7 @@ func main() {
 		trials     = flag.Int("trials", 5, "trials for -compare")
 		list       = flag.Bool("list", false, "list heuristic names and exit")
 		spectral   = flag.Bool("spectral", false, "use the exact closed-form set evaluator (agrees with the series within eps; decisions may differ at that precision)")
-		advance    = flag.String("advance", "leap", "time-advance core: leap (event-leap macro-steps, default) | slot (reference per-slot loop) | batch (lockstep batch core; a solo run is a batch of one); results are byte-identical")
+		advance    = flag.String("advance", "leap", "time-advance core: leap|batch = the production core, slot = the reference loop; results are byte-identical")
 	)
 	flag.Parse()
 

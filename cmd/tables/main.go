@@ -93,7 +93,7 @@ func main() {
 		resume    = flag.Bool("resume", false, "continue an interrupted -journal file (skip recorded instances)")
 		shardSpec = flag.String("shard", "", "run one slice i/n of the instance grid (0-based), e.g. -shard 0/3")
 		merge     = flag.String("merge", "", "comma-separated shard journals to recombine and aggregate (no simulation)")
-		advance   = flag.String("advance", "leap", "time-advance core: leap (default) | slot | batch; results are byte-identical, leap is the fast path per instance, batch shares work across a cell's instances")
+		advance   = flag.String("advance", "leap", "time-advance core: leap|batch = the production core, slot = the reference loop; results are byte-identical")
 	)
 	flag.Parse()
 
@@ -287,7 +287,7 @@ func main() {
 		)
 		var runOpts []tightsched.Option
 		var cacheObs *cacheObserver
-		if *advance == "batch" {
+		if sweep.Advance != tightsched.AdvanceSlot {
 			cacheObs = &cacheObserver{}
 			runOpts = append(runOpts, tightsched.WithObserver(cacheObs))
 		}
@@ -408,8 +408,9 @@ func runTable4(ctx context.Context, scale string, trials, workers int, seed uint
 // sweepHeuristics returns the campaign's resolved heuristic list.
 func sweepHeuristics(sweep tightsched.Sweep) []string { return sweep.Spec().Heuristics }
 
-// cacheObserver accumulates the per-cell sharing counters that batched
-// campaigns attach to PointDone events, for the end-of-run summary line.
+// cacheObserver accumulates the per-cell sharing counters that
+// production-core campaigns attach to PointDone events, for the
+// end-of-run summary line.
 type cacheObserver struct {
 	total tightsched.SweepCacheStats
 	cells int

@@ -322,18 +322,19 @@ func TestHeuristicsDefault(t *testing.T) {
 	}
 }
 
-// TestBatchSweepMatchesSequential: a batched campaign yields exactly the
-// sequential dispatch's instances in the same order, and every PointDone
-// event carries the cell's sharing stats (which sequential dispatch
-// leaves nil).
+// TestBatchSweepMatchesSequential: a default (production-core) campaign
+// yields exactly the slot oracle's instances in the same order, and
+// every PointDone event of the default campaign carries the cell's
+// sharing stats.
 func TestBatchSweepMatchesSequential(t *testing.T) {
 	base := tinySweep([]string{"IE", "Y-IE", "IP"})
-	seq, err := Run(context.Background(), base, RunOptions{})
+	oracle := base
+	oracle.Advance = sim.AdvanceSlot
+	seq, err := Run(context.Background(), oracle, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	batch := base
-	batch.Advance = sim.AdvanceBatch
+	batch := base // default Advance: the production core
 	var insts []InstanceResult
 	var total CacheStats
 	points, withCache := 0, 0
@@ -356,14 +357,14 @@ func TestBatchSweepMatchesSequential(t *testing.T) {
 		}
 	}
 	if len(insts) != len(seq.Instances) {
-		t.Fatalf("batch streamed %d instances, sequential %d", len(insts), len(seq.Instances))
+		t.Fatalf("batch streamed %d instances, slot %d", len(insts), len(seq.Instances))
 	}
 	// Events arrive in completion order; compare in canonical order, as
 	// Run does.
 	sortInstances(insts)
 	for i := range insts {
 		if insts[i] != seq.Instances[i] {
-			t.Fatalf("instance %d: batch %+v != sequential %+v", i, insts[i], seq.Instances[i])
+			t.Fatalf("instance %d: batch %+v != slot %+v", i, insts[i], seq.Instances[i])
 		}
 	}
 	if points == 0 || withCache != points {
@@ -375,7 +376,7 @@ func TestBatchSweepMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestTrialSeedExported: the exported derivation matches what runInstance
+// TestTrialSeedExported: the exported derivation matches what runCell
 // uses — stable across the sweep's own parameters.
 func TestTrialSeedExported(t *testing.T) {
 	s := tinySweep(nil)

@@ -49,15 +49,15 @@ type PointDone struct {
 	Point           Point
 	CompletedPoints int
 	TotalPoints     int
-	// Cache reports the cell's cross-instance cache effectiveness when it
-	// ran as a lockstep batch (Sweep.Advance == sim.AdvanceBatch); nil
-	// under the sequential dispatch, and nil for cells fully replayed
-	// from a journal. When a batched cell is partially replayed the
-	// counters cover only the live part.
+	// Cache reports the cell's cross-instance cache effectiveness; nil
+	// for cells fully replayed from a journal. When a cell is partially
+	// replayed the counters cover only the live part. Under the slot
+	// reference (Sweep.Advance == sim.AdvanceSlot) nothing shares greedy
+	// builds, so the decision counters are zero.
 	Cache *CacheStats
 }
 
-// CacheStats is the cross-instance sharing summary of one batched cell:
+// CacheStats is the cross-instance sharing summary of one cell:
 // the analytic set-statistics memo traffic (cross-trial SetKey sharing)
 // and the shared greedy-build cache traffic (decision equivalence
 // classes). Every decision miss is one equivalence-class representative
@@ -187,14 +187,12 @@ func Stream(ctx context.Context, sweep Sweep, opts RunOptions) iter.Seq2[Event, 
 			workers = opts.Workers
 		}
 
-		// Under the batch core the dispatch unit widens from one
-		// instance to one (model, point) cell: every live (trial,
-		// heuristic) pair of the cell runs as a single lockstep batch on
-		// one worker, sharing availability walks and decision builds.
-		// Journal records and events stay per-instance either way.
-		batch := sweep.Advance == sim.AdvanceBatch
-		// cellStats holds batched cells' cache counters, stored by the
-		// worker that ran the cell, until the cell's PointDone.
+		// The dispatch unit is one (model, point) cell: every live
+		// (trial, heuristic) pair of the cell runs as a single lockstep
+		// batch on one worker, sharing availability walks and decision
+		// builds. Journal records and events stay per-instance.
+		// cellStats holds cells' cache counters, stored by the worker
+		// that ran the cell, until the cell's PointDone.
 		var cellStats sync.Map // pointKey → *CacheStats
 		c := campaign[Key, InstanceResult, SweepSpec, []Key]{
 			journal: opts.Journal,
@@ -205,13 +203,6 @@ func Stream(ctx context.Context, sweep Sweep, opts RunOptions) iter.Seq2[Event, 
 			newRun: func() poolRun[[]Key, InstanceResult] {
 				cache := analytic.NewPlatformCache()
 				return func(ctx context.Context, job []Key, emit func(InstanceResult)) error {
-					if !batch {
-						inst, err := runInstance(ctx, &sweep, job[0], cache)
-						if err == nil {
-							emit(inst)
-						}
-						return err
-					}
 					insts, cst, err := runCell(ctx, &sweep, job, cache)
 					if cst != nil {
 						cellStats.Store(job[0].cell(), cst)
@@ -232,7 +223,7 @@ func Stream(ctx context.Context, sweep Sweep, opts RunOptions) iter.Seq2[Event, 
 				for _, k := range planned {
 					remaining[k.cell()]++
 				}
-				return sweepJobs(live, batch)
+				return sweepJobs(live)
 			},
 			func(inst InstanceResult, replayed bool, done, total int) bool {
 				if !yield(InstanceDone{Instance: inst, Replayed: replayed, Completed: done, Total: total}, nil) {
@@ -266,15 +257,14 @@ func (k Key) cell() pointKey {
 	return pointKey{k.Model, Point{k.Ncom, k.Wmin, k.Scenario}}
 }
 
-// sweepJobs groups a sweep's live keys into pool jobs: one instance per
-// job, or under the batch core one (model, point) cell per job. Coords
-// enumerate a cell's trials contiguously, so a cell is a run of
-// consecutive keys; jobs are subslices of live.
-func sweepJobs(live []Key, batch bool) [][]Key {
+// sweepJobs groups a sweep's live keys into pool jobs, one (model,
+// point) cell per job. Coords enumerate a cell's trials contiguously, so
+// a cell is a run of consecutive keys; jobs are subslices of live.
+func sweepJobs(live []Key) [][]Key {
 	jobs := make([][]Key, 0, len(live))
 	for i := 0; i < len(live); {
 		n := 1
-		for batch && i+n < len(live) && live[i+n].cell() == live[i].cell() {
+		for i+n < len(live) && live[i+n].cell() == live[i].cell() {
 			n++
 		}
 		jobs = append(jobs, live[i:i+n:i+n])

@@ -56,10 +56,11 @@ type Sweep struct {
 	Workers int
 	// InitialAllUp starts processors UP instead of at stationarity.
 	InitialAllUp bool
-	// Advance selects the simulator's time-advance core (the event-leap
-	// macro-step engine by default). Like Workers it is a runtime knob,
-	// deliberately absent from SweepSpec: both cores produce byte-identical
-	// instances, so journals written under either interchange freely.
+	// Advance selects the simulator's time-advance core (the production
+	// trial-group loop by default, or the slot reference). Like Workers
+	// it is a runtime knob, deliberately absent from SweepSpec: both
+	// cores produce byte-identical instances, so journals written under
+	// either interchange freely.
 	Advance sim.TimeAdvance
 	// MaxLeap caps one leap macro-step in slots (sim.DefaultMaxLeap when
 	// 0). Runtime knob, absent from SweepSpec.
@@ -243,9 +244,8 @@ func (s *Sweep) scenarioPlatform(pt Point) *platform.Platform {
 // TrialSeed derives the availability seed of one (point, trial) instance
 // from the master seed. It does not depend on the heuristic — every
 // heuristic sees the same realization — and it is the single derivation
-// the sequential path (runInstance), the batched cell path (runCell) and
-// external tooling share, so the batch engine cannot drift from the
-// sequential seed schedule.
+// the cell dispatch (runCell) and external tooling share, so a sweep
+// cannot drift from a solo run's seed schedule.
 func (s *Sweep) TrialSeed(pt Point, trial int) uint64 {
 	return rng.NewKeyed(s.Seed, 0x7e57, uint64(s.M), uint64(pt.Ncom),
 		uint64(pt.Wmin), uint64(pt.Scenario), uint64(trial)).Uint64()
@@ -272,11 +272,14 @@ func (s *Sweep) application(wmin int) app.Application {
 	}
 }
 
-// runInstance executes one instance of the campaign, checking ctx at
-// macro-step boundaries. Model hooks run arbitrary plugged-in code (e.g. a
-// TraceModel panicking on a platform size mismatch); a panic is converted
-// into an error so the campaign fails cleanly instead of crashing the
-// worker pool.
+// runCell executes the given instances of one (model, point) cell as a
+// single lockstep batch (sim.RunBatch): the sweep's dispatch unit. Seeds
+// come from the TrialSeed schedule, so each returned InstanceResult is
+// byte-identical to a solo run of the instance; results are returned in
+// keys order along with the cell's cache-effectiveness counters. Model
+// hooks run arbitrary plugged-in code (e.g. a TraceModel panicking on a
+// platform size mismatch); a panic is converted into an error so the
+// campaign fails cleanly instead of crashing the worker pool.
 //
 // cache is the calling worker's analytic platform cache: the trials and
 // heuristics of one sweep point share a believed matrix set, so routing
@@ -285,42 +288,12 @@ func (s *Sweep) application(wmin int) app.Application {
 // Memoized statistics are canonical, so results are bit-identical to
 // cache-free execution whatever the job interleaving — the cross-worker
 // determinism test pins this.
-func runInstance(ctx context.Context, s *Sweep, k Key, cache *analytic.PlatformCache) (inst InstanceResult, err error) {
-	pk := k.cell()
-	defer func() {
-		if p := recover(); p != nil {
-			err = fmt.Errorf("exp: model %s, point %+v, trial %d, heuristic %s: panic: %v",
-				pk.Model, pk.Point, k.Trial, k.Heuristic, p)
-		}
-	}()
-	res, err := sim.RunContext(ctx, sim.Config{
-		Platform:      s.scenarioPlatform(pk.Point),
-		App:           s.application(pk.Point.Wmin),
-		Heuristic:     k.Heuristic,
-		Seed:          s.TrialSeed(pk.Point, k.Trial),
-		Cap:           s.Cap,
-		InitialAllUp:  s.InitialAllUp,
-		Model:         s.model(k.Model),
-		AnalyticCache: cache,
-		Advance:       s.Advance,
-		MaxLeap:       s.MaxLeap,
-	})
-	return InstanceResult{Point: pk.Point, Trial: k.Trial, Model: k.Model, Heuristic: k.Heuristic,
-		Makespan: res.Makespan, Failed: res.Failed}, err
-}
-
-// runCell executes the given instances of one (model, point) cell as a
-// single lockstep batch (sim.RunBatch): the sweep's batch dispatch unit.
-// Seeds come from the same TrialSeed schedule as runInstance, so each
-// returned InstanceResult is byte-identical to its sequential
-// counterpart; results are returned in keys order along with the cell's
-// cache-effectiveness counters.
 func runCell(ctx context.Context, s *Sweep, keys []Key, cache *analytic.PlatformCache) (out []InstanceResult, cst *CacheStats, err error) {
 	pk := keys[0].cell()
 	defer func() {
 		if p := recover(); p != nil {
 			out, cst = nil, nil
-			err = fmt.Errorf("exp: model %s, point %+v, batched cell: panic: %v",
+			err = fmt.Errorf("exp: model %s, point %+v, cell: panic: %v",
 				pk.Model, pk.Point, p)
 		}
 	}()
@@ -331,6 +304,7 @@ func runCell(ctx context.Context, s *Sweep, keys []Key, cache *analytic.Platform
 		InitialAllUp:  s.InitialAllUp,
 		Model:         s.model(pk.Model),
 		AnalyticCache: cache,
+		Advance:       s.Advance,
 		MaxLeap:       s.MaxLeap,
 	}
 	insts := make([]sim.BatchInstance, len(keys))

@@ -109,6 +109,18 @@ run:
 		t.Errorf("runtime knobs diverge: yaml %+v/%v, json %+v/%v",
 			fromYAML.Sweep.Advance, fromYAML.Shard, fromJSON.Sweep.Advance, fromJSON.Shard)
 	}
+	// "leap" and "batch" both name the production core.
+	leapDoc := strings.Replace(yamlDoc, "advance: batch", "advance: leap", 1)
+	if leapDoc == yamlDoc {
+		t.Fatal("leap variant not built")
+	}
+	fromLeap, serr := DecodeSpec([]byte(leapDoc), "application/yaml")
+	if serr != nil {
+		t.Fatalf("yaml leap: %v", serr)
+	}
+	if fromLeap.Sweep.Advance != fromYAML.Sweep.Advance {
+		t.Errorf("run.advance leap decodes to %v, batch to %v", fromLeap.Sweep.Advance, fromYAML.Sweep.Advance)
+	}
 	// Content-type sniffing: a JSON body with no content type still lands
 	// on the JSON path.
 	sniffed, serr := DecodeSpec([]byte(jsonDoc), "")

@@ -11,13 +11,13 @@ import (
 	"tightsched/internal/trace"
 )
 
-// This file is the lockstep structure-of-arrays core (AdvanceBatch): all
-// instances of one trial — every heuristic sharing a platform,
-// application and availability realization — advance through the same
-// slots together, and a sweep cell's trial groups run back to back. The
-// transition-dense Markov regime defeats the leap core (runs average
-// ~1.5 slots, so per-slot structure is exhausted); the structure that
-// remains is *across* instances:
+// This file is the production core: all instances of one trial — every
+// heuristic sharing a platform, application and availability
+// realization — advance through the same slots together, and a sweep
+// cell's trial groups run back to back. A solo run (RunContext) is a
+// trial group of one. The transition-dense Markov regime defeats
+// per-run leaping alone (runs average ~1.5 slots, so per-slot structure
+// is exhausted); the structure that remains is *across* instances:
 //
 //   - instances of one trial see the same availability realization, so
 //     the batch draws each trial's transitions once per run from that
@@ -29,15 +29,15 @@ import (
 //     coincide form an equivalence class that pays for one build through
 //     the shared sched.DecisionCache, with the analytic SetStats memo
 //     (keyed by believed-state SetKey) already shared underneath;
-//   - per-instance results accumulate in bulk through the same
-//     homogeneous-span arithmetic as the leap core.
+//   - per-instance results accumulate in bulk through the homogeneous-
+//     span arithmetic of leap.go.
 //
-// Parity is structural: each instance executes exactly the slot/leap
+// Parity is structural: each instance executes exactly the slot
 // recurrence via the engine's own decideSpan/executeSpan/handleDowns
-// methods over exactly the leap core's homogeneous runs — the shared
-// walk realizes the same state sequence a solo run's provider would, and
-// the shared caches return values their misses would have computed — so
-// Results, traces and events are byte-identical to the other cores
+// methods over its trial's homogeneous runs — the shared walk realizes
+// the same state sequence a solo run's provider would, and the shared
+// caches return values their misses would have computed — so Results,
+// traces and events are byte-identical to the slot reference
 // (batch_diff_test.go, TestBatchGoldenParity).
 
 // BatchInstance names one simulation of a batch: a heuristic (or a
@@ -78,28 +78,25 @@ type batchGroup struct {
 	// downs is the per-run scratch list of DOWN processors, scanned once
 	// from the shared state vector and handed to every instance.
 	downs []int
-	insts []*batchInst
+	insts []*engine
 	live  int
 }
 
-// batchInst is one instance's engine plus its lockstep bookkeeping.
-type batchInst struct {
-	e    *engine
-	done bool
-}
-
-// RunBatch executes all instances in lockstep under the batch core. The
-// shared cell configuration comes from base — Platform, App, Model, Cap,
-// InitialAllUp, Eps, Analytic, AnalyticCache, RenewalE, Checkpoint and
-// MaxLeap apply to every instance — while base's per-instance fields
-// (Heuristic, Custom, Seed, Recorder, Advance) are ignored in favor of
-// each BatchInstance. Results are returned in instance order.
+// RunBatch executes all instances in lockstep under the production core.
+// The shared cell configuration comes from base — Platform, App, Model,
+// Cap, InitialAllUp, Eps, Analytic, AnalyticCache, RenewalE, Checkpoint,
+// MaxLeap and Advance apply to every instance — while base's
+// per-instance fields (Heuristic, Custom, Seed, Recorder) are ignored in
+// favor of each BatchInstance. Results are returned in instance order.
 //
 // Each instance's Result, trace and events are byte-identical to a solo
-// Run of the equivalent Config under any advance mode. When base.
-// Provider is set it overrides every trial's realization (as it does
-// solo) and is consulted once for the whole batch, so it must be
-// deterministic by slot (scripted providers are).
+// Run of the equivalent Config. When base.Provider is set it overrides
+// every trial's realization (as it does solo) and is consulted once for
+// the whole batch, so it must be deterministic by slot (scripted
+// providers are). Under base.Advance == AdvanceSlot every instance runs
+// solo through the reference loop, sharing nothing but the analytic
+// cache; a one-instance batch runs as its own trial group with no
+// decision cache.
 //
 // Cancellation follows RunContext's contract, checked once per group
 // step: completed instances keep their results, live ones return the
@@ -115,28 +112,60 @@ func RunBatch(ctx context.Context, base Config, insts []BatchInstance) ([]Result
 		// even when the caller did not provide one.
 		base.AnalyticCache = analytic.NewPlatformCache()
 	}
-	dc := sched.NewDecisionCache()
-	engines := make([]*batchInst, len(insts))
+	// Only a multi-instance lockstep batch shares greedy builds; the
+	// slot oracle and a batch of one run each instance on its own.
+	slot := base.Advance == AdvanceSlot
+	solo := slot || len(insts) == 1
+	var dc *sched.DecisionCache
+	if !solo {
+		dc = sched.NewDecisionCache()
+	}
+	engines := make([]*engine, len(insts))
 	for i, inst := range insts {
 		cfg := base
 		cfg.Heuristic = inst.Heuristic
 		cfg.Custom = inst.Custom
 		cfg.Seed = inst.Seed
 		cfg.Recorder = inst.Recorder
-		cfg.Advance = AdvanceBatch
-		e, err := newEngine(cfg, false)
+		e, err := newEngine(cfg, solo)
 		if err != nil {
 			return nil, BatchStats{}, err
 		}
 		e.env.Decisions = dc
-		engines[i] = &batchInst{e: e}
+		engines[i] = e
 	}
-	apl := engines[0].e.env.Analytic
+	apl := engines[0].env.Analytic
 	memoBefore := apl.MemoStats()
 
-	// Group instances by trial: equal seeds share one availability walk.
-	// With an explicit provider the realization is scheduling- and
-	// seed-independent, so the whole batch forms a single group.
+	var err error
+	switch {
+	case slot:
+		for _, e := range engines {
+			if _, err = e.runSlot(ctx); err != nil {
+				break
+			}
+		}
+	case solo:
+		err = runGroup(ctx, engines[0].ownGroup())
+	default:
+		err = runBatchLoop(ctx, trialGroups(base, insts, engines))
+	}
+	results := make([]Result, len(engines))
+	for i, e := range engines {
+		results[i] = e.res
+	}
+	stats := BatchStats{Memo: apl.MemoStats().Sub(memoBefore)}
+	if dc != nil {
+		stats.Decisions = dc.Stats()
+	}
+	return results, stats, err
+}
+
+// trialGroups groups a batch's instances by trial: equal seeds share one
+// availability walk. With an explicit provider the realization is
+// scheduling- and seed-independent, so the whole batch forms a single
+// group.
+func trialGroups(base Config, insts []BatchInstance, engines []*engine) []*batchGroup {
 	model := base.Model
 	if model == nil {
 		model = base.Platform.AvailModel()
@@ -145,17 +174,14 @@ func RunBatch(ctx context.Context, base Config, insts []BatchInstance) ([]Result
 	var groups []*batchGroup
 	p := base.Platform.Size()
 	if base.Provider != nil {
-		g := &batchGroup{
+		groups = []*batchGroup{{
 			rp:     avail.AsRunProvider(base.Provider),
 			states: make([]markov.State, p),
-		}
-		for _, bi := range engines {
-			g.insts = append(g.insts, bi)
-		}
-		groups = []*batchGroup{g}
+			insts:  engines,
+		}}
 	} else {
 		bySeed := make(map[uint64]*batchGroup, len(insts))
-		for i, bi := range engines {
+		for i, e := range engines {
 			g := bySeed[insts[i].Seed]
 			if g == nil {
 				g = &batchGroup{
@@ -165,38 +191,28 @@ func RunBatch(ctx context.Context, base Config, insts []BatchInstance) ([]Result
 				bySeed[insts[i].Seed] = g
 				groups = append(groups, g)
 			}
-			g.insts = append(g.insts, bi)
+			g.insts = append(g.insts, e)
 		}
 	}
 	for _, g := range groups {
 		g.live = len(g.insts)
-		for _, bi := range g.insts {
+		for _, e := range g.insts {
 			// The engine's state vector aliases the group's: every
 			// engine method reads availability through e.states and
 			// none writes it.
-			bi.e.states = g.states
+			e.states = g.states
 		}
 	}
-
-	err := runBatchLoop(ctx, groups)
-	results := make([]Result, len(engines))
-	for i, bi := range engines {
-		results[i] = bi.e.res
-	}
-	stats := BatchStats{
-		Memo:      apl.MemoStats().Sub(memoBefore),
-		Decisions: dc.Stats(),
-	}
-	return results, stats, err
+	return groups
 }
 
 // runBatchLoop advances the trial groups one after the other: groups
 // share no runtime state beyond the time-independent caches, so there is
 // nothing to synchronize across them, and running each group through its
 // own full availability runs keeps every instance's decision epochs at
-// exactly the solo leap core's boundaries (a cross-group lockstep would
-// chop every run to the shortest live trial's, roughly doubling the
-// decision epochs of a two-trial cell without changing any result).
+// exactly a solo run's boundaries (a cross-group lockstep would chop
+// every run to the shortest live trial's, roughly doubling the decision
+// epochs of a two-trial cell without changing any result).
 func runBatchLoop(ctx context.Context, groups []*batchGroup) error {
 	for _, g := range groups {
 		if err := runGroup(ctx, g); err != nil {
@@ -206,28 +222,29 @@ func runBatchLoop(ctx context.Context, groups []*batchGroup) error {
 	return nil
 }
 
-// runGroup is the lockstep slot walk of one trial group: each step draws
-// the trial's next homogeneous run — one RNG block-fill shared by the
-// whole group — and advances every live instance through it via the
-// engine's own homogeneous-span methods.
+// runGroup is the production time loop, the lockstep slot walk of one
+// trial group: each step draws the trial's next homogeneous run — one
+// RNG block-fill shared by the whole group — and advances every live
+// instance through it via the engine's own homogeneous-span methods.
 func runGroup(ctx context.Context, g *batchGroup) error {
-	capSlots := g.insts[0].e.cap
-	maxLeap := g.insts[0].e.cfg.MaxLeap
+	capSlots := g.insts[0].cap
+	maxLeap := g.insts[0].cfg.MaxLeap
 	if maxLeap == 0 {
 		maxLeap = DefaultMaxLeap
 	}
 	done := ctx.Done()
 	slot := int64(0)
 	for g.live > 0 && slot < capSlots {
-		// One context poll per group step, as the leap core polls per
-		// macro-step. Instances of groups not yet started keep their
-		// zero Result, consistent with the cancellation contract.
+		// One context poll per group step: at most maxLeap slots of O(p)
+		// bulk work run between polls. Instances of groups not yet
+		// started keep their zero Result, consistent with the
+		// cancellation contract.
 		if done != nil {
 			select {
 			case <-done:
-				for _, bi := range g.insts {
-					if !bi.done {
-						bi.e.res.Makespan = slot
+				for _, e := range g.insts {
+					if !e.done {
+						e.res.Makespan = slot
 					}
 				}
 				return ctx.Err()
@@ -244,24 +261,17 @@ func runGroup(ctx context.Context, g *batchGroup) error {
 		} else if run > limit {
 			run = limit
 		}
-		g.downs = g.downs[:0]
-		for q, s := range g.states {
-			if s == markov.Down {
-				g.downs = append(g.downs, q)
-			}
-		}
-		for _, bi := range g.insts {
-			if bi.done {
+		g.downs = downList(g.downs, g.states)
+		for _, e := range g.insts {
+			if e.done {
 				continue
 			}
-			e := bi.e
 			downEvent := ""
 			if len(g.downs) > 0 {
-				// New DOWNs appear only at a run's first slot, and
-				// handleDowns is idempotent across the rest — exactly
-				// the leap core's once-per-run call, with the shared
-				// scan skipped when the run has no DOWN at all.
-				downEvent = e.handleDownsList(g.downs)
+				// New DOWNs appear only at a run's first slot (states are
+				// constant afterwards, and enrollment requires UP
+				// workers), and handleDowns is idempotent across the rest.
+				downEvent = e.handleDowns(g.downs)
 			}
 			for off := int64(0); off < run; {
 				t := slot + off
@@ -275,7 +285,7 @@ func runGroup(ctx context.Context, g *batchGroup) error {
 				downEvent = ""
 				if e.res.Completed == e.cfg.App.Iterations {
 					e.res.Makespan = t + j
-					bi.done = true
+					e.done = true
 					g.live--
 					break
 				}
@@ -284,10 +294,10 @@ func runGroup(ctx context.Context, g *batchGroup) error {
 		}
 		slot += run
 	}
-	for _, bi := range g.insts {
-		if !bi.done {
-			bi.e.res.Failed = true
-			bi.e.res.Makespan = capSlots
+	for _, e := range g.insts {
+		if !e.done {
+			e.res.Failed = true
+			e.res.Makespan = capSlots
 		}
 	}
 	return nil

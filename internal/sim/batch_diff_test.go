@@ -10,6 +10,7 @@ import (
 	"tightsched/internal/app"
 	"tightsched/internal/avail"
 	"tightsched/internal/rng"
+	"tightsched/internal/sched"
 	"tightsched/internal/trace"
 )
 
@@ -170,7 +171,8 @@ func TestBatchVsSlotCheckpoint(t *testing.T) {
 }
 
 // TestBatchSoloRunContext: Config.Advance = AdvanceBatch through the
-// ordinary Run entry point is a batch of one, byte-identical to slot.
+// ordinary Run entry point is a batch of one, byte-identical to slot; so
+// is a one-instance RunBatch, which bypasses the decision cache.
 func TestBatchSoloRunContext(t *testing.T) {
 	recSlot, recBatch := &trace.Recorder{}, &trace.Recorder{}
 	cfg := Config{
@@ -195,6 +197,18 @@ func TestBatchSoloRunContext(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertIdentical(t, "solo batch", resSlot, resBatch, recSlot, recBatch)
+
+	recOne := &trace.Recorder{}
+	results, stats, err := RunBatch(context.Background(), cfg,
+		[]BatchInstance{{Heuristic: cfg.Heuristic, Seed: cfg.Seed, Recorder: recOne}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.Decisions != (sched.DecisionStats{}) {
+		t.Fatalf("one-instance batch used the decision cache: %+v", stats.Decisions)
+	}
+	assertIdentical(t, "one-instance batch vs solo", resBatch, results[0], recBatch, recOne)
+	assertIdentical(t, "one-instance batch vs slot", resSlot, results[0], recSlot, recOne)
 }
 
 // TestBatchEmptyAndValidate: an empty batch is an error, and the single

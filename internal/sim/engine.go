@@ -29,32 +29,31 @@ const DefaultEps = 1e-6
 // MaxLeap slots of O(p) bulk arithmetic run between polls.
 const DefaultMaxLeap = 1 << 16
 
-// TimeAdvance selects the engine's time-advance core.
+// TimeAdvance selects the engine's time-advance core. There are two:
+// the production trial-group loop and the slot-stepped reference.
 type TimeAdvance int
 
 const (
-	// AdvanceLeap (the default) is the run-length macro-step core: at
-	// each state change the engine computes the next interesting slot —
-	// the earliest of the next availability transition, the current
-	// phase's completion (message done, coupled compute done, checkpoint
-	// commit), and the cap — and applies the intervening homogeneous
-	// slots in O(p) bulk arithmetic. Results and traces are byte-identical
-	// to AdvanceSlot (pinned by TestLeapGoldenParity and the differential
-	// tests in leap_diff_test.go).
+	// AdvanceLeap (the default) is the production core (batch.go): a
+	// trial group's instances advance through the same homogeneous runs
+	// of one shared availability walk, and at each state change every
+	// instance leaps to its next interesting slot — the earliest of the
+	// next availability transition, the current phase's completion
+	// (message done, coupled compute done, checkpoint commit) and the
+	// cap — applying the intervening slots in O(p) bulk arithmetic. A
+	// solo run is a trial group of one; RunBatch runs a sweep cell's
+	// trials and heuristics together, sharing walks and greedy builds.
+	// Results and traces are byte-identical to AdvanceSlot (pinned by
+	// TestLeapGoldenParity, TestBatchGoldenParity and the differential
+	// tests in leap_diff_test.go and batch_diff_test.go).
 	AdvanceLeap TimeAdvance = iota
 	// AdvanceSlot is the reference slot-stepped loop: every slot pays
 	// full bookkeeping. It remains as the differential oracle and for
 	// per-slot instrumentation of custom providers.
 	AdvanceSlot
-	// AdvanceBatch is the lockstep structure-of-arrays core (batch.go):
-	// all instances of a trial group advance through the same global
-	// slots, sharing one availability walk per trial and one greedy
-	// build per decision equivalence class. A single Run under
-	// AdvanceBatch is a batch of one instance; the mode pays off through
-	// RunBatch, where a sweep cell's trials and heuristics run together.
-	// Results and traces stay byte-identical to the other cores (pinned
-	// by TestBatchGoldenParity and batch_diff_test.go).
-	AdvanceBatch
+	// AdvanceBatch is the production core under its "batch" spelling;
+	// it equals AdvanceLeap.
+	AdvanceBatch = AdvanceLeap
 )
 
 // String returns the option-flag spelling of the advance mode.
@@ -64,25 +63,22 @@ func (a TimeAdvance) String() string {
 		return "leap"
 	case AdvanceSlot:
 		return "slot"
-	case AdvanceBatch:
-		return "batch"
 	default:
 		return fmt.Sprintf("TimeAdvance(%d)", int(a))
 	}
 }
 
-// ParseTimeAdvance maps the option-flag spelling ("leap", "slot",
-// "batch") back onto a TimeAdvance — the inverse of String, shared by the
-// command-line tools and the service daemon's campaign specs so every
-// front door accepts exactly the same mode names.
+// ParseTimeAdvance maps the option-flag spelling back onto a
+// TimeAdvance: "leap" and "batch" name the production core, "slot" the
+// reference loop. It is shared by the command-line tools and the service
+// daemon's campaign specs so every front door accepts exactly the same
+// mode names.
 func ParseTimeAdvance(name string) (TimeAdvance, error) {
 	switch name {
-	case "leap":
+	case "leap", "batch":
 		return AdvanceLeap, nil
 	case "slot":
 		return AdvanceSlot, nil
-	case "batch":
-		return AdvanceBatch, nil
 	default:
 		return 0, fmt.Errorf("sim: unknown time advance %q (choose leap, slot or batch)", name)
 	}
@@ -94,7 +90,7 @@ func ParseTimeAdvance(name string) (TimeAdvance, error) {
 // configuration time instead of falling back to a default core.
 func (a TimeAdvance) Validate() error {
 	switch a {
-	case AdvanceLeap, AdvanceSlot, AdvanceBatch:
+	case AdvanceLeap, AdvanceSlot:
 		return nil
 	default:
 		return fmt.Errorf("sim: unknown time advance %d", int(a))
@@ -154,13 +150,11 @@ type Config struct {
 	// Checkpoint enables the checkpointing extension (not in the paper's
 	// model; see the Checkpoint type). The zero value disables it.
 	Checkpoint Checkpoint
-	// Advance selects the time-advance core: the event-leap macro-step
-	// engine (AdvanceLeap, the zero value), the reference slot-stepped
-	// loop (AdvanceSlot), or the lockstep structure-of-arrays core
-	// (AdvanceBatch; see RunBatch). All produce byte-identical results
-	// and traces.
+	// Advance selects the time-advance core: the production trial-group
+	// loop (AdvanceLeap, the zero value) or the reference slot-stepped
+	// loop (AdvanceSlot). Both produce byte-identical results and traces.
 	Advance TimeAdvance
-	// MaxLeap caps one macro-step of the leap engine in slots
+	// MaxLeap caps one macro-step of the production core in slots
 	// (DefaultMaxLeap when 0), bounding worst-case cancellation latency.
 	// Ignored by AdvanceSlot.
 	MaxLeap int64
@@ -212,7 +206,7 @@ type Result struct {
 // engine holds the mutable ground-truth state of a run.
 type engine struct {
 	cfg    Config
-	env    *sched.Env
+	env    sched.Env
 	h      sched.Heuristic
 	prov   StateProvider
 	cap    int64
@@ -221,9 +215,11 @@ type engine struct {
 	states  []markov.State
 	workers []sched.WorkerInfo
 	acts    []trace.Activity
-	// commServed is the leap core's scratch for the serviced worker set
-	// of one communication sub-step.
+	// commServed is the scratch for the serviced worker set of one
+	// communication sub-step, downs the DOWN list of the slot loop and
+	// of the engine's own group; both share one allocation of 2p ints.
 	commServed []int
+	downs      []int
 
 	current     app.Assignment
 	enrolled    []int
@@ -246,6 +242,12 @@ type engine struct {
 	viewBuf sched.View
 
 	res Result
+	// done marks a finished instance of a trial group.
+	done bool
+	// group and self are the engine's own one-instance trial group, so
+	// a solo run allocates no group state.
+	group batchGroup
+	self  [1]*engine
 }
 
 // Run executes one simulation and returns its result.
@@ -260,21 +262,10 @@ func Run(cfg Config) (Result, error) {
 // between polls. A cancelled run returns the partial Result accumulated
 // so far (Makespan = slots executed, Failed unset) together with the
 // context's error. An uncancellable context costs nothing on either loop.
+//
+// A production run is a trial group of one over the engine's own
+// provider: no decision cache, no grouping, no group allocation.
 func RunContext(ctx context.Context, cfg Config) (Result, error) {
-	if cfg.Advance == AdvanceBatch {
-		// A solo batch run: one instance, same lockstep core.
-		inst := BatchInstance{
-			Heuristic: cfg.Heuristic,
-			Custom:    cfg.Custom,
-			Seed:      cfg.Seed,
-			Recorder:  cfg.Recorder,
-		}
-		results, _, err := RunBatch(ctx, cfg, []BatchInstance{inst})
-		if len(results) != 1 {
-			return Result{}, err
-		}
-		return results[0], err
-	}
 	e, err := newEngine(cfg, true)
 	if err != nil {
 		return Result{}, err
@@ -282,13 +273,28 @@ func RunContext(ctx context.Context, cfg Config) (Result, error) {
 	if cfg.Advance == AdvanceSlot {
 		return e.runSlot(ctx)
 	}
-	return e.runLeap(ctx)
+	err = runGroup(ctx, e.ownGroup())
+	return e.res, err
+}
+
+// ownGroup makes the engine its own one-instance trial group over its
+// provider.
+func (e *engine) ownGroup() *batchGroup {
+	e.self[0] = e
+	e.group = batchGroup{
+		rp:     avail.AsRunProvider(e.prov),
+		states: e.states,
+		downs:  e.downs,
+		insts:  e.self[:],
+		live:   1,
+	}
+	return &e.group
 }
 
 // newEngine validates the configuration and assembles one instance's
 // engine. When needProv is false the availability provider seam is left
-// nil — the batch core shares one provider across a trial's instances
-// and aliases the engine's state vector to the trial group's.
+// nil — a multi-instance trial group shares one provider across its
+// instances and aliases the engine's state vector to the group's.
 func newEngine(cfg Config, needProv bool) (*engine, error) {
 	if cfg.Platform == nil {
 		return nil, fmt.Errorf("sim: nil platform")
@@ -323,7 +329,10 @@ func newEngine(cfg Config, needProv bool) (*engine, error) {
 	} else {
 		apl = analytic.NewPlatformWith(believed, eps, cfg.Analytic)
 	}
-	env := &sched.Env{
+	// The heuristic's Env lives inside the engine: one allocation fewer
+	// per run.
+	e := &engine{cfg: cfg}
+	e.env = sched.Env{
 		Platform: cfg.Platform,
 		App:      cfg.App,
 		Believed: believed,
@@ -334,7 +343,7 @@ func newEngine(cfg Config, needProv bool) (*engine, error) {
 	h := cfg.Custom
 	if h == nil {
 		var err error
-		h, err = sched.Build(cfg.Heuristic, env)
+		h, err = sched.Build(cfg.Heuristic, &e.env)
 		if err != nil {
 			return nil, err
 		}
@@ -364,23 +373,23 @@ func newEngine(cfg Config, needProv bool) (*engine, error) {
 	}
 
 	p := cfg.Platform.Size()
-	return &engine{
-		cfg:     cfg,
-		env:     env,
-		h:       h,
-		prov:    prov,
-		cap:     capSlots,
-		speeds:  cfg.Platform.Speeds(),
-		states:  make([]markov.State, p),
-		workers: make([]sched.WorkerInfo, p),
-		acts:    make([]trace.Activity, p),
-		res:     Result{Heuristic: h.Name()},
-	}, nil
+	scratch := make([]int, 2*p)
+	e.h = h
+	e.prov = prov
+	e.cap = capSlots
+	e.speeds = cfg.Platform.Speeds()
+	e.states = make([]markov.State, p)
+	e.workers = make([]sched.WorkerInfo, p)
+	e.acts = make([]trace.Activity, p)
+	e.commServed = scratch[:0:p]
+	e.downs = scratch[p:p]
+	e.res = Result{Heuristic: h.Name()}
+	return e, nil
 }
 
 // runSlot is the reference slot-stepped core: the paper's engine as
-// written, one full bookkeeping pass per slot. runLeap (leap.go) must
-// stay byte-identical to it.
+// written, one full bookkeeping pass per slot. The production loop
+// (runGroup, batch.go) must stay byte-identical to it.
 func (e *engine) runSlot(ctx context.Context) (Result, error) {
 	// Done is nil for uncancellable contexts, so the paper-faithful batch
 	// path pays nothing; otherwise one non-blocking channel poll per slot
@@ -396,7 +405,8 @@ func (e *engine) runSlot(ctx context.Context) (Result, error) {
 			}
 		}
 		e.prov.States(slot, e.states)
-		event := e.handleDowns()
+		e.downs = downList(e.downs, e.states)
+		event := e.handleDowns(e.downs)
 
 		if err := e.decide(slot); err != nil {
 			return e.res, err
@@ -415,41 +425,23 @@ func (e *engine) runSlot(ctx context.Context) (Result, error) {
 	return e.res, nil
 }
 
-// handleDowns applies the DOWN semantics of Section III.B: a DOWN worker
-// loses the program, its data and any partial communication; if it was
-// enrolled, the iteration restarts from scratch.
-func (e *engine) handleDowns() string {
-	event := ""
-	broke := false
-	for q, s := range e.states {
-		if s != markov.Down {
-			continue
-		}
-		w := &e.workers[q]
-		if w.HasProgram || w.DataHeld > 0 || w.ProgProgress > 0 || w.DataProgress > 0 {
-			*w = sched.WorkerInfo{}
-			e.retEpoch++
-		}
-		if e.current != nil && e.current[q] > 0 {
-			broke = true
-			if event == "" {
-				event = fmt.Sprintf("restart: P%d DOWN", q+1)
-			}
+// downList refills buf with the ascending DOWN processors of states.
+func downList(buf []int, states []markov.State) []int {
+	buf = buf[:0]
+	for q, s := range states {
+		if s == markov.Down {
+			buf = append(buf, q)
 		}
 	}
-	if broke {
-		e.res.Restarts++
-		e.dropConfiguration()
-	}
-	return event
+	return buf
 }
 
-// handleDownsList is handleDowns restricted to a precomputed ascending
-// list of the DOWN processors of the current homogeneous run: the batch
-// core scans the shared state vector once per trial group and hands every
-// instance the same list, instead of each instance re-scanning all p
-// states. Semantics are identical to handleDowns.
-func (e *engine) handleDownsList(downs []int) string {
+// handleDowns applies the DOWN semantics of Section III.B to the DOWN
+// processors listed in downs (ascending): a DOWN worker loses the
+// program, its data and any partial communication; if it was enrolled,
+// the iteration restarts from scratch. It is idempotent while the states
+// stand still.
+func (e *engine) handleDowns(downs []int) string {
 	event := ""
 	broke := false
 	for _, q := range downs {
@@ -507,7 +499,7 @@ func (e *engine) decide(slot int64) error {
 }
 
 // apply adopts (or keeps, or drops) the decision returned for slot: the
-// single adoption path shared by the slot and leap cores.
+// single adoption path shared by the slot and production cores.
 func (e *engine) apply(next app.Assignment, slot int64) error {
 	if next == nil {
 		if e.current != nil {

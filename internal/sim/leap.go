@@ -1,19 +1,16 @@
 package sim
 
 import (
-	"context"
-
 	"tightsched/internal/app"
-	"tightsched/internal/avail"
 	"tightsched/internal/markov"
 	"tightsched/internal/sched"
 	"tightsched/internal/trace"
 )
 
-// This file is the event-leap (run-length) engine core. Between
-// availability transitions and phase events every slot of the
-// slot-stepped reference loop is identical, so the leap core advances
-// time by macro-steps:
+// This file holds the homogeneous-span methods of the production core
+// (runGroup, batch.go). Between availability transitions and phase
+// events every slot of the slot-stepped reference loop is identical, so
+// the production core advances time by macro-steps:
 //
 //  1. the availability seam (avail.RunProvider) reports the run length
 //     of the current state vector — under the default Markov provider it
@@ -35,63 +32,6 @@ import (
 // heuristic that only vouches for one slot), so each bulk application
 // reproduces the per-slot recurrence exactly. The differential tests in
 // leap_diff_test.go and TestLeapGoldenParity pin this.
-
-// runLeap executes the simulation with macro-step time advance.
-func (e *engine) runLeap(ctx context.Context) (Result, error) {
-	done := ctx.Done()
-	rp := avail.AsRunProvider(e.prov)
-	maxLeap := e.cfg.MaxLeap
-	if maxLeap == 0 {
-		maxLeap = DefaultMaxLeap
-	}
-	slot := int64(0)
-	for slot < e.cap {
-		// One context poll per macro-step: at most maxLeap slots of O(p)
-		// bulk work run between polls.
-		if done != nil {
-			select {
-			case <-done:
-				e.res.Makespan = slot
-				return e.res, ctx.Err()
-			default:
-			}
-		}
-		limit := e.cap - slot
-		if limit > maxLeap {
-			limit = maxLeap
-		}
-		run := rp.StatesRun(slot, e.states, limit)
-		if run < 1 {
-			run = 1
-		} else if run > limit {
-			run = limit
-		}
-		// New DOWNs can only appear at the first slot of a run (states
-		// are constant afterwards, and enrollment requires UP workers);
-		// handleDowns is idempotent across the rest.
-		downEvent := e.handleDowns()
-		for off := int64(0); off < run; {
-			t := slot + off
-			keep, err := e.decideSpan(t, run-off)
-			if err != nil {
-				return e.res, err
-			}
-			finEvent := ""
-			j := e.executeSpan(t, keep, &finEvent)
-			e.recordLeap(t, j, downEvent, finEvent)
-			downEvent = ""
-			if e.res.Completed == e.cfg.App.Iterations {
-				e.res.Makespan = t + j
-				return e.res, nil
-			}
-			off += j
-		}
-		slot += run
-	}
-	e.res.Failed = true
-	e.res.Makespan = e.cap
-	return e.res, nil
-}
 
 // decideSpan consults the heuristic for slot t with a homogeneity horizon
 // of n slots, applies the decision, and returns for how many slots

@@ -7,8 +7,10 @@
 // only when every enrolled worker is UP.
 //
 // Two byte-identical time-advance cores execute that model (Config.
-// Advance): the event-leap macro-step engine (the default, leap.go),
-// whose cost scales with availability transitions and phase events, and
+// Advance): the production trial-group loop (runGroup in batch.go, over
+// the homogeneous-span methods of leap.go), whose cost scales with
+// availability transitions and phase events and which runs a solo Run as
+// a group of one and a RunBatch cell with shared walks and builds; and
 // the reference slot-stepped loop (engine.go), which pays full
 // bookkeeping every slot and serves as the differential oracle. See
 // DESIGN.md, "Time advance".

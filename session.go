@@ -197,17 +197,16 @@ func WithAnalytic(o AnalyticOptions) Option {
 }
 
 // WithTimeAdvance selects the simulator's time-advance core: the
-// event-leap macro-step engine (AdvanceLeap, the default), the reference
-// slot-stepped loop (AdvanceSlot), or the lockstep structure-of-arrays
-// core (AdvanceBatch). All cores produce byte-identical results and
-// traces — AdvanceSlot exists as the differential oracle and for
-// per-slot instrumentation, AdvanceLeap is the fast path whose cost
-// scales with availability transitions and phase events, and
-// AdvanceBatch shares availability walks and decision builds across the
-// instances of a batch (a single Run is a batch of one; the mode pays
-// off in batched campaigns). Campaign entry points take the equivalent
-// knob on the Sweep value (Sweep.Advance). An out-of-range value is
-// rejected when the option is applied, never silently defaulted.
+// production core (AdvanceLeap, the default; AdvanceBatch is the same
+// value) or the reference slot-stepped loop (AdvanceSlot). Both produce
+// byte-identical results and traces — AdvanceSlot exists as the
+// differential oracle and for per-slot instrumentation; the production
+// core's cost scales with availability transitions and phase events, and
+// in campaigns it shares availability walks and decision builds across a
+// cell's instances (a single Run is a trial group of one). Campaign entry
+// points take the equivalent knob on the Sweep value (Sweep.Advance). An
+// out-of-range value is rejected when the option is applied, never
+// silently defaulted.
 func WithTimeAdvance(a TimeAdvance) Option {
 	return scoped("WithTimeAdvance", scopeRun, func(c *sessionConfig) {
 		if err := a.Validate(); err != nil && c.err == nil {
@@ -315,7 +314,8 @@ func WithGridTelemetry(t GridTelemetry) Option {
 }
 
 // ParseTimeAdvance maps the flag/spec spelling of a time-advance core
-// ("leap", "slot", "batch") onto its TimeAdvance value — the single
+// ("leap" or "batch" for the production core, "slot" for the reference
+// loop) onto its TimeAdvance value — the single
 // parser behind the -advance flags of cmd/tables and cmd/gridsim and the
 // run.advance field of the service daemon's campaign specs, so every
 // front door accepts exactly the same names.
@@ -326,7 +326,7 @@ func ParseTimeAdvance(name string) (TimeAdvance, error) {
 // SweepRuntime carries the runtime knobs a SweepSpec deliberately omits
 // because they change speed, never results: the time-advance core, the
 // macro-step bound, and the per-campaign worker count. The zero value is
-// the default configuration (event-leap core, DefaultMaxLeap, GOMAXPROCS
+// the default configuration (production core, DefaultMaxLeap, GOMAXPROCS
 // workers).
 type SweepRuntime struct {
 	// Advance selects the time-advance core (AdvanceLeap when zero).

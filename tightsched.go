@@ -14,9 +14,10 @@
 //   - the Section V Markov-chain estimates of success probability and
 //     expected completion time,
 //   - a discrete-event simulator implementing the Section III execution
-//     model, with two byte-identical time-advance cores: the event-leap
-//     macro-step engine (default; cost scales with availability
-//     transitions and phase events) and the reference slot-stepped loop,
+//     model, with two byte-identical time-advance cores: the production
+//     trial-group loop (cost scales with availability transitions and
+//     phase events; a campaign cell's instances share availability walks
+//     and greedy builds) and the reference slot-stepped loop,
 //   - pluggable availability models (the paper's Markov chains, the
 //     Section VII.B semi-Markov future-work model, recorded-trace
 //     replay), and
@@ -188,8 +189,8 @@ type (
 	// SweepSpec is the JSON-serializable identity of a campaign, as
 	// stamped in journal headers.
 	SweepSpec = exp.SweepSpec
-	// SweepCacheStats summarizes the cross-instance sharing of one batched
-	// sweep cell (PointDone.Cache under Sweep.Advance == AdvanceBatch).
+	// SweepCacheStats summarizes the cross-instance sharing of one sweep
+	// cell (PointDone.Cache).
 	SweepCacheStats = exp.CacheStats
 )
 
@@ -197,10 +198,11 @@ type (
 const DefaultCap = sim.DefaultCap
 
 // Time-advance cores (see sim.TimeAdvance): AdvanceLeap is the default
-// event-leap macro-step engine, AdvanceSlot the reference slot-stepped
-// loop, AdvanceBatch the lockstep structure-of-arrays core that shares
-// availability walks and greedy builds across a campaign cell's
-// instances; all three produce byte-identical results and traces.
+// production core, a trial-group loop that leaps between availability
+// transitions and phase events and shares availability walks and greedy
+// builds across a campaign cell's instances; AdvanceBatch is another name
+// for it. AdvanceSlot is the reference slot-stepped loop. Both cores
+// produce byte-identical results and traces.
 const (
 	AdvanceLeap  = sim.AdvanceLeap
 	AdvanceSlot  = sim.AdvanceSlot
