@@ -37,6 +37,78 @@ func TestProcPuuMatchesSubChain(t *testing.T) {
 	}
 }
 
+// TestSurviveQPagedGrid: the paged survival grid returns, bit for bit,
+// the SurviveReal of a fresh processor at the quantized time — at 0, on
+// both sides of page boundaries, at the MaxHorizon clamp and for t <= 0 —
+// whatever order the points are first asked in, and a lone query near
+// MaxHorizon allocates one page, not the grid below it. A NaN t panics.
+func TestSurviveQPagedGrid(t *testing.T) {
+	const maxIdx = MaxHorizon * surviveGridStep
+	idxs := []int{0, 1, survivePageLen - 1, survivePageLen, survivePageLen + 1,
+		3*survivePageLen - 1, 3 * survivePageLen, 4099, maxIdx - survivePageLen,
+		maxIdx - 1, maxIdx}
+	for idx := 2*survivePageLen - 8; idx < 3*survivePageLen+8; idx++ {
+		idxs = append(idxs, idx)
+	}
+	s := rng.New(3)
+	for trial := 0; trial < 5; trial++ {
+		m := paperMatrix(s)
+		proc, fresh := NewProc(m, DefaultEps), NewProc(m, DefaultEps)
+		// Descending first, so later queries land in pages that exist.
+		for pass := 0; pass < 2; pass++ {
+			for k := range idxs {
+				idx := idxs[len(idxs)-1-k]
+				if pass == 1 {
+					idx = idxs[k]
+				}
+				want := fresh.SurviveReal(float64(idx) / surviveGridStep)
+				// Any t that rounds to idx hits the same grid point.
+				for _, d := range []float64{-0.49, 0, 0.49} {
+					t0 := (float64(idx) + d) / surviveGridStep
+					if t0 <= 0 {
+						continue
+					}
+					if got := proc.SurviveQ(t0); math.Float64bits(got) != math.Float64bits(want) {
+						t.Fatalf("trial %d: SurviveQ(%v) = %v, want SurviveReal(%v) = %v",
+							trial, t0, got, float64(idx)/surviveGridStep, want)
+					}
+				}
+			}
+		}
+		clamp := fresh.SurviveReal(MaxHorizon)
+		for _, t0 := range []float64{MaxHorizon + 0.2, MaxHorizon * 3, math.Inf(1)} {
+			if got := proc.SurviveQ(t0); math.Float64bits(got) != math.Float64bits(clamp) {
+				t.Fatalf("SurviveQ(%v) = %v, want the MaxHorizon clamp %v", t0, got, clamp)
+			}
+		}
+		for _, t0 := range []float64{0, -1, math.Inf(-1)} {
+			if got := proc.SurviveQ(t0); got != 1 {
+				t.Fatalf("SurviveQ(%v) = %v, want 1", t0, got)
+			}
+		}
+	}
+
+	proc := NewProc(paperMatrix(s), DefaultEps)
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("SurviveQ(NaN) did not panic")
+			}
+		}()
+		proc.SurviveQ(math.NaN())
+	}()
+	proc.SurviveQ(MaxHorizon - 0.3)
+	pages := 0
+	for _, pg := range proc.surviveCache {
+		if pg != nil {
+			pages++
+		}
+	}
+	if pages != 1 {
+		t.Fatalf("one query near MaxHorizon allocated %d pages, want 1", pages)
+	}
+}
+
 func TestSingletonIdentities(t *testing.T) {
 	s := rng.New(2)
 	for trial := 0; trial < 30; trial++ {

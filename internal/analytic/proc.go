@@ -65,10 +65,12 @@ type Proc struct {
 	puuCache []float64
 	r0, r1   float64 // row vector e_u · M^T at T = len(puuCache)-1
 
-	// surviveCache[i] = SurviveReal(i/surviveGridStep), grown on demand.
-	// Heuristics evaluate survival at fractional expected times inside
-	// tight loops; the grid avoids a math.Pow per call.
-	surviveCache []float64
+	// surviveCache pages the quantized survival grid: grid point i lives
+	// at surviveCache[i/survivePageLen][i%survivePageLen] and equals
+	// SurviveReal(i/surviveGridStep). Heuristics evaluate survival at
+	// fractional expected times inside tight loops; the grid avoids a
+	// math.Pow per call. See SurviveQ.
+	surviveCache []*survivePage
 
 	// commCache[n] and commPaperCache[n] memoize ExpectedComm(n) and
 	// ExpectedCommPaper(n): communication needs are small integers that
@@ -87,6 +89,18 @@ const commCacheLimit = 1 << 12
 // survival cache. A quarter-slot grid changes survival values by well
 // under the noise the Section V.B communication estimate already carries.
 const surviveGridStep = 4
+
+// survivePageLen is the number of grid points per survival-cache page
+// (2 KB of float64s). The heuristics ask mostly at short horizons but at
+// scattered indices far beyond them, so a large page holds mostly NaN:
+// on quick Table I, 1,024- and 4,096-point pages raised peak RSS by a
+// fifth and three quarters over 256, and 64 saved nothing
+// (EXPERIMENTS.md, "Table I memory").
+const survivePageLen = 256
+
+// survivePage is one page of the survival grid; unvisited points hold
+// NaN.
+type survivePage [survivePageLen]float64
 
 // NewProc builds the analytic state of one processor with availability
 // matrix m, truncating its singleton series at precision eps.
@@ -225,26 +239,42 @@ func (p *Proc) SurviveQ(t float64) float64 {
 	if t <= 0 {
 		return 1
 	}
-	idx := int(t*surviveGridStep + 0.5)
+	// Rounding t·surviveGridStep to the nearest point reaches the clamp
+	// exactly when t >= MaxHorizon; testing t first keeps an infinite t
+	// off the float-to-int conversion, and a NaN t from the page table.
 	const maxIdx = MaxHorizon * surviveGridStep
-	if idx > maxIdx {
-		idx = maxIdx
+	idx := maxIdx
+	if t < MaxHorizon {
+		idx = int(t*surviveGridStep + 0.5)
+	} else if math.IsNaN(t) {
+		panic("analytic: SurviveQ of NaN")
 	}
-	// The grid is sparse: unvisited indices hold NaN (SurviveReal is a
-	// probability, so NaN is free as the not-yet-computed sentinel) and
-	// each grid point pays its SurviveReal exactly once, on first use.
-	// Filling densely instead would evaluate every quarter-slot point up
-	// to the largest horizon ever asked — the heuristics ask at scattered
-	// communication horizons, so almost all of that work would be wasted.
-	for idx >= len(p.surviveCache) {
-		p.surviveCache = append(p.surviveCache, math.NaN())
+	// The grid is sparse: it is paged, and a page is allocated — all NaN,
+	// the not-yet-computed sentinel (SurviveReal is a probability, so NaN
+	// is free) — only when a query first lands in it; the page table
+	// itself grows only up to the largest page touched. Each grid point
+	// pays its SurviveReal exactly once, on first use. Filling densely
+	// instead would evaluate every quarter-slot point up to the largest
+	// horizon ever asked, and a flat slice would hold one float64 per
+	// point below it — the heuristics ask at scattered communication
+	// horizons, so almost all of that work and memory would be wasted.
+	pg, off := uint(idx)/survivePageLen, uint(idx)%survivePageLen
+	for pg >= uint(len(p.surviveCache)) {
+		p.surviveCache = append(p.surviveCache, nil)
 	}
-	v := p.surviveCache[idx]
-	if math.IsNaN(v) {
-		v = p.sub.SurviveReal(float64(idx) / surviveGridStep)
-		p.surviveCache[idx] = v
+	page := p.surviveCache[pg]
+	if page == nil {
+		page = new(survivePage)
+		for i := range page {
+			page[i] = math.NaN()
+		}
+		p.surviveCache[pg] = page
 	}
-	return v
+	v := &page[off]
+	if math.IsNaN(*v) {
+		*v = p.sub.SurviveReal(float64(idx) / surviveGridStep)
+	}
+	return *v
 }
 
 // ExpectedComm returns E^(Pq)(n): the expected number of slots for this

@@ -2,6 +2,7 @@ package avail
 
 import (
 	"math"
+	"sync"
 	"testing"
 
 	"tightsched/internal/markov"
@@ -16,6 +17,75 @@ func paperMatrices(p int, seed uint64) []markov.Matrix {
 			stream.Uniform(0.90, 0.99), stream.Uniform(0.90, 0.99))
 	}
 	return ms
+}
+
+// lowestBitTwin returns a copy of ms whose one entry differs from ms's
+// in the lowest mantissa bit: a platform no fit memo may confuse with
+// ms's.
+func lowestBitTwin(ms []markov.Matrix) []markov.Matrix {
+	twin := append([]markov.Matrix(nil), ms...)
+	x := &twin[len(twin)-1][markov.Up][markov.Reclaimed]
+	*x = math.Float64frombits(math.Float64bits(*x) ^ 1)
+	return twin
+}
+
+// checkFitMemoExact requires fit to memoize per platform on the exact
+// float bits: identical platforms share one fit, a hit allocates
+// nothing, and a platform one mantissa bit away gets its own fit.
+func checkFitMemoExact(t *testing.T, fit func([]markov.Matrix) []markov.Matrix) {
+	t.Helper()
+	ms := paperMatrices(2, 5)
+	a := fit(ms)
+	if b := fit(append([]markov.Matrix(nil), ms...)); &a[0] != &b[0] {
+		t.Fatal("fit not memoized for identical platforms")
+	}
+	if allocs := testing.AllocsPerRun(100, func() { fit(ms) }); allocs != 0 {
+		t.Fatalf("memoized fit allocates %v times per call", allocs)
+	}
+	other := fit(paperMatrices(2, 6))
+	if a[0] == other[0] {
+		t.Fatal("distinct platforms share a fit")
+	}
+	twin := lowestBitTwin(ms)
+	c := fit(twin)
+	if &c[0] == &a[0] {
+		t.Fatal("platforms one mantissa bit apart share a fit")
+	}
+	if d := fit(twin); &d[0] != &c[0] {
+		t.Fatal("fit not memoized for the one-bit twin")
+	}
+	if e := fit(ms); &e[0] != &a[0] {
+		t.Fatal("the one-bit twin displaced the original's fit")
+	}
+}
+
+// TestFitMemoConcurrent: campaign workers share one model, so the fit
+// memo's key buffer and map are reached from several goroutines at once;
+// every caller must get the one fit of its platform.
+func TestFitMemoConcurrent(t *testing.T) {
+	for _, model := range []Model{NewDiurnal(), NewSemiMarkov(0.6)} {
+		platforms := [][]markov.Matrix{paperMatrices(3, 5), lowestBitTwin(paperMatrices(3, 5)), paperMatrices(3, 6)}
+		got := make([][][]markov.Matrix, 8)
+		var wg sync.WaitGroup
+		for g := range got {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < 20; i++ {
+					got[g] = append(got[g], model.EstimatorMatrices(platforms[(g+i)%len(platforms)]))
+				}
+			}()
+		}
+		wg.Wait()
+		for g := range got {
+			for i, ms := range got[g] {
+				want := model.EstimatorMatrices(platforms[(g+i)%len(platforms)])
+				if &ms[0] != &want[0] {
+					t.Fatalf("%s: goroutine %d call %d got another platform's fit", model.Name(), g, i)
+				}
+			}
+		}
+	}
 }
 
 func collect(p StateProvider, procs, slots int) [][]markov.State {
@@ -151,18 +221,9 @@ func TestHoldingSpecMeanMatching(t *testing.T) {
 }
 
 func TestSemiMarkovEstimatorMatricesMemoized(t *testing.T) {
-	ms := paperMatrices(2, 5)
 	model := NewSemiMarkov(0.6)
 	model.CalibrationSlots = 2_000
-	a := model.EstimatorMatrices(ms)
-	b := model.EstimatorMatrices(ms)
-	if &a[0] != &b[0] {
-		t.Fatal("fit not memoized for identical platforms")
-	}
-	other := model.EstimatorMatrices(paperMatrices(2, 6))
-	if a[0] == other[0] {
-		t.Fatal("distinct platforms share a fit")
-	}
+	checkFitMemoExact(t, model.EstimatorMatrices)
 }
 
 func TestSemiMarkovProviderSeeded(t *testing.T) {

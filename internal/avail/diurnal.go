@@ -2,7 +2,6 @@ package avail
 
 import (
 	"fmt"
-	"sync"
 
 	"tightsched/internal/markov"
 	"tightsched/internal/rng"
@@ -55,8 +54,7 @@ type DiurnalModel struct {
 	// CalibrationSeed decorrelates calibration traces from trial seeds.
 	CalibrationSeed uint64
 
-	mu  sync.Mutex
-	fit map[uint64]*fitEntry
+	fit fitMemo
 }
 
 // NewDiurnal returns the standard diurnal model.
@@ -204,17 +202,7 @@ func drawStationary(m markov.Matrix, u float64) markov.State {
 // see the clock could believe. Deterministic (keyed by CalibrationSeed)
 // and memoized per platform.
 func (d *DiurnalModel) EstimatorMatrices(base []markov.Matrix) []markov.Matrix {
-	key := hashMatrices(base)
-	d.mu.Lock()
-	if d.fit == nil {
-		d.fit = make(map[uint64]*fitEntry)
-	}
-	e := d.fit[key]
-	if e == nil {
-		e = &fitEntry{}
-		d.fit[key] = e
-	}
-	d.mu.Unlock()
+	e := d.fit.entry(base)
 	e.once.Do(func() { e.ms = d.calibrate(base) })
 	return e.ms
 }

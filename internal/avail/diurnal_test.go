@@ -84,19 +84,10 @@ func TestDiurnalPhasesDiffer(t *testing.T) {
 }
 
 func TestDiurnalEstimatorMatricesMemoized(t *testing.T) {
-	ms := paperMatrices(2, 5)
 	model := NewDiurnal()
 	model.CalibrationSlots = 2_000
-	a := model.EstimatorMatrices(ms)
-	b := model.EstimatorMatrices(ms)
-	if &a[0] != &b[0] {
-		t.Fatal("fit not memoized for identical platforms")
-	}
-	other := model.EstimatorMatrices(paperMatrices(2, 6))
-	if a[0] == other[0] {
-		t.Fatal("distinct platforms share a fit")
-	}
-	for q, m := range a {
+	checkFitMemoExact(t, model.EstimatorMatrices)
+	for q, m := range model.EstimatorMatrices(paperMatrices(2, 5)) {
 		if err := m.Validate(); err != nil {
 			t.Fatalf("fitted matrix %d invalid: %v", q, err)
 		}

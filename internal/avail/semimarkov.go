@@ -1,6 +1,7 @@
 package avail
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"sync"
@@ -107,16 +108,51 @@ type SemiMarkovModel struct {
 	// CalibrationSeed decorrelates calibration traces from trial seeds.
 	CalibrationSeed uint64
 
-	mu  sync.Mutex
-	fit map[uint64]*fitEntry
+	fit fitMemo
+}
+
+// fitMemo memoizes fitted believed matrices per platform, keyed by the
+// exact float bits of the platform's nominal matrices: two platforms
+// share an entry only when every matrix entry is bit-identical. Safe for
+// concurrent use.
+type fitMemo struct {
+	mu      sync.Mutex
+	key     []byte // scratch for composing lookup keys, under mu
+	entries map[string]*fitEntry
 }
 
 // fitEntry memoizes one platform's fitted matrices. The per-entry Once
-// lets distinct platforms calibrate concurrently while the model-wide
-// mutex only guards the map itself.
+// lets distinct platforms calibrate concurrently while the memo's mutex
+// only guards the map itself.
 type fitEntry struct {
 	once sync.Once
 	ms   []markov.Matrix
+}
+
+// entry returns the memo entry of the platform whose nominal matrices
+// are base, creating it on first use. A hit allocates nothing: the key
+// is composed in a reused buffer and looked up without conversion.
+func (fm *fitMemo) entry(base []markov.Matrix) *fitEntry {
+	fm.mu.Lock()
+	defer fm.mu.Unlock()
+	buf := fm.key[:0]
+	for _, m := range base {
+		for i := range m {
+			for _, x := range m[i] {
+				buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(x))
+			}
+		}
+	}
+	fm.key = buf
+	e := fm.entries[string(buf)]
+	if e == nil {
+		if fm.entries == nil {
+			fm.entries = make(map[string]*fitEntry)
+		}
+		e = &fitEntry{}
+		fm.entries[string(buf)] = e
+	}
+	return e
 }
 
 // NewSemiMarkov returns the standard heavy-tailed model: Weibull UP
@@ -221,27 +257,19 @@ func (sp *semiProvider) States(slot int64, dst []markov.State) {
 // CalibrationSeed, not trial seeds) and memoized per platform, so a sweep
 // pays for it once per scenario rather than once per simulation.
 func (sm *SemiMarkovModel) EstimatorMatrices(base []markov.Matrix) []markov.Matrix {
-	key := uint64(1)
+	var e *fitEntry
 	if sm.Procs != nil {
 		// Surface an explicit-process size mismatch on every call, not
-		// just the calibrating one.
+		// just the calibrating one. Explicit processes ignore base, so
+		// every platform shares the one fit (under the empty key).
 		if base != nil && len(base) != len(sm.Procs) {
 			panic(fmt.Sprintf("avail: model %s has %d explicit processes, platform has %d processors",
 				sm.Name(), len(sm.Procs), len(base)))
 		}
+		e = sm.fit.entry(nil)
 	} else {
-		key = hashMatrices(base)
+		e = sm.fit.entry(base)
 	}
-	sm.mu.Lock()
-	if sm.fit == nil {
-		sm.fit = make(map[uint64]*fitEntry)
-	}
-	e := sm.fit[key]
-	if e == nil {
-		e = &fitEntry{}
-		sm.fit[key] = e
-	}
-	sm.mu.Unlock()
 	// Deriving the processes is itself linear work, so it stays inside
 	// the once: a memoized hit is allocation-free.
 	e.once.Do(func() { e.ms = sm.calibrate(sm.procsFor(base)) })
@@ -273,25 +301,4 @@ func (sm *SemiMarkovModel) calibrate(procs []*markov.SemiMarkov) []markov.Matrix
 		ms[q] = m
 	}
 	return ms
-}
-
-// hashMatrices returns an FNV-1a hash of the matrices' float bits, the
-// memoization key for per-platform fitted matrices.
-func hashMatrices(ms []markov.Matrix) uint64 {
-	h := uint64(14695981039346656037)
-	mix := func(v uint64) {
-		for i := 0; i < 8; i++ {
-			h ^= v & 0xff
-			h *= 1099511628211
-			v >>= 8
-		}
-	}
-	for _, m := range ms {
-		for i := 0; i < markov.NumStates; i++ {
-			for j := 0; j < markov.NumStates; j++ {
-				mix(math.Float64bits(m[i][j]))
-			}
-		}
-	}
-	return h
 }

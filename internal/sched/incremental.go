@@ -29,6 +29,11 @@ type incremental struct {
 	se      *analytic.SetEval
 
 	tr buildTrace
+	// asg is the build's scratch assignment; last is the assignment the
+	// previous non-nil build returned. A build Equal to last returns
+	// last itself, so an instance replaying its previous build allocates
+	// nothing (returned assignments are immutable; see Heuristic.Decide).
+	asg, last app.Assignment
 }
 
 // Name implements Heuristic.
@@ -80,8 +85,8 @@ func (h *incremental) build(v *View) app.Assignment {
 // communication estimate; a candidate whose Value the instance's previous
 // build already computed under the same inputs is replayed from the
 // build trace instead (see buildTrace). A cold build is a replay with an
-// empty trace. Only the returned assignment is allocated; everything else
-// lives in the heuristic's scratch buffers and trace.
+// empty trace. The build runs in the heuristic's scratch buffers and
+// trace; only a result that differs from the previous one is allocated.
 func (h *incremental) buildFresh(v *View) app.Assignment {
 	env := h.env
 	m := env.App.Tasks
@@ -98,6 +103,7 @@ func (h *incremental) buildFresh(v *View) app.Assignment {
 		h.speeds = env.Platform.Speeds()
 		h.needs = make([]int, p)
 		h.expComm = make([]float64, p)
+		h.asg = make(app.Assignment, p)
 		h.tr.init(p, m)
 	}
 	speeds, needs, expComm := h.speeds, h.needs, h.expComm
@@ -115,7 +121,8 @@ func (h *incremental) buildFresh(v *View) app.Assignment {
 	tr.observe(v)
 	procs := env.Platform.Procs
 	elapsed := float64(v.Elapsed)
-	asg := make(app.Assignment, p)
+	asg := h.asg
+	clear(asg)
 
 	workload := 0
 	totalNeed := 0
@@ -207,7 +214,10 @@ func (h *incremental) buildFresh(v *View) app.Assignment {
 		}
 	}
 	env.Decisions.noteBuild(scored, reused, replayed)
-	return asg
+	if !asg.Equal(h.last) {
+		h.last = asg.Clone()
+	}
+	return h.last
 }
 
 // buildTrace is one heuristic instance's record of its previous fresh

@@ -257,3 +257,70 @@ func FuzzBuildReplay(f *testing.F) {
 		checkReplay(t, data)
 	})
 }
+
+// TestBuildReusesEqualAssignments drives IE, Y-IE and IY over the replay
+// generator's views, alone and behind a decision cache. A fresh build
+// Equal to the instance's previous non-nil fresh build must return that
+// build's backing array, and no returned assignment may change after it
+// is returned — sharing them is safe only because they are immutable.
+func TestBuildReusesEqualAssignments(t *testing.T) {
+	type returned struct {
+		asg, snapshot app.Assignment
+	}
+	shared := 0
+	for _, name := range []string{"IE", "Y-IE", "IY"} {
+		for _, cached := range []bool{false, true} {
+			for seed := uint64(1); seed <= 100; seed++ {
+				sc := decodeReplayScenario(replaySeedBytes(seed))
+				if cached {
+					sc.env.Decisions = NewDecisionCache()
+				}
+				h, err := Build(name, sc.env)
+				if err != nil {
+					t.Fatal(err)
+				}
+				misses := func() uint64 {
+					if !cached {
+						return 0
+					}
+					return sc.env.Decisions.Stats().Misses
+				}
+				var all []returned
+				var prev app.Assignment // previous non-nil fresh build
+				for i, view := range sc.views {
+					// A new retention epoch per view makes Y-IE rebuild
+					// its candidate every time, as IE and IY do.
+					v := *view
+					v.RetentionEpoch = int64(i)
+					before := misses()
+					got := h.Decide(&v)
+					if got == nil {
+						continue
+					}
+					all = append(all, returned{got, got.Clone()})
+					if cached && misses() == before {
+						continue // a cache hit, not a build
+					}
+					if got.Equal(prev) {
+						if &got[0] != &prev[0] {
+							t.Fatalf("%s cached=%v seed %d view %d: equal consecutive builds %v return distinct arrays",
+								name, cached, seed, i, got)
+						}
+						shared++
+					}
+					prev = got
+				}
+				for i, r := range all {
+					if !r.asg.Equal(r.snapshot) {
+						t.Fatalf("%s cached=%v seed %d: returned assignment %d changed from %v to %v",
+							name, cached, seed, i, r.snapshot, r.asg)
+					}
+				}
+			}
+		}
+	}
+	if shared == 0 {
+		t.Fatal("no consecutive equal builds exercised")
+	}
+	t.Logf("%d equal consecutive builds shared their array", shared)
+}

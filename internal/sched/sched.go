@@ -82,6 +82,12 @@ type Heuristic interface {
 	// nil means no feasible configuration exists (the engine idles one
 	// slot). The returned assignment must use only UP workers within
 	// their capacities and carry exactly m tasks.
+	//
+	// Returned assignments are immutable on both sides: the caller must
+	// not modify one (the engine clones on adoption), and a heuristic
+	// may return the same slice again — its previous result, or one
+	// shared through a DecisionCache — but must never write to a slice
+	// it has returned.
 	Decide(v *View) app.Assignment
 }
 

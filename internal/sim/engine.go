@@ -440,28 +440,29 @@ func downList(buf []int, states []markov.State) []int {
 // processors listed in downs (ascending): a DOWN worker loses the
 // program, its data and any partial communication; if it was enrolled,
 // the iteration restarts from scratch. It is idempotent while the states
-// stand still.
+// stand still. The returned restart event names the first enrolled DOWN
+// processor; it is built only when a Recorder will read it.
 func (e *engine) handleDowns(downs []int) string {
-	event := ""
-	broke := false
+	broke := -1
 	for _, q := range downs {
 		w := &e.workers[q]
 		if w.HasProgram || w.DataHeld > 0 || w.ProgProgress > 0 || w.DataProgress > 0 {
 			*w = sched.WorkerInfo{}
 			e.retEpoch++
 		}
-		if e.current != nil && e.current[q] > 0 {
-			broke = true
-			if event == "" {
-				event = fmt.Sprintf("restart: P%d DOWN", q+1)
-			}
+		if broke < 0 && e.current != nil && e.current[q] > 0 {
+			broke = q
 		}
 	}
-	if broke {
-		e.res.Restarts++
-		e.dropConfiguration()
+	if broke < 0 {
+		return ""
 	}
-	return event
+	e.res.Restarts++
+	e.dropConfiguration()
+	if e.cfg.Recorder == nil {
+		return ""
+	}
+	return fmt.Sprintf("restart: P%d DOWN", broke+1)
 }
 
 // dropConfiguration abandons the current configuration: all enrolled
@@ -689,10 +690,13 @@ func (e *engine) communicate() {
 
 // finishIteration applies the global synchronization: per-iteration data
 // is discarded everywhere, the configuration is cleared, and the next
-// iteration (if any) starts at the following slot.
+// iteration (if any) starts at the following slot. The completion event
+// is built only when a Recorder will read it.
 func (e *engine) finishIteration(slot int64, event *string) {
 	e.res.Completed++
-	*event = fmt.Sprintf("iteration %d complete", e.res.Completed)
+	if e.cfg.Recorder != nil {
+		*event = fmt.Sprintf("iteration %d complete", e.res.Completed)
+	}
 	for q := range e.workers {
 		e.workers[q].DataHeld = 0
 		e.workers[q].DataProgress = 0
