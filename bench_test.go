@@ -574,39 +574,6 @@ func BenchmarkEngineSlotLoop(b *testing.B) { benchEngine(b, sim.AdvanceSlot) }
 // the long-sojourn scenario is this PR's acceptance bar).
 func BenchmarkEngineLeap(b *testing.B) { benchEngine(b, sim.AdvanceLeap) }
 
-// BenchmarkEngineBatch measures a solo run under AdvanceBatch on the
-// markov and long-sojourn engine scenarios. AdvanceBatch names the same
-// production core as AdvanceLeap, so this is BenchmarkEngineLeap's
-// measurement, kept under its gated name (cross-instance sharing is
-// BenchmarkBatchSweepCell's subject).
-func BenchmarkEngineBatch(b *testing.B) {
-	for _, sc := range benchEngineScenarios(b) {
-		if sc.name == "capbound" {
-			continue // the scripted idle regime is the leap core's win
-		}
-		b.Run(sc.name, func(b *testing.B) {
-			cfg := sc.cfg
-			cfg.Advance = sim.AdvanceBatch
-			cfg.AnalyticCache = analytic.NewPlatformCache()
-			if res, err := sim.Run(cfg); err != nil || res.Failed != sc.wantFail {
-				b.Fatalf("warmup run: %+v err=%v", res, err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				res, err := sim.Run(cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if res.Failed != sc.wantFail {
-					b.Fatalf("benchmark run: %+v", res)
-				}
-				b.ReportMetric(float64(res.Makespan), "slots")
-			}
-		})
-	}
-}
-
 // BenchmarkBatchSweepCell runs one full campaign cell — the paper's 17
 // heuristics over 2 shared-realization trials — as a single lockstep
 // batch, the dispatch unit of every sweep. The analytic

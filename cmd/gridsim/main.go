@@ -42,14 +42,8 @@ func main() {
 		trials     = flag.Int("trials", 5, "trials for -compare")
 		list       = flag.Bool("list", false, "list heuristic names and exit")
 		spectral   = flag.Bool("spectral", false, "use the exact closed-form set evaluator (agrees with the series within eps; decisions may differ at that precision)")
-		advance    = flag.String("advance", "leap", "time-advance core: leap|batch = the production core, slot = the reference loop; results are byte-identical")
 	)
 	flag.Parse()
-
-	adv, err := tightsched.ParseTimeAdvance(*advance)
-	if err != nil {
-		fatal(err)
-	}
 
 	if *list {
 		for _, name := range tightsched.Heuristics() {
@@ -69,7 +63,6 @@ func main() {
 	session := tightsched.NewSession(
 		tightsched.WithCap(*capSlots),
 		tightsched.WithAnalytic(tightsched.AnalyticOptions{Spectral: *spectral}),
-		tightsched.WithTimeAdvance(adv),
 	)
 	var opts []tightsched.Option
 	if *allUp {

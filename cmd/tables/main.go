@@ -93,7 +93,6 @@ func main() {
 		resume    = flag.Bool("resume", false, "continue an interrupted -journal file (skip recorded instances)")
 		shardSpec = flag.String("shard", "", "run one slice i/n of the instance grid (0-based), e.g. -shard 0/3")
 		merge     = flag.String("merge", "", "comma-separated shard journals to recombine and aggregate (no simulation)")
-		advance   = flag.String("advance", "leap", "time-advance core: leap|batch = the production core, slot = the reference loop; results are byte-identical")
 	)
 	flag.Parse()
 
@@ -149,7 +148,7 @@ func main() {
 		var conflicting []string
 		flag.Visit(func(f *flag.Flag) {
 			switch f.Name {
-			case "figure", "models", "scenarios", "cap", "wmins", "shard", "merge", "advance", "export-columns":
+			case "figure", "models", "scenarios", "cap", "wmins", "shard", "merge", "export-columns":
 				conflicting = append(conflicting, "-"+f.Name)
 			}
 		})
@@ -191,12 +190,6 @@ func main() {
 	if *seed != 0 {
 		sweep.Seed = *seed
 	}
-	adv, err := tightsched.ParseTimeAdvance(*advance)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "tables:", err)
-		os.Exit(2)
-	}
-	sweep.Advance = adv
 	if *wmins != "" {
 		var ws []int
 		for _, part := range strings.Split(*wmins, ",") {
@@ -285,12 +278,8 @@ func main() {
 			tightsched.WithProgress(progressLine(*quiet, 200, "simulations")),
 			tightsched.WithShard(shard),
 		)
-		var runOpts []tightsched.Option
-		var cacheObs *cacheObserver
-		if sweep.Advance != tightsched.AdvanceSlot {
-			cacheObs = &cacheObserver{}
-			runOpts = append(runOpts, tightsched.WithObserver(cacheObs))
-		}
+		cacheObs := &cacheObserver{}
+		runOpts := []tightsched.Option{tightsched.WithObserver(cacheObs)}
 		var j *tightsched.SweepJournal
 		if *journal != "" {
 			j = openOrCreateJournal(*journal, *resume, tightsched.OpenSweepJournal,
@@ -312,7 +301,7 @@ func main() {
 			}
 			fmt.Printf("# exported columnar dataset to %s\n", *exportCol)
 		}
-		if cacheObs != nil && cacheObs.cells > 0 {
+		if cacheObs.cells > 0 {
 			t := cacheObs.total
 			fmt.Printf("# batch sharing over %d cells: set-stats memo %s hits (%d/%d), shared decisions %s (%d/%d, %d classes), build replays %s (%d/%d), candidates reused %s (%d/%d)\n",
 				cacheObs.cells,
@@ -408,9 +397,9 @@ func runTable4(ctx context.Context, scale string, trials, workers int, seed uint
 // sweepHeuristics returns the campaign's resolved heuristic list.
 func sweepHeuristics(sweep tightsched.Sweep) []string { return sweep.Spec().Heuristics }
 
-// cacheObserver accumulates the per-cell sharing counters that
-// production-core campaigns attach to PointDone events, for the
-// end-of-run summary line.
+// cacheObserver accumulates the per-cell sharing counters that every
+// live cell attaches to its PointDone event, for the end-of-run summary
+// line.
 type cacheObserver struct {
 	total tightsched.SweepCacheStats
 	cells int

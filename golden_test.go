@@ -7,6 +7,7 @@ import (
 
 	"tightsched"
 	"tightsched/internal/exp"
+	"tightsched/internal/sim"
 )
 
 // goldenRuns pins the simulator's exact outcomes for fixed seeds, as
@@ -139,80 +140,34 @@ func TestSpectralGoldenScenarios(t *testing.T) {
 	}
 }
 
-// TestLeapGoldenParity renders Tables I, II and III under the reference
-// slot-stepped engine and under the event-leap engine (the default) with
-// the default Markov provider, and requires the formatted artifacts to be
-// byte-identical — the leap core is an execution strategy, not a model
-// change. Grids are reduced; the heuristic sets are the tables' own.
+// TestLeapGoldenParity renders Tables I, II and III under the slot
+// oracle (sim.AdvanceSlot) and under the production core, selected by
+// its public name AdvanceLeap, with the default Markov provider, and
+// requires the formatted artifacts to be byte-identical — leaping
+// between events is an execution strategy, not a model change. Grids
+// are reduced; the heuristic sets are the tables' own.
 func TestLeapGoldenParity(t *testing.T) {
-	baseSweep := func(m int) tightsched.Sweep {
-		s := tightsched.QuickSweep(m)
-		s.Ncoms = []int{10}
-		s.Wmins = []int{2}
-		s.Scenarios = 1
-		s.Trials = 2
-		s.Cap = 100_000
-		return s
-	}
-	render := func(sweep tightsched.Sweep, table int) string {
-		res, err := tightsched.NewSession().RunSweep(context.Background(), sweep)
-		if err != nil {
-			t.Fatalf("table %d advance=%v: %v", table, sweep.Advance, err)
-		}
-		if table == 3 {
-			tables, err := res.TableIII(tightsched.ReferenceHeuristic)
-			if err != nil {
-				t.Fatalf("table 3 advance=%v: %v", sweep.Advance, err)
-			}
-			return tightsched.FormatTableIII(tables)
-		}
-		rows, err := res.Table(tightsched.ReferenceHeuristic)
-		if err != nil {
-			t.Fatalf("table %d advance=%v: %v", table, sweep.Advance, err)
-		}
-		return tightsched.FormatTable(rows)
-	}
-	cases := []struct {
-		name  string
-		table int
-		sweep tightsched.Sweep
-	}{
-		{"TableI", 1, baseSweep(5)},
-		{"TableII", 2, func() tightsched.Sweep {
-			s := baseSweep(10)
-			s.Heuristics = []string{"Y-IE", "P-IE", "E-IAY", "E-IY", "E-IP", "IAY", "IY", "IE"}
-			return s
-		}()},
-		{"TableIII", 3, func() tightsched.Sweep {
-			s := baseSweep(5)
-			s.Heuristics = []string{"IE", "Y-IE", "RANDOM"}
-			s.Models = []tightsched.AvailabilityModel{
-				tightsched.MarkovModel{}, tightsched.NewSemiMarkovModel(0.6),
-			}
-			return s
-		}()},
-	}
-	for _, c := range cases {
-		t.Run(c.name, func(t *testing.T) {
-			slotSweep := c.sweep
-			slotSweep.Advance = tightsched.AdvanceSlot
-			leapSweep := c.sweep
-			leapSweep.Advance = tightsched.AdvanceLeap
-			slotOut := render(slotSweep, c.table)
-			leapOut := render(leapSweep, c.table)
-			if slotOut != leapOut {
-				t.Fatalf("%s diverges between engines\nslot:\n%s\nleap:\n%s", c.name, slotOut, leapOut)
-			}
-		})
-	}
+	coreGoldenParity(t, func(s *tightsched.Sweep) { s.Advance = tightsched.AdvanceLeap })
 }
 
-// TestBatchGoldenParity renders the same reduced Tables I, II and III
-// under the lockstep batch core and requires the formatted artifacts to
-// be byte-identical to the slot reference — cross-instance sharing of
-// availability walks and greedy builds is an execution strategy, not a
-// model change.
+// TestBatchGoldenParity renders the same reduced tables under the
+// production core selected as AdvanceBatch on a single worker, so one
+// worker's shared caches carry every trial group of a cell back to back,
+// and requires byte-identical artifacts to the slot oracle — sharing
+// availability walks and greedy builds across a cell's instances is an
+// execution strategy, not a model change.
 func TestBatchGoldenParity(t *testing.T) {
+	coreGoldenParity(t, func(s *tightsched.Sweep) {
+		s.Advance = tightsched.AdvanceBatch
+		s.Workers = 1
+	})
+}
+
+// coreGoldenParity renders reduced Tables I, II and III once under the
+// slot oracle and once with core applied to the sweep, and fails on any
+// byte of difference.
+func coreGoldenParity(t *testing.T, core func(*tightsched.Sweep)) {
+	t.Helper()
 	baseSweep := func(m int) tightsched.Sweep {
 		s := tightsched.QuickSweep(m)
 		s.Ncoms = []int{10}
@@ -263,13 +218,13 @@ func TestBatchGoldenParity(t *testing.T) {
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			slotSweep := c.sweep
-			slotSweep.Advance = tightsched.AdvanceSlot
-			batchSweep := c.sweep
-			batchSweep.Advance = tightsched.AdvanceBatch
+			slotSweep.Advance = sim.AdvanceSlot
+			coreSweep := c.sweep
+			core(&coreSweep)
 			slotOut := render(slotSweep, c.table)
-			batchOut := render(batchSweep, c.table)
-			if slotOut != batchOut {
-				t.Fatalf("%s diverges between engines\nslot:\n%s\nbatch:\n%s", c.name, slotOut, batchOut)
+			coreOut := render(coreSweep, c.table)
+			if slotOut != coreOut {
+				t.Fatalf("%s diverges between engines\nslot:\n%s\ncore:\n%s", c.name, slotOut, coreOut)
 			}
 		})
 	}

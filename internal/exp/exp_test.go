@@ -51,11 +51,6 @@ func TestSweepValidate(t *testing.T) {
 		t.Fatal("unknown advance mode accepted")
 	}
 	bad = s
-	bad.MaxLeap = -1
-	if bad.Validate() == nil {
-		t.Fatal("negative max leap accepted")
-	}
-	bad = s
 	bad.Workers = -1
 	if bad.Validate() == nil {
 		t.Fatal("negative workers accepted")
@@ -66,9 +61,9 @@ func TestSweepValidate(t *testing.T) {
 		t.Fatal("negative grid workers accepted")
 	}
 	ok := s
-	ok.Advance = sim.AdvanceBatch
+	ok.Advance = sim.AdvanceSlot
 	if err := ok.Validate(); err != nil {
-		t.Fatalf("batch advance rejected: %v", err)
+		t.Fatalf("slot oracle rejected: %v", err)
 	}
 }
 

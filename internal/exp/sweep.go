@@ -56,15 +56,14 @@ type Sweep struct {
 	Workers int
 	// InitialAllUp starts processors UP instead of at stationarity.
 	InitialAllUp bool
-	// Advance selects the simulator's time-advance core (the production
-	// trial-group loop by default, or the slot reference). Like Workers
-	// it is a runtime knob, deliberately absent from SweepSpec: both
-	// cores produce byte-identical instances, so journals written under
-	// either interchange freely.
+	// Advance selects the simulator's time-advance core: the production
+	// trial-group loop when zero, or sim.AdvanceSlot, the slot-stepped
+	// oracle the in-module differential tests force. Both cores produce
+	// byte-identical instances, so it is absent from SweepSpec.
+	//
+	// Deprecated: leave it zero. Only in-module tests, which can name
+	// sim.AdvanceSlot, select anything else.
 	Advance sim.TimeAdvance
-	// MaxLeap caps one leap macro-step in slots (sim.DefaultMaxLeap when
-	// 0). Runtime knob, absent from SweepSpec.
-	MaxLeap int64
 }
 
 // PaperSweep returns the full Section VII campaign for m tasks:
@@ -126,9 +125,6 @@ func (s *Sweep) Validate() error {
 	// inside a worker (or, worse, fall back to a default core).
 	if err := s.Advance.Validate(); err != nil {
 		return err
-	}
-	if s.MaxLeap < 0 {
-		return fmt.Errorf("exp: negative max leap %d", s.MaxLeap)
 	}
 	if s.Workers < 0 {
 		return fmt.Errorf("exp: negative workers %d", s.Workers)
@@ -305,7 +301,6 @@ func runCell(ctx context.Context, s *Sweep, keys []Key, cache *analytic.Platform
 		Model:         s.model(pk.Model),
 		AnalyticCache: cache,
 		Advance:       s.Advance,
-		MaxLeap:       s.MaxLeap,
 	}
 	insts := make([]sim.BatchInstance, len(keys))
 	for i, k := range keys {

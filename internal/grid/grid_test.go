@@ -1,6 +1,9 @@
 package grid
 
 import (
+	"bytes"
+	"encoding/json"
+	"fmt"
 	"math"
 	"reflect"
 	"sort"
@@ -237,6 +240,59 @@ func TestParseTrace(t *testing.T) {
 	if _, err := ParseTrace([]byte(`{"t": 0, "app": "a0", "wmin": 0}`)); err == nil {
 		t.Error("trace with non-positive wmin accepted")
 	}
+	// One object per line: a second value or garbage after the first is
+	// an error, not silently dropped.
+	for _, tc := range []struct {
+		doc  string
+		line int
+	}{
+		{`{"t":0,"app":"a0","wmin":1} {"t":7,"app":"a1","wmin":1}`, 1},
+		{"{\"t\":0,\"app\":\"a0\",\"wmin\":1}\n{\"t\":3,\"app\":\"a1\",\"wmin\":1} garbage", 2},
+		{`{"t":0,"app":"a0","wmin":1}}`, 1},
+	} {
+		entries, err := ParseTrace([]byte(tc.doc))
+		if want := fmt.Sprintf("grid: trace line %d: trailing content", tc.line); err == nil || err.Error() != want {
+			t.Errorf("ParseTrace(%q) = %+v, %v; want error %q", tc.doc, entries, err, want)
+		}
+	}
+}
+
+// FuzzParseTrace: ParseTrace never panics, and every trace it accepts
+// survives a JSONL round trip: re-encoded one entry per line, it parses
+// back to the same entries.
+func FuzzParseTrace(f *testing.F) {
+	for _, seed := range []string{
+		"# morning burst\n{\"t\": 0, \"app\": \"a0\", \"wmin\": 1, \"deadline\": 700}\n\n{\"t\": 40, \"app\": \"a1\", \"wmin\": 2}\n",
+		"{\"t\": 0, \"app\": \"a0\", \"wmin\": 1}\n{\"t\": 5, \"priority\": 3}\n",
+		`{"t": 0, "app": "a0", "wmin": 0}`,
+		`{"t":0,"app":"a0","wmin":1} {"t":7,"app":"a1","wmin":1}`,
+		`{"t":0,"app":"a0","wmin":1} garbage`,
+		"{\"t\":3,\"app\":\"\\u00e9<&>\",\"wmin\":2}\r\n{\"t\":3,\"app\":\"b\",\"wmin\":9,\"deadline\":0}",
+		"",
+		"null",
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		entries, err := ParseTrace(data)
+		if err != nil {
+			return
+		}
+		var buf bytes.Buffer
+		enc := json.NewEncoder(&buf)
+		for _, e := range entries {
+			if err := enc.Encode(e); err != nil {
+				t.Fatalf("encode %+v: %v", e, err)
+			}
+		}
+		again, err := ParseTrace(buf.Bytes())
+		if err != nil {
+			t.Fatalf("re-encoded trace rejected: %v\n%s", err, buf.Bytes())
+		}
+		if !reflect.DeepEqual(again, entries) {
+			t.Fatalf("round trip changed the trace:\n got %+v\nwant %+v", again, entries)
+		}
+	})
 }
 
 // TestShapeBound pins the crude service-time lower bound the slowdown

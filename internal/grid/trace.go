@@ -1,7 +1,6 @@
 package grid
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
 	"fmt"
@@ -9,17 +8,14 @@ import (
 )
 
 // ParseTrace parses a JSONL arrival trace: one {"t", "app", "wmin",
-// "deadline"} object per line, blank lines and #-comments skipped. The
-// returned entries are validated the way ArrivalSpec.Validate would
-// (non-decreasing t, positive wmin), so a parsed trace drops straight
-// into an ArrivalSpec.
+// "deadline"} object per line, blank lines and #-comments skipped, and
+// nothing after a line's object. The returned entries are validated the
+// way ArrivalSpec.Validate would (non-decreasing t, positive wmin), so a
+// parsed trace drops straight into an ArrivalSpec.
 func ParseTrace(data []byte) ([]Arrival, error) {
 	var entries []Arrival
-	sc := bufio.NewScanner(bytes.NewReader(data))
-	line := 0
-	for sc.Scan() {
-		line++
-		raw := bytes.TrimSpace(sc.Bytes())
+	for i, line := range bytes.Split(data, []byte("\n")) {
+		raw := bytes.TrimSpace(line)
 		if len(raw) == 0 || raw[0] == '#' {
 			continue
 		}
@@ -27,12 +23,12 @@ func ParseTrace(data []byte) ([]Arrival, error) {
 		dec := json.NewDecoder(bytes.NewReader(raw))
 		dec.DisallowUnknownFields()
 		if err := dec.Decode(&e); err != nil {
-			return nil, fmt.Errorf("grid: trace line %d: %w", line, err)
+			return nil, fmt.Errorf("grid: trace line %d: %w", i+1, err)
+		}
+		if dec.InputOffset() != int64(len(raw)) {
+			return nil, fmt.Errorf("grid: trace line %d: trailing content", i+1)
 		}
 		entries = append(entries, e)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("grid: trace: %w", err)
 	}
 	spec := ArrivalSpec{Kind: KindTrace, Trace: entries}
 	if err := spec.Validate(); err != nil {

@@ -129,7 +129,6 @@ type Status struct {
 	// Grid is an online grid campaign's resolved identity — the grid
 	// journal header's spec (absent for offline sweeps).
 	Grid    *tightsched.OnlineSpec      `json:"grid,omitempty"`
-	Advance string                      `json:"advance"`
 	Shard   string                      `json:"shard,omitempty"`
 	Journal string                      `json:"journal,omitempty"`
 	Cache   *tightsched.SweepCacheStats `json:"cache,omitempty"`
@@ -158,7 +157,6 @@ func (c *Campaign) Status(now time.Time) Status {
 		Points:    Counters{c.completedPoints, c.totalPoints},
 		Spec:      c.Spec.Stamped,
 		Grid:      c.Spec.GridStamped,
-		Advance:   c.Spec.Sweep.Advance.String(),
 		Journal:   c.journalPath,
 		Error:     c.errMsg,
 	}

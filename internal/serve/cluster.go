@@ -198,7 +198,7 @@ func (s *Server) RecoverClusters() ([]string, error) {
 		if terminal != "" || header.Campaign == "" {
 			continue
 		}
-		sweep, err := tightsched.SweepFromSpec(header.Spec, tightsched.SweepRuntime{})
+		sweep, err := tightsched.SweepFromSpec(header.Spec)
 		if err != nil {
 			s.logf("serve: cannot rebuild campaign %s from %s: %v", header.Campaign, p, err)
 			continue

@@ -38,7 +38,7 @@ import (
 //	  journal: true
 //
 // The offline-only runtime knobs (advance, maxLeap, shard, cluster) are
-// rejected with their paths: the online engine has no batched core, no
+// rejected with their paths: the online engine has no core selector, no
 // shardable instance grid and no cluster lease decomposition yet.
 
 // gridFromTree builds the online campaign dimensions, defaulting from

@@ -56,7 +56,7 @@ type Spec struct {
 	// Preset records the requested defaults profile ("", "quick", "full").
 	Preset string
 	// Sweep is the runnable campaign (dimensions, heuristics, models,
-	// plus the runtime knobs advance/maxLeap/workers already applied).
+	// plus run.workers already applied).
 	Sweep tightsched.Sweep
 	// Stamped is Sweep's resolved serialized identity.
 	Stamped tightsched.SweepSpec
@@ -103,8 +103,8 @@ type Spec struct {
 //	  models: [markov]         # default: the paper's Markov ground truth
 //	  initialAllUp: false
 //	run:                       # optional runtime knobs (never in identity)
-//	  advance: leap            # leap | slot | batch
-//	  maxLeap: 0               # macro-step bound (0 = default)
+//	  advance: leap            # v1 no-op, validated: leap | slot | batch
+//	  maxLeap: 0               # v1 no-op, validated: >= 0
 //	  workers: 0               # per-campaign parallel sims (0 = GOMAXPROCS)
 //	  journal: true            # journal to the daemon's data dir
 //	  format: jsonl            # journal encoding: jsonl | binary
@@ -227,11 +227,11 @@ func specFromTree(tree any) (*Spec, *SpecError) {
 			if !ok {
 				return nil, specErr("run", "must be a mapping")
 			}
-			rt, serr := runFromTree(runMap, spec)
+			workers, serr := runFromTree(runMap, spec)
 			if serr != nil {
 				return nil, serr
 			}
-			g.Workers = rt.Workers
+			g.Workers = workers
 		}
 		if err := g.Validate(); err != nil {
 			return nil, &SpecError{Path: "grid", Message: err.Error()}
@@ -250,21 +250,22 @@ func specFromTree(tree any) (*Spec, *SpecError) {
 		return nil, serr
 	}
 
-	rt := tightsched.SweepRuntime{}
+	workers := 0
 	if runTree, ok := root["run"]; ok && runTree != nil {
 		runMap, ok := runTree.(map[string]any)
 		if !ok {
 			return nil, specErr("run", "must be a mapping")
 		}
-		if rt, serr = runFromTree(runMap, spec); serr != nil {
+		if workers, serr = runFromTree(runMap, spec); serr != nil {
 			return nil, serr
 		}
 	}
 
-	built, err := tightsched.SweepFromSpec(sweep.Spec(), rt)
+	built, err := tightsched.SweepFromSpec(sweep.Spec())
 	if err != nil {
 		return nil, &SpecError{Path: "sweep", Message: err.Error()}
 	}
+	built.Workers = workers
 	spec.Sweep = built
 	spec.Stamped = built.Spec()
 	return spec, nil
@@ -389,93 +390,89 @@ func sweepFromTree(m map[string]any, preset string) (tightsched.Sweep, *SpecErro
 
 // runFromTree parses the runtime block: the knobs that change speed,
 // never results, mirroring the option set of the Session campaign entry
-// points. Modes are validated here — at submit time — with the same
-// single validation point the WithTimeAdvance option uses.
-func runFromTree(m map[string]any, spec *Spec) (tightsched.SweepRuntime, *SpecError) {
-	var rt tightsched.SweepRuntime
+// points, and returns the worker count. Version 1 specs may still carry
+// run.advance (leap, slot or batch) and run.maxLeap (>= 0), which once
+// picked the time-advance core and its macro-step bound; they are
+// validated here, at submit time, and otherwise ignored: every campaign
+// runs the one production core.
+func runFromTree(m map[string]any, spec *Spec) (int, *SpecError) {
 	if serr := rejectUnknown(m, "run.", "advance", "maxLeap", "workers", "journal", "format", "shard", "cluster"); serr != nil {
-		return rt, serr
+		return 0, serr
 	}
 	if spec.Grid != nil {
-		// The online engine has no batched core, shardable instance grid
+		// The online engine has no core selector, shardable instance grid
 		// or cluster lease decomposition; refusing beats silently ignoring.
 		for _, key := range []string{"advance", "maxLeap", "shard", "cluster"} {
 			if _, ok := m[key]; ok {
-				return rt, specErr("run."+key, "does not apply to an online grid campaign")
+				return 0, specErr("run."+key, "does not apply to an online grid campaign")
 			}
 		}
 	}
 	if v, present, serr := stringField(m, "advance", "run.advance"); serr != nil {
-		return rt, serr
-	} else if present {
-		adv, err := tightsched.ParseTimeAdvance(v)
-		if err != nil {
-			return rt, specErr("run.advance", "unknown time advance %q (choose leap, slot or batch)", v)
-		}
-		rt.Advance = adv
+		return 0, serr
+	} else if present && v != "leap" && v != "slot" && v != "batch" {
+		return 0, specErr("run.advance", "unknown time advance %q (choose leap, slot or batch)", v)
 	}
 	if v, present, serr := int64Field(m, "maxLeap", "run.maxLeap"); serr != nil {
-		return rt, serr
-	} else if present {
-		if v < 0 {
-			return rt, specErr("run.maxLeap", "must be >= 0, got %d", v)
-		}
-		rt.MaxLeap = v
+		return 0, serr
+	} else if present && v < 0 {
+		return 0, specErr("run.maxLeap", "must be >= 0, got %d", v)
 	}
+	workers := 0
 	if v, present, serr := intField(m, "workers", "run.workers"); serr != nil {
-		return rt, serr
+		return 0, serr
 	} else if present {
 		if v < 0 {
-			return rt, specErr("run.workers", "must be >= 0, got %d", v)
+			return 0, specErr("run.workers", "must be >= 0, got %d", v)
 		}
-		rt.Workers = v
+		workers = v
 	}
 	if v, present, serr := boolField(m, "journal", "run.journal"); serr != nil {
-		return rt, serr
+		return 0, serr
 	} else if present {
 		spec.Journal = v
 	}
 	if v, present, serr := stringField(m, "format", "run.format"); serr != nil {
-		return rt, serr
+		return 0, serr
 	} else if present {
 		format, err := tightsched.ParseJournalFormat(v)
 		if err != nil {
-			return rt, specErr("run.format", "unknown journal format %q (choose jsonl or binary)", v)
+			return 0, specErr("run.format", "unknown journal format %q (choose jsonl or binary)", v)
 		}
 		if !spec.Journal {
-			return rt, specErr("run.format", "requires run.journal: true (the format names the journal's encoding)")
+			return 0, specErr("run.format", "requires run.journal: true (the format names the journal's encoding)")
 		}
 		spec.Format = format
 	}
 	if v, present, serr := stringField(m, "shard", "run.shard"); serr != nil {
-		return rt, serr
+		return 0, serr
 	} else if present && v != "" {
 		shard, err := tightsched.ParseSweepShard(v)
 		if err != nil {
-			return rt, specErr("run.shard", "invalid shard %q (want 0-based \"i/n\" with i < n)", v)
+			return 0, specErr("run.shard", "invalid shard %q (want 0-based \"i/n\" with i < n)", v)
 		}
 		spec.Shard = shard
 	}
 	if raw, ok := m["cluster"]; ok && raw != nil {
 		clusterMap, ok := raw.(map[string]any)
 		if !ok {
-			return rt, specErr("run.cluster", "must be a mapping")
+			return 0, specErr("run.cluster", "must be a mapping")
 		}
 		cs, serr := clusterFromTree(clusterMap)
 		if serr != nil {
-			return rt, serr
+			return 0, serr
 		}
 		// Cluster execution owns the whole grid (the coordinator shards
 		// it into lease units itself) and lives on its journal.
 		if spec.Shard.Count > 1 {
-			return rt, specErr("run.cluster", "incompatible with run.shard (the coordinator decomposes the grid itself)")
+			return 0, specErr("run.cluster", "incompatible with run.shard (the coordinator decomposes the grid itself)")
 		}
 		if !spec.Journal {
-			return rt, specErr("run.cluster", "requires run.journal: true (the journal is the dedup and completion authority)")
+			return 0, specErr("run.cluster", "requires run.journal: true (the journal is the dedup and completion authority)")
 		}
 		spec.Cluster = cs
 	}
-	return rt, nil
+	return workers, nil
 }
 
 // rejectUnknown fails on any key outside the schema — a typo'd or

@@ -8,46 +8,50 @@ import (
 	"tightsched"
 )
 
+// specValidationCases are malformed sweep specs, each with the path and
+// message its 400 must carry.
+var specValidationCases = []struct {
+	name     string
+	yaml     string
+	wantPath string
+	wantMsg  string // substring of the message
+}{
+	{"missing version", "sweep:\n  m: 5\n", "version", "required"},
+	{"unsupported version", "version: 2\nsweep:\n  m: 5\n", "version", "unsupported spec version 2"},
+	{"unknown top-level field", "version: 1\nbanana: 1\nsweep:\n  m: 5\n", "banana", "unknown field"},
+	{"unknown sweep field", "version: 1\nsweep:\n  m: 5\n  foo: 3\n", "sweep.foo", "unknown field"},
+	{"unknown run field", "version: 1\npreset: quick\nsweep:\n  m: 5\nrun:\n  turbo: true\n", "run.turbo", "unknown field"},
+	{"missing sweep", "version: 1\n", "sweep", "required"},
+	{"missing m", "version: 1\npreset: quick\nsweep:\n  ncoms: [5]\n", "sweep.m", "required"},
+	{"missing ncoms without preset", "version: 1\nsweep:\n  m: 5\n  wmins: [1]\n  scenarios: 1\n  trials: 1\n", "sweep.ncoms", "required without a preset"},
+	{"missing wmins without preset", "version: 1\nsweep:\n  m: 5\n  ncoms: [5]\n  scenarios: 1\n  trials: 1\n", "sweep.wmins", "required without a preset"},
+	{"missing scenarios without preset", "version: 1\nsweep:\n  m: 5\n  ncoms: [5]\n  wmins: [1]\n  trials: 1\n", "sweep.scenarios", "required without a preset"},
+	{"missing trials without preset", "version: 1\nsweep:\n  m: 5\n  ncoms: [5]\n  wmins: [1]\n  scenarios: 1\n", "sweep.trials", "required without a preset"},
+	{"bad preset", "version: 1\npreset: medium\nsweep:\n  m: 5\n", "preset", "unknown preset"},
+	{"out-of-range advance", "version: 1\npreset: quick\nsweep:\n  m: 5\nrun:\n  advance: warp\n", "run.advance", "unknown time advance"},
+	{"shard index >= count", "version: 1\npreset: quick\nsweep:\n  m: 5\nrun:\n  shard: 3/3\n", "run.shard", "invalid shard"},
+	{"shard malformed", "version: 1\npreset: quick\nsweep:\n  m: 5\nrun:\n  shard: everything\n", "run.shard", "invalid shard"},
+	{"unknown heuristic", "version: 1\npreset: quick\nsweep:\n  m: 5\n  heuristics: [IE, FANCY]\n", "sweep.heuristics[1]", "unknown heuristic"},
+	{"unknown model", "version: 1\npreset: quick\nsweep:\n  m: 5\n  models: [quantum]\n", "sweep.models[0]", "unknown availability model"},
+	{"negative workers", "version: 1\npreset: quick\nsweep:\n  m: 5\nrun:\n  workers: -1\n", "run.workers", ">= 0"},
+	{"negative maxLeap", "version: 1\npreset: quick\nsweep:\n  m: 5\nrun:\n  maxLeap: -5\n", "run.maxLeap", ">= 0"},
+	{"non-positive m", "version: 1\npreset: quick\nsweep:\n  m: 0\n", "sweep.m", "positive"},
+	{"ill-typed m", "version: 1\npreset: quick\nsweep:\n  m: five\n", "sweep.m", "must be an integer"},
+	{"ill-typed ncoms element", "version: 1\npreset: quick\nsweep:\n  m: 5\n  ncoms: [5, many]\n", "sweep.ncoms[1]", "positive integer"},
+	{"empty ncoms", "version: 1\npreset: quick\nsweep:\n  m: 5\n  ncoms: []\n", "sweep.ncoms", "must not be empty"},
+	{"non-positive cap", "version: 1\npreset: quick\nsweep:\n  m: 5\n  cap: 0\n", "sweep.cap", "positive"},
+	{"ill-typed journal flag", "version: 1\npreset: quick\nsweep:\n  m: 5\nrun:\n  journal: maybe\n", "run.journal", "true or false"},
+}
+
 // TestDecodeSpecValidationPaths: every malformed spec must be rejected at
 // submit time with a structured error naming the offending path — the
 // service-layer mirror of the Session options' scope checks. The table
 // covers the contract cases: unknown fields at every level, an
-// out-of-range advance mode, a shard with index >= count, missing sweep
+// out-of-range version 1 advance spelling or maxLeap (both validated,
+// though they select nothing), a shard with index >= count, missing sweep
 // axes, version/type defects, and unknown registry names.
 func TestDecodeSpecValidationPaths(t *testing.T) {
-	cases := []struct {
-		name     string
-		yaml     string
-		wantPath string
-		wantMsg  string // substring of the message
-	}{
-		{"missing version", "sweep:\n  m: 5\n", "version", "required"},
-		{"unsupported version", "version: 2\nsweep:\n  m: 5\n", "version", "unsupported spec version 2"},
-		{"unknown top-level field", "version: 1\nbanana: 1\nsweep:\n  m: 5\n", "banana", "unknown field"},
-		{"unknown sweep field", "version: 1\nsweep:\n  m: 5\n  foo: 3\n", "sweep.foo", "unknown field"},
-		{"unknown run field", "version: 1\npreset: quick\nsweep:\n  m: 5\nrun:\n  turbo: true\n", "run.turbo", "unknown field"},
-		{"missing sweep", "version: 1\n", "sweep", "required"},
-		{"missing m", "version: 1\npreset: quick\nsweep:\n  ncoms: [5]\n", "sweep.m", "required"},
-		{"missing ncoms without preset", "version: 1\nsweep:\n  m: 5\n  wmins: [1]\n  scenarios: 1\n  trials: 1\n", "sweep.ncoms", "required without a preset"},
-		{"missing wmins without preset", "version: 1\nsweep:\n  m: 5\n  ncoms: [5]\n  scenarios: 1\n  trials: 1\n", "sweep.wmins", "required without a preset"},
-		{"missing scenarios without preset", "version: 1\nsweep:\n  m: 5\n  ncoms: [5]\n  wmins: [1]\n  trials: 1\n", "sweep.scenarios", "required without a preset"},
-		{"missing trials without preset", "version: 1\nsweep:\n  m: 5\n  ncoms: [5]\n  wmins: [1]\n  scenarios: 1\n", "sweep.trials", "required without a preset"},
-		{"bad preset", "version: 1\npreset: medium\nsweep:\n  m: 5\n", "preset", "unknown preset"},
-		{"out-of-range advance", "version: 1\npreset: quick\nsweep:\n  m: 5\nrun:\n  advance: warp\n", "run.advance", "unknown time advance"},
-		{"shard index >= count", "version: 1\npreset: quick\nsweep:\n  m: 5\nrun:\n  shard: 3/3\n", "run.shard", "invalid shard"},
-		{"shard malformed", "version: 1\npreset: quick\nsweep:\n  m: 5\nrun:\n  shard: everything\n", "run.shard", "invalid shard"},
-		{"unknown heuristic", "version: 1\npreset: quick\nsweep:\n  m: 5\n  heuristics: [IE, FANCY]\n", "sweep.heuristics[1]", "unknown heuristic"},
-		{"unknown model", "version: 1\npreset: quick\nsweep:\n  m: 5\n  models: [quantum]\n", "sweep.models[0]", "unknown availability model"},
-		{"negative workers", "version: 1\npreset: quick\nsweep:\n  m: 5\nrun:\n  workers: -1\n", "run.workers", ">= 0"},
-		{"negative maxLeap", "version: 1\npreset: quick\nsweep:\n  m: 5\nrun:\n  maxLeap: -5\n", "run.maxLeap", ">= 0"},
-		{"non-positive m", "version: 1\npreset: quick\nsweep:\n  m: 0\n", "sweep.m", "positive"},
-		{"ill-typed m", "version: 1\npreset: quick\nsweep:\n  m: five\n", "sweep.m", "must be an integer"},
-		{"ill-typed ncoms element", "version: 1\npreset: quick\nsweep:\n  m: 5\n  ncoms: [5, many]\n", "sweep.ncoms[1]", "positive integer"},
-		{"empty ncoms", "version: 1\npreset: quick\nsweep:\n  m: 5\n  ncoms: []\n", "sweep.ncoms", "must not be empty"},
-		{"non-positive cap", "version: 1\npreset: quick\nsweep:\n  m: 5\n  cap: 0\n", "sweep.cap", "positive"},
-		{"ill-typed journal flag", "version: 1\npreset: quick\nsweep:\n  m: 5\nrun:\n  journal: maybe\n", "run.journal", "true or false"},
-	}
-	for _, tc := range cases {
+	for _, tc := range specValidationCases {
 		t.Run(tc.name, func(t *testing.T) {
 			_, serr := DecodeSpec([]byte(tc.yaml), "application/yaml")
 			if serr == nil {
@@ -63,11 +67,8 @@ func TestDecodeSpecValidationPaths(t *testing.T) {
 	}
 }
 
-// TestDecodeSpecFormatsConverge: the same campaign submitted as YAML and
-// as JSON must resolve to the identical stamped identity and runtime
-// configuration — one schema walk serves both formats.
-func TestDecodeSpecFormatsConverge(t *testing.T) {
-	yamlDoc := `
+// convergeYAML and convergeJSON are one campaign in the two formats.
+const convergeYAML = `
 version: 1
 name: parity
 sweep:
@@ -86,44 +87,51 @@ run:
   workers: 2
   shard: "0/2"
 `
-	jsonDoc := `{
+
+const convergeJSON = `{
   "version": 1, "name": "parity",
   "sweep": {"m": 5, "ncoms": [5, 10], "wmins": [1, 2], "scenarios": 1,
             "trials": 1, "cap": 50000, "seed": 7, "heuristics": ["IE", "Y-IE"]},
   "run": {"advance": "batch", "workers": 2, "shard": "0/2"}
 }`
-	fromYAML, serr := DecodeSpec([]byte(yamlDoc), "application/yaml")
+
+// TestDecodeSpecFormatsConverge: the same campaign submitted as YAML and
+// as JSON must resolve to the identical stamped identity and runtime
+// configuration — one schema walk serves both formats.
+func TestDecodeSpecFormatsConverge(t *testing.T) {
+	fromYAML, serr := DecodeSpec([]byte(convergeYAML), "application/yaml")
 	if serr != nil {
 		t.Fatalf("yaml: %v", serr)
 	}
-	fromJSON, serr := DecodeSpec([]byte(jsonDoc), "application/json")
+	fromJSON, serr := DecodeSpec([]byte(convergeJSON), "application/json")
 	if serr != nil {
 		t.Fatalf("json: %v", serr)
 	}
 	if !reflect.DeepEqual(fromYAML.Stamped, fromJSON.Stamped) {
 		t.Errorf("stamped identities diverge:\nyaml: %+v\njson: %+v", fromYAML.Stamped, fromJSON.Stamped)
 	}
-	if fromYAML.Sweep.Advance != fromJSON.Sweep.Advance ||
-		fromYAML.Sweep.Workers != fromJSON.Sweep.Workers ||
-		fromYAML.Shard != fromJSON.Shard {
-		t.Errorf("runtime knobs diverge: yaml %+v/%v, json %+v/%v",
-			fromYAML.Sweep.Advance, fromYAML.Shard, fromJSON.Sweep.Advance, fromJSON.Shard)
+	if fromYAML.Sweep.Workers != fromJSON.Sweep.Workers || fromYAML.Shard != fromJSON.Shard {
+		t.Errorf("runtime knobs diverge: yaml %d/%v, json %d/%v",
+			fromYAML.Sweep.Workers, fromYAML.Shard, fromJSON.Sweep.Workers, fromJSON.Shard)
 	}
-	// "leap" and "batch" both name the production core.
-	leapDoc := strings.Replace(yamlDoc, "advance: batch", "advance: leap", 1)
-	if leapDoc == yamlDoc {
-		t.Fatal("leap variant not built")
-	}
-	fromLeap, serr := DecodeSpec([]byte(leapDoc), "application/yaml")
-	if serr != nil {
-		t.Fatalf("yaml leap: %v", serr)
-	}
-	if fromLeap.Sweep.Advance != fromYAML.Sweep.Advance {
-		t.Errorf("run.advance leap decodes to %v, batch to %v", fromLeap.Sweep.Advance, fromYAML.Sweep.Advance)
+	// Version 1 time-advance and macro-step fields still validate but
+	// select nothing: every spelling decodes to the same campaign on the
+	// production core.
+	for _, variant := range []string{"advance: leap", "advance: slot", "advance: batch\n  maxLeap: 64"} {
+		doc := strings.Replace(convergeYAML, "advance: batch", variant, 1)
+		got, serr := DecodeSpec([]byte(doc), "application/yaml")
+		if serr != nil {
+			t.Fatalf("yaml %q: %v", variant, serr)
+		}
+		if !reflect.DeepEqual(got.Sweep, fromYAML.Sweep) || !reflect.DeepEqual(got.Stamped, fromYAML.Stamped) ||
+			got.Shard != fromYAML.Shard {
+			t.Errorf("%q decodes to %+v (shard %v), want the batch spec's %+v (shard %v)",
+				variant, got.Sweep, got.Shard, fromYAML.Sweep, fromYAML.Shard)
+		}
 	}
 	// Content-type sniffing: a JSON body with no content type still lands
 	// on the JSON path.
-	sniffed, serr := DecodeSpec([]byte(jsonDoc), "")
+	sniffed, serr := DecodeSpec([]byte(convergeJSON), "")
 	if serr != nil {
 		t.Fatalf("sniffed json: %v", serr)
 	}
@@ -222,4 +230,28 @@ sweep:
 			}
 		})
 	}
+}
+
+// FuzzDecodeSpec: DecodeSpec never panics on any document and content
+// type, and returns exactly one of a spec or a structured error.
+func FuzzDecodeSpec(f *testing.F) {
+	f.Add([]byte(convergeYAML), "application/yaml")
+	f.Add([]byte(convergeJSON), "application/json")
+	f.Add([]byte(convergeJSON), "")
+	f.Add([]byte(customGridJSON), "application/json")
+	for _, tc := range specValidationCases {
+		f.Add([]byte(tc.yaml), "application/yaml")
+	}
+	for _, tc := range gridSpecValidationCases {
+		f.Add([]byte(tc.doc), tc.ct)
+	}
+	for _, run := range []string{"advance: slot", "advance: leap", "advance: batch", "advance: warp", "maxLeap: 64", "maxLeap: -5"} {
+		f.Add([]byte("version: 1\npreset: quick\nsweep:\n  m: 5\nrun:\n  "+run+"\n"), "application/yaml")
+	}
+	f.Fuzz(func(t *testing.T, doc []byte, contentType string) {
+		spec, serr := DecodeSpec(doc, contentType)
+		if (spec == nil) == (serr == nil) {
+			t.Fatalf("DecodeSpec returned spec %v and error %v; want exactly one", spec, serr)
+		}
+	})
 }

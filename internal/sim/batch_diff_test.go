@@ -170,7 +170,7 @@ func TestBatchVsSlotCheckpoint(t *testing.T) {
 	}
 }
 
-// TestBatchSoloRunContext: Config.Advance = AdvanceBatch through the
+// TestBatchSoloRunContext: Config.Advance = AdvanceLeap through the
 // ordinary Run entry point is a batch of one, byte-identical to slot; so
 // is a one-instance RunBatch, which bypasses the decision cache.
 func TestBatchSoloRunContext(t *testing.T) {
@@ -190,7 +190,7 @@ func TestBatchSoloRunContext(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfgBatch := cfg
-	cfgBatch.Advance = AdvanceBatch
+	cfgBatch.Advance = AdvanceLeap
 	cfgBatch.Recorder = recBatch
 	resBatch, err := Run(cfgBatch)
 	if err != nil {
@@ -218,7 +218,7 @@ func TestBatchEmptyAndValidate(t *testing.T) {
 	if _, _, err := RunBatch(context.Background(), Config{}, nil); err == nil {
 		t.Fatal("empty batch accepted")
 	}
-	for _, a := range []TimeAdvance{AdvanceLeap, AdvanceSlot, AdvanceBatch} {
+	for _, a := range []TimeAdvance{AdvanceLeap, AdvanceSlot} {
 		if err := a.Validate(); err != nil {
 			t.Fatalf("%v rejected: %v", a, err)
 		}

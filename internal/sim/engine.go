@@ -48,15 +48,14 @@ const (
 	// tests in leap_diff_test.go and batch_diff_test.go).
 	AdvanceLeap TimeAdvance = iota
 	// AdvanceSlot is the reference slot-stepped loop: every slot pays
-	// full bookkeeping. It remains as the differential oracle and for
-	// per-slot instrumentation of custom providers.
+	// full bookkeeping. It is the in-module differential oracle; no
+	// command-line flag, session option or daemon spec selects it.
 	AdvanceSlot
-	// AdvanceBatch is the production core under its "batch" spelling;
-	// it equals AdvanceLeap.
-	AdvanceBatch = AdvanceLeap
 )
 
-// String returns the option-flag spelling of the advance mode.
+// String names the core in messages and test failures. It stays while
+// the deprecated root alias tightsched.TimeAdvance exists, whose callers
+// may format it with %s.
 func (a TimeAdvance) String() string {
 	switch a {
 	case AdvanceLeap:
@@ -68,26 +67,10 @@ func (a TimeAdvance) String() string {
 	}
 }
 
-// ParseTimeAdvance maps the option-flag spelling back onto a
-// TimeAdvance: "leap" and "batch" name the production core, "slot" the
-// reference loop. It is shared by the command-line tools and the service
-// daemon's campaign specs so every front door accepts exactly the same
-// mode names.
-func ParseTimeAdvance(name string) (TimeAdvance, error) {
-	switch name {
-	case "leap", "batch":
-		return AdvanceLeap, nil
-	case "slot":
-		return AdvanceSlot, nil
-	default:
-		return 0, fmt.Errorf("sim: unknown time advance %q (choose leap, slot or batch)", name)
-	}
-}
-
 // Validate rejects values outside the defined advance modes. It is the
-// single validation point shared by the engine, the sweep harness and
-// the session options, so an out-of-range mode fails loudly at
-// configuration time instead of falling back to a default core.
+// single validation point shared by the engine and the sweep harness,
+// so an out-of-range mode fails loudly at configuration time instead of
+// falling back to a default core.
 func (a TimeAdvance) Validate() error {
 	switch a {
 	case AdvanceLeap, AdvanceSlot:

@@ -19,8 +19,8 @@ import (
 
 // This file is the context-aware Session API, the package's only way to
 // run a simulation or a campaign: every entry point takes a context.Context (checked at
-// macro-step boundaries inside simulations — see WithTimeAdvance and
-// WithMaxLeap — and at instance boundaries in worker pools),
+// macro-step boundaries inside simulations and at instance boundaries in
+// worker pools),
 // configuration flows through functional options, campaign progress is
 // observable as a typed event stream, and the heuristic/model extension
 // points are open string-keyed registries. Run, Compare and Estimate sit
@@ -137,8 +137,8 @@ type sessionConfig struct {
 	// Online grid options (RunOnline / ResumeOnline).
 	gridJournal   *OnlineJournal
 	gridTelemetry GridTelemetry
-	// err records the first invalid option value (e.g. an out-of-range
-	// WithTimeAdvance); check surfaces it before any entry point runs.
+	// err records the first invalid option value (e.g. a negative
+	// WithWorkers); check surfaces it before any entry point runs.
 	err error
 	// applied tracks per-call options so entry points can reject one
 	// passed outside its scope instead of silently ignoring it.
@@ -194,34 +194,6 @@ func WithModel(m AvailabilityModel) Option {
 // WithAnalytic tunes the Section V evaluator (see AnalyticOptions).
 func WithAnalytic(o AnalyticOptions) Option {
 	return scoped("WithAnalytic", scopeRun, func(c *sessionConfig) { c.run.Analytic = o })
-}
-
-// WithTimeAdvance selects the simulator's time-advance core: the
-// production core (AdvanceLeap, the default; AdvanceBatch is the same
-// value) or the reference slot-stepped loop (AdvanceSlot). Both produce
-// byte-identical results and traces — AdvanceSlot exists as the
-// differential oracle and for per-slot instrumentation; the production
-// core's cost scales with availability transitions and phase events, and
-// in campaigns it shares availability walks and decision builds across a
-// cell's instances (a single Run is a trial group of one). Campaign entry
-// points take the equivalent knob on the Sweep value (Sweep.Advance). An
-// out-of-range value is rejected when the option is applied, never
-// silently defaulted.
-func WithTimeAdvance(a TimeAdvance) Option {
-	return scoped("WithTimeAdvance", scopeRun, func(c *sessionConfig) {
-		if err := a.Validate(); err != nil && c.err == nil {
-			c.err = fmt.Errorf("tightsched: WithTimeAdvance: %w", err)
-		}
-		c.run.Advance = a
-	})
-}
-
-// WithMaxLeap caps one leap macro-step in slots (DefaultMaxLeap when
-// unset), bounding the worst-case cancellation latency of a run: contexts
-// are polled at macro-step boundaries, so at most MaxLeap slots of bulk
-// accounting run between polls. Ignored under AdvanceSlot.
-func WithMaxLeap(n int64) Option {
-	return scoped("WithMaxLeap", scopeRun, func(c *sessionConfig) { c.run.MaxLeap = n })
 }
 
 // WithRecorder captures a per-slot execution trace of a run. It applies
@@ -313,47 +285,18 @@ func WithGridTelemetry(t GridTelemetry) Option {
 	return scoped("WithGridTelemetry", scopeOnline, func(c *sessionConfig) { c.gridTelemetry = t })
 }
 
-// ParseTimeAdvance maps the flag/spec spelling of a time-advance core
-// ("leap" or "batch" for the production core, "slot" for the reference
-// loop) onto its TimeAdvance value — the single
-// parser behind the -advance flags of cmd/tables and cmd/gridsim and the
-// run.advance field of the service daemon's campaign specs, so every
-// front door accepts exactly the same names.
-func ParseTimeAdvance(name string) (TimeAdvance, error) {
-	return sim.ParseTimeAdvance(name)
-}
-
-// SweepRuntime carries the runtime knobs a SweepSpec deliberately omits
-// because they change speed, never results: the time-advance core, the
-// macro-step bound, and the per-campaign worker count. The zero value is
-// the default configuration (production core, DefaultMaxLeap, GOMAXPROCS
-// workers).
-type SweepRuntime struct {
-	// Advance selects the time-advance core (AdvanceLeap when zero).
-	Advance TimeAdvance
-	// MaxLeap caps one leap macro-step in slots (DefaultMaxLeap when 0),
-	// bounding a run's worst-case cancellation latency.
-	MaxLeap int64
-	// Workers bounds the campaign's parallel simulations (GOMAXPROCS when 0).
-	Workers int
-}
-
 // SweepFromSpec is the declarative bridge into the Session campaign
 // family: it reconstructs a runnable Sweep from its serialized identity —
 // the same SweepSpec contract stamped in journal headers and submitted to
-// the service daemon — and applies the runtime knobs the spec omits,
-// validated by Sweep.Validate like every other campaign (an out-of-range
-// Advance, a negative MaxLeap or a negative Workers is an error, never a
-// silent default; models resolve by name through the open registry). The
-// returned Sweep is ready for Session.RunSweep or Session.Stream.
-func SweepFromSpec(spec SweepSpec, rt SweepRuntime) (Sweep, error) {
+// the service daemon — validated by Sweep.Validate like every other
+// campaign (models resolve by name through the open registry). The
+// returned Sweep runs on GOMAXPROCS workers unless the caller sets
+// Workers, and is ready for Session.RunSweep or Session.Stream.
+func SweepFromSpec(spec SweepSpec) (Sweep, error) {
 	sweep, err := spec.Sweep()
 	if err != nil {
 		return Sweep{}, err
 	}
-	sweep.Advance = rt.Advance
-	sweep.MaxLeap = rt.MaxLeap
-	sweep.Workers = rt.Workers
 	if err := sweep.Validate(); err != nil {
 		return Sweep{}, err
 	}
@@ -440,8 +383,7 @@ func (c *sessionConfig) sweepOptions() exp.RunOptions {
 }
 
 // Run simulates a scenario under the named heuristic. Cancelling ctx
-// stops the simulation at the next macro-step boundary (at most
-// WithMaxLeap slots away; every slot under AdvanceSlot), returning the
+// stops the simulation at the next macro-step boundary, returning the
 // partial Result together with the context's error.
 func (s *Session) Run(ctx context.Context, sc Scenario, heuristic string, opts ...Option) (Result, error) {
 	c := s.config(opts)

@@ -668,39 +668,6 @@ func TestStreamUnknownHeuristicError(t *testing.T) {
 	}
 }
 
-// TestSessionTimeAdvanceValidation: an out-of-range WithTimeAdvance value
-// is rejected when the entry point runs — per-call or session-level — and
-// the batch core runs solo through the session surface, byte-identical to
-// the default engine.
-func TestSessionTimeAdvanceValidation(t *testing.T) {
-	ctx := context.Background()
-	sc := tightsched.PaperScenario(5, 10, 2, 42)
-	session := tightsched.NewSession()
-
-	bad := tightsched.TimeAdvance(99)
-	if _, err := session.Run(ctx, sc, "IE", tightsched.WithTimeAdvance(bad)); err == nil ||
-		!strings.Contains(err.Error(), "WithTimeAdvance") {
-		t.Fatalf("Run accepted an out-of-range time advance (err=%v)", err)
-	}
-	badSession := tightsched.NewSession(tightsched.WithTimeAdvance(bad))
-	if _, err := badSession.Run(ctx, sc, "IE"); err == nil {
-		t.Fatal("session-level out-of-range time advance accepted")
-	}
-
-	leap, err := session.Run(ctx, sc, "IE", tightsched.WithSeed(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	batch, err := session.Run(ctx, sc, "IE", tightsched.WithSeed(3),
-		tightsched.WithTimeAdvance(tightsched.AdvanceBatch))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if leap != batch {
-		t.Fatalf("solo batch result %+v != leap %+v", batch, leap)
-	}
-}
-
 // onlineSessionSweep shrinks the quick online campaign to test scale:
 // one arrival process, two policies per axis, a single short trial.
 func onlineSessionSweep() tightsched.OnlineSweep {

@@ -153,8 +153,10 @@ type (
 	AnalyticOptions = analytic.Options
 	// Result is the outcome of one run.
 	Result = sim.Result
-	// TimeAdvance selects the simulator's time-advance core
-	// (WithTimeAdvance / Sweep.Advance).
+	// TimeAdvance is the type of Sweep.Advance.
+	//
+	// Deprecated: every front door runs the one production core; leave
+	// Sweep.Advance zero.
 	TimeAdvance = sim.TimeAdvance
 	// Recorder captures execution traces (see Figure 1), run-length
 	// encoded: memory scales with availability/activity transitions, not
@@ -197,20 +199,17 @@ type (
 // DefaultCap is the paper's makespan failure limit (1,000,000 slots).
 const DefaultCap = sim.DefaultCap
 
-// Time-advance cores (see sim.TimeAdvance): AdvanceLeap is the default
-// production core, a trial-group loop that leaps between availability
-// transitions and phase events and shares availability walks and greedy
-// builds across a campaign cell's instances; AdvanceBatch is another name
-// for it. AdvanceSlot is the reference slot-stepped loop. Both cores
-// produce byte-identical results and traces.
-const (
-	AdvanceLeap  = sim.AdvanceLeap
-	AdvanceSlot  = sim.AdvanceSlot
-	AdvanceBatch = sim.AdvanceBatch
-)
+// AdvanceLeap is the zero TimeAdvance: the production core every run
+// uses, a trial-group loop that leaps between availability transitions
+// and phase events.
+//
+// Deprecated: it is the default; leave Sweep.Advance zero.
+const AdvanceLeap = sim.AdvanceLeap
 
-// DefaultMaxLeap is the default cap on one leap macro-step in slots.
-const DefaultMaxLeap = sim.DefaultMaxLeap
+// AdvanceBatch is another name for AdvanceLeap.
+//
+// Deprecated: it is the default; leave Sweep.Advance zero.
+const AdvanceBatch = sim.AdvanceLeap
 
 // Scenario bundles a platform and an application: everything that defines
 // a scheduling problem except the availability realization.
