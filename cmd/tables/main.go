@@ -47,7 +47,7 @@
 //
 // Journals come in two encodings: JSONL (default, line-per-record, text
 // tooling friendly) and the TSBL binary container (-journal-format
-// binary: length-prefixed CRC-checked records, ~4x smaller and ~7x
+// binary: length-prefixed CRC-checked records, ~4x smaller and ~1.2x
 // faster to replay). Resume, merge and the daemon sniff the format from
 // the file, so the flag matters only at creation; cmd/journalconv
 // converts between the two losslessly. -export-columns dir/ additionally

@@ -9,6 +9,7 @@ import (
 	"io"
 	"math"
 	"os"
+	"strconv"
 )
 
 // This file is the journal codec seam: the Format knob every journal
@@ -67,9 +68,12 @@ type recordAppender interface {
 	Close() error
 }
 
-// AppendRecord writes a pre-encoded JSON payload as one journal line.
+// AppendRecord writes a pre-encoded JSON payload as one journal line,
+// assembled in the writer's reused line buffer (the owning journal's
+// mutex serializes appends).
 func (w *JSONLWriter) AppendRecord(payload []byte) error {
-	if _, err := w.f.Write(append(append(make([]byte, 0, len(payload)+1), payload...), '\n')); err != nil {
+	w.buf = append(append(w.buf[:0], payload...), '\n')
+	if _, err := w.f.Write(w.buf); err != nil {
 		return fmt.Errorf("journal append: %w", err)
 	}
 	return nil
@@ -137,20 +141,25 @@ func appendString(b []byte, s string) []byte {
 
 // decodeString reads one length-prefixed string, interning the result so
 // a replay of a million instances holds one copy of each model and
-// heuristic name (the map[string]string lookup on a []byte key does not
-// allocate).
+// heuristic name.
 func decodeString(b []byte, intern map[string]string) (string, []byte, error) {
 	n, w := binary.Uvarint(b)
 	if w <= 0 || n > uint64(len(b)-w) {
 		return "", nil, fmt.Errorf("truncated string")
 	}
-	raw := b[w : w+int(n)]
+	return internBytes(b[w:w+int(n)], intern), b[w+int(n):], nil
+}
+
+// internBytes returns raw as a string, one copy per distinct value in
+// intern (the map[string]string lookup on a []byte key does not
+// allocate).
+func internBytes(raw []byte, intern map[string]string) string {
 	s, ok := intern[string(raw)]
 	if !ok {
 		s = string(raw)
 		intern[s] = s
 	}
-	return s, b[w+int(n):], nil
+	return s
 }
 
 func decodeVarint(b []byte) (int64, []byte, error) {
@@ -250,6 +259,181 @@ func decodeBinaryGridEntry(b []byte, intern map[string]string) (GridInstance, er
 	return in, nil
 }
 
+// ---- JSONL sweep records ----------------------------------------------------
+//
+// A sweep journal holds one JSON record per instance, and campaigns write
+// and replay hundreds of thousands of them, so the sweep kind encodes and
+// decodes its canonical record form without encoding/json:
+//
+//	{"model":"…","ncom":N,"wmin":N,"scenario":N,"trial":N,"heuristic":"…","makespan":N[,"failed":true]}
+//
+// The encoder writes that form only when both names are plain: printable
+// ASCII that json.Marshal copies verbatim. Then its bytes are exactly
+// json.Marshal(journalEntry)'s; any other name goes through json.Marshal.
+// The decoder accepts exactly that form — plain names, integers matching
+// -?(0|[1-9][0-9]{0,17}), nothing else — and hands every other payload
+// (reordered keys, whitespace, escapes, "failed":false, ...) to
+// json.Unmarshal. Its fast path thus accepts a strict subset of what
+// json.Unmarshal accepts and returns the same value for it.
+
+// plainJSONByte reports whether json.Marshal copies byte c of a string
+// verbatim: printable ASCII other than the quote, the backslash and the
+// HTML-escaped <, > and &.
+func plainJSONByte(c byte) bool {
+	return c >= 0x20 && c <= 0x7e && c != '"' && c != '\\' && c != '<' && c != '>' && c != '&'
+}
+
+// plainJSONString reports whether json.Marshal copies s verbatim.
+func plainJSONString(s string) bool {
+	for i := 0; i < len(s); i++ {
+		if !plainJSONByte(s[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// appendJSONEntry appends one sweep instance's JSON record to dst: the
+// bytes json.Marshal(journalEntry) gives, written directly when both
+// names are plain.
+func appendJSONEntry(dst []byte, inst InstanceResult) ([]byte, error) {
+	model := modelName(inst)
+	if !plainJSONString(model) || !plainJSONString(inst.Heuristic) {
+		b, err := json.Marshal(journalEntry{model, inst.Point.Ncom, inst.Point.Wmin,
+			inst.Point.Scenario, inst.Trial, inst.Heuristic, inst.Makespan, inst.Failed})
+		return append(dst, b...), err
+	}
+	dst = append(dst, `{"model":"`...)
+	dst = append(dst, model...)
+	dst = append(dst, `","ncom":`...)
+	dst = strconv.AppendInt(dst, int64(inst.Point.Ncom), 10)
+	dst = append(dst, `,"wmin":`...)
+	dst = strconv.AppendInt(dst, int64(inst.Point.Wmin), 10)
+	dst = append(dst, `,"scenario":`...)
+	dst = strconv.AppendInt(dst, int64(inst.Point.Scenario), 10)
+	dst = append(dst, `,"trial":`...)
+	dst = strconv.AppendInt(dst, int64(inst.Trial), 10)
+	dst = append(dst, `,"heuristic":"`...)
+	dst = append(dst, inst.Heuristic...)
+	dst = append(dst, `","makespan":`...)
+	dst = strconv.AppendInt(dst, inst.Makespan, 10)
+	if inst.Failed {
+		dst = append(dst, `,"failed":true`...)
+	}
+	return append(dst, '}'), nil
+}
+
+// decodeJSONEntry decodes one sweep instance's JSON record. intern
+// deduplicates the names of canonical records across a replay.
+func decodeJSONEntry(b []byte, intern map[string]string) (InstanceResult, error) {
+	if in, ok := parseCanonicalEntry(b, intern); ok {
+		return in, nil
+	}
+	var e journalEntry
+	err := json.Unmarshal(b, &e)
+	return e.instance(), err
+}
+
+// parseCanonicalEntry decodes b if it is exactly a canonical sweep record
+// (see appendJSONEntry); ok is false for anything else.
+func parseCanonicalEntry(b []byte, intern map[string]string) (in InstanceResult, ok bool) {
+	p := canonicalParser{b: b}
+	in.Model = p.str(`{"model":"`, intern)
+	in.Point.Ncom = p.num(`,"ncom":`)
+	in.Point.Wmin = p.num(`,"wmin":`)
+	in.Point.Scenario = p.num(`,"scenario":`)
+	in.Trial = p.num(`,"trial":`)
+	in.Heuristic = p.str(`,"heuristic":"`, intern)
+	in.Makespan = p.num64(`,"makespan":`)
+	if p.hasPrefix(`,"failed":true`) {
+		in.Failed = true
+		p.lit(`,"failed":true`)
+	}
+	p.lit("}")
+	return in, !p.bad && len(p.b) == 0
+}
+
+// canonicalParser consumes a canonical sweep record field by field. The
+// first mismatch sets bad, after which every step is a no-op.
+type canonicalParser struct {
+	b   []byte
+	bad bool
+}
+
+func (p *canonicalParser) hasPrefix(s string) bool {
+	return len(p.b) >= len(s) && string(p.b[:len(s)]) == s
+}
+
+// lit consumes the literal s.
+func (p *canonicalParser) lit(s string) {
+	if p.bad || !p.hasPrefix(s) {
+		p.bad = true
+		return
+	}
+	p.b = p.b[len(s):]
+}
+
+// str consumes prefix (which ends with the opening quote), a plain
+// string and its closing quote, and returns the string interned.
+func (p *canonicalParser) str(prefix string, intern map[string]string) string {
+	p.lit(prefix)
+	if p.bad {
+		return ""
+	}
+	i := 0
+	for i < len(p.b) && plainJSONByte(p.b[i]) {
+		i++
+	}
+	if i == len(p.b) || p.b[i] != '"' {
+		p.bad = true
+		return ""
+	}
+	s := internBytes(p.b[:i], intern)
+	p.b = p.b[i+1:]
+	return s
+}
+
+// num64 consumes prefix and an integer matching -?(0|[1-9][0-9]{0,17}):
+// at most 18 digits, so it cannot overflow.
+func (p *canonicalParser) num64(prefix string) int64 {
+	p.lit(prefix)
+	if p.bad {
+		return 0
+	}
+	b := p.b
+	neg := len(b) > 0 && b[0] == '-'
+	if neg {
+		b = b[1:]
+	}
+	n := 0
+	for n < len(b) && n <= 18 && '0' <= b[n] && b[n] <= '9' {
+		n++
+	}
+	if n == 0 || n > 18 || (b[0] == '0' && n > 1) {
+		p.bad = true
+		return 0
+	}
+	var v int64
+	for _, c := range b[:n] {
+		v = 10*v + int64(c-'0')
+	}
+	p.b = b[n:]
+	if neg {
+		v = -v
+	}
+	return v
+}
+
+// num is num64 for an int field; a value int cannot hold is not
+// canonical (json.Unmarshal rejects it).
+func (p *canonicalParser) num(prefix string) int {
+	v := p.num64(prefix)
+	if int64(int(v)) != v {
+		p.bad = true
+	}
+	return int(v)
+}
+
 // ---- streaming scan --------------------------------------------------------
 
 // scanRecords is the one journal reader: it streams a journal's records
@@ -305,11 +489,23 @@ func scanRecords(path string, header func(format Format, payload []byte, end int
 }
 
 // jsonlFrames yields a JSONL journal's lines. A final line without its
-// newline is a write cut short: it ends the scan (io.EOF) unread.
+// newline is a write cut short: it ends the scan (io.EOF) unread. Lines
+// are read in place from the reader's buffer; one longer than the buffer
+// (a header with a large inline spec) is accumulated in a side buffer.
+// Either way a line is overwritten by the next one.
 func jsonlFrames(br *bufio.Reader) func() ([]byte, int64, error) {
 	var off int64
+	var long []byte
 	return func() ([]byte, int64, error) {
-		line, err := br.ReadBytes('\n')
+		line, err := br.ReadSlice('\n')
+		if err == bufio.ErrBufferFull {
+			long = append(long[:0], line...)
+			for err == bufio.ErrBufferFull {
+				line, err = br.ReadSlice('\n')
+				long = append(long, line...)
+			}
+			line = long
+		}
 		if err != nil {
 			return nil, 0, err
 		}

@@ -4,8 +4,11 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
+	"encoding/json"
 	"errors"
+	"fmt"
 	"hash/crc32"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -675,6 +678,248 @@ func FuzzJournalDecode(f *testing.F) {
 		case gridKind:
 			if gridErr != nil || sweepErr == nil || len(grid.Instances) > scanned {
 				t.Fatalf("grid journal of %d records: LoadGridJournal err %v, LoadJournal err %v", scanned, gridErr, sweepErr)
+			}
+		}
+	})
+}
+
+// nonCanonicalRecord spells a sweep record the way a hand edit might,
+// one of several ways by variant; json.Unmarshal reads each back as inst.
+func nonCanonicalRecord(inst InstanceResult, variant int) string {
+	escape := func(s string) string {
+		var b strings.Builder
+		for _, c := range []byte(s) {
+			fmt.Fprintf(&b, `\u%04X`, c)
+		}
+		return b.String()
+	}
+	p := inst.Point
+	switch variant % 5 {
+	case 0: // reordered keys
+		return fmt.Sprintf(`{"failed":%t,"makespan":%d,"heuristic":%q,"trial":%d,"scenario":%d,"wmin":%d,"ncom":%d,"model":%q}`,
+			inst.Failed, inst.Makespan, inst.Heuristic, inst.Trial, p.Scenario, p.Wmin, p.Ncom, inst.Model)
+	case 1: // whitespace
+		return fmt.Sprintf(`{ "model": %q, "ncom": %d, "wmin": %d, "scenario": %d, "trial": %d, "heuristic": %q, "makespan": %d, "failed": %t }`,
+			inst.Model, p.Ncom, p.Wmin, p.Scenario, inst.Trial, inst.Heuristic, inst.Makespan, inst.Failed)
+	case 2: // escaped names
+		return fmt.Sprintf(`{"model":"%s","ncom":%d,"wmin":%d,"scenario":%d,"trial":%d,"heuristic":"%s","makespan":%d,"failed":%t}`,
+			escape(inst.Model), p.Ncom, p.Wmin, p.Scenario, inst.Trial, escape(inst.Heuristic), inst.Makespan, inst.Failed)
+	case 3: // upper-case keys, a trailing carriage return
+		return fmt.Sprintf(`{"MODEL":%q,"NCOM":%d,"WMIN":%d,"SCENARIO":%d,"TRIAL":%d,"HEURISTIC":%q,"MAKESPAN":%d,"FAILED":%t}`+"\r",
+			inst.Model, p.Ncom, p.Wmin, p.Scenario, inst.Trial, inst.Heuristic, inst.Makespan, inst.Failed)
+	default: // canonical order with an explicit "failed":false
+		return fmt.Sprintf(`{"model":%q,"ncom":%d,"wmin":%d,"scenario":%d,"trial":%d,"heuristic":%q,"makespan":%d,"failed":%t}`,
+			inst.Model, p.Ncom, p.Wmin, p.Scenario, inst.Trial, inst.Heuristic, inst.Makespan, inst.Failed)
+	}
+}
+
+// TestJSONLNonCanonicalRecords: a hand-edited JSONL journal — records
+// with reordered or upper-case keys, whitespace, escaped names, an
+// explicit "failed":false — reads exactly like the canonical journal it
+// was edited from, through every reader: aggregation, load, open for
+// resume and conversion.
+func TestJSONLNonCanonicalRecords(t *testing.T) {
+	s := tinySweep([]string{"IE", "RANDOM"})
+	dir := t.TempDir()
+	canonical := filepath.Join(dir, "canonical.jsonl")
+	j, err := CreateJournal(canonical, s, Shard{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var edited strings.Builder
+	i := 0
+	for _, c := range s.Coords() {
+		for _, h := range s.Heuristics {
+			inst := InstanceResult{Point: c.Point, Trial: c.Trial, Model: c.Model, Heuristic: h, Makespan: int64(1000 + 37*i)}
+			if i%3 == 0 {
+				inst.Makespan, inst.Failed = s.Cap, true
+			}
+			if err := j.Append(inst); err != nil {
+				t.Fatal(err)
+			}
+			edited.WriteString(nonCanonicalRecord(inst, i) + "\n")
+			i++
+		}
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(canonical)
+	if err != nil {
+		t.Fatal(err)
+	}
+	header := want[:bytes.IndexByte(want, '\n')+1]
+	hand := filepath.Join(dir, "edited.jsonl")
+	if err := os.WriteFile(hand, append(append([]byte(nil), header...), edited.String()...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	handBytes, _ := os.ReadFile(hand)
+
+	table := func(path string) string {
+		res, err := AggregateJournal(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows, err := res.Table(ReferenceHeuristic)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return FormatTable(rows)
+	}
+	if got, want := table(hand), table(canonical); got != want {
+		t.Fatalf("AggregateJournal: edited journal renders\n%s\nwant\n%s", got, want)
+	}
+
+	load := func(path string) ([]InstanceResult, Shard) {
+		res, shard, err := LoadJournal(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Instances, shard
+	}
+	gotInst, gotShard := load(hand)
+	wantInst, wantShard := load(canonical)
+	if !reflect.DeepEqual(gotInst, wantInst) || gotShard != wantShard {
+		t.Fatalf("LoadJournal: edited journal holds %+v (shard %v), want %+v (shard %v)", gotInst, gotShard, wantInst, wantShard)
+	}
+
+	oj, err := OpenJournal(hand)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := oj.Instances(); !reflect.DeepEqual(got, wantInst) {
+		t.Fatalf("OpenJournal: edited journal holds %+v, want %+v", got, wantInst)
+	}
+	if err := oj.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if after, _ := os.ReadFile(hand); !bytes.Equal(after, handBytes) {
+		t.Fatal("OpenJournal modified an intact hand-edited journal")
+	}
+
+	// Conversion re-encodes every record canonically.
+	for _, to := range []Format{FormatJSONL, FormatBinary} {
+		fromHand := filepath.Join(dir, "hand-converted."+to.String())
+		fromCanonical := filepath.Join(dir, "canonical-converted."+to.String())
+		if err := ConvertJournal(hand, fromHand, to); err != nil {
+			t.Fatal(err)
+		}
+		if err := ConvertJournal(canonical, fromCanonical, to); err != nil {
+			t.Fatal(err)
+		}
+		got, _ := os.ReadFile(fromHand)
+		ref, _ := os.ReadFile(fromCanonical)
+		if !bytes.Equal(got, ref) {
+			t.Fatalf("ConvertJournal to %s: edited journal converts to\n%q\nwant\n%q", to, got, ref)
+		}
+		if to == FormatJSONL && !bytes.Equal(got, want) {
+			t.Fatalf("ConvertJournal to jsonl does not restore the canonical journal:\n%q\nwant\n%q", got, want)
+		}
+	}
+}
+
+// FuzzSweepRecordJSON differentially checks the JSONL sweep record codec
+// against encoding/json. For arbitrary payload bytes, a payload the
+// canonical fast path accepts is one json.Unmarshal accepts too, with
+// the same value. For arbitrary field values, the encoder's bytes are
+// json.Marshal(journalEntry)'s, and they decode back to what
+// json.Unmarshal gives — through the fast path whenever the encoder took
+// its own and every integer has at most 18 digits.
+func FuzzSweepRecordJSON(f *testing.F) {
+	type fields struct {
+		model, heuristic            string
+		ncom, wmin, scenario, trial int
+		makespan                    int64
+		failed                      bool
+	}
+	values := []fields{
+		{"markov", "IE", 5, 1, 0, 0, 72, false},
+		{"", "Y-IE", 10, 3, 7, 2, 50_000, true},
+		{"a<b", "P&Q", 1, 1, 1, 1, 1, false},
+		{"modèle", "IE", 0, 0, 0, 0, 0, false},
+		{"\xff\xfe", "x\"y\\z", -5, -1, 0, 0, -1, true},
+		{"tab\there", " ", 1, 2, 3, 4, 5, false},
+		{"markov", "RANDOM", math.MaxInt, math.MinInt, 0, 0, math.MaxInt64, false},
+		{"markov", "IE", 0, 0, 0, 0, math.MinInt64, true},
+		{"markov", "IE", 1, 1, 1, 1, 999_999_999_999_999_999, false},
+		{"markov", "IE", 1, 1, 1, 1, 1_000_000_000_000_000_000, false},
+	}
+	payloads := []string{
+		`{"model":"markov","ncom":5,"wmin":1,"scenario":0,"trial":0,"heuristic":"IE","makespan":72}`,
+		`{"model":"a<b","ncom":5,"wmin":1,"scenario":0,"trial":0,"heuristic":"IE","makespan":72}`,
+		`{"model":"modèle","ncom":5,"wmin":1,"scenario":0,"trial":0,"heuristic":"IE","makespan":72}`,
+		"{\"model\":\"\xff\",\"ncom\":5,\"wmin\":1,\"scenario\":0,\"trial\":0,\"heuristic\":\"IE\",\"makespan\":72}",
+		`{"model":"markov","ncom":-0,"wmin":1,"scenario":0,"trial":0,"heuristic":"IE","makespan":-0}`,
+		`{"model":"markov","ncom":05,"wmin":1,"scenario":0,"trial":0,"heuristic":"IE","makespan":72}`,
+		`{"model":"markov","ncom":5,"wmin":1,"scenario":0,"trial":0,"heuristic":"IE","makespan":1234567890123456789}`,
+		`{"model":"markov","ncom":5,"wmin":1,"scenario":0,"trial":0,"heuristic":"IE","makespan":123456789012345678}`,
+		`{"model":"markov","ncom":5,"wmin":1,"scenario":0,"trial":0,"heuristic":"IE","makespan":-123456789012345678,"failed":true}`,
+		`{"model":"markov","ncom":5,"wmin":1,"scenario":0,"trial":0,"heuristic":"IE","makespan":72,"failed":false}`,
+		`{"ncom":5,"model":"markov","wmin":1,"scenario":0,"trial":0,"heuristic":"IE","makespan":72}`,
+		`{"MODEL":"markov","ncom":5,"wmin":1,"scenario":0,"trial":0,"heuristic":"IE","makespan":72}`,
+		`{ "model":"markov","ncom":5,"wmin":1,"scenario":0,"trial":0,"heuristic":"IE","makespan":72}`,
+		`{"model":"markov","ncom":5,"wmin":1,"scenario":0,"trial":0,"heuristic":"IE","makespan":72}` + "\r",
+		`{"model":"markov","ncom":5,"wmin":1,"scenario":0,"trial":0,"heuristic":"IE","makespan":72}}`,
+		`{"model":"markov","ncom":5,"wmin":1,"scenario":0,"trial":0,"heuristic":"IE","makespan":7.5}`,
+		`{"model":"markov","ncom":5`,
+		``,
+	}
+	fixture, err := os.ReadFile(filepath.Join("testdata", "sweep.jsonl"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSuffix(string(fixture), "\n"), "\n")
+	payloads = append(payloads, lines[1:]...)
+	for i, p := range payloads {
+		v := values[i%len(values)]
+		f.Add([]byte(p), v.model, v.heuristic, v.ncom, v.wmin, v.scenario, v.trial, v.makespan, v.failed)
+	}
+
+	f.Fuzz(func(t *testing.T, payload []byte, model, heuristic string, ncom, wmin, scenario, trial int, makespan int64, failed bool) {
+		if got, ok := parseCanonicalEntry(payload, map[string]string{}); ok {
+			var e journalEntry
+			if err := json.Unmarshal(payload, &e); err != nil {
+				t.Fatalf("fast path accepted %q, json.Unmarshal rejects it: %v", payload, err)
+			}
+			if want := e.instance(); got != want {
+				t.Fatalf("fast path decoded %q as %+v, json.Unmarshal as %+v", payload, got, want)
+			}
+		}
+
+		inst := InstanceResult{Point: Point{ncom, wmin, scenario}, Trial: trial, Model: model,
+			Heuristic: heuristic, Makespan: makespan, Failed: failed}
+		want, err := json.Marshal(journalEntry{modelName(inst), ncom, wmin, scenario, trial, heuristic, makespan, failed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := appendJSONEntry([]byte("x"), inst)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(got[:1]) != "x" || !bytes.Equal(got[1:], want) {
+			t.Fatalf("encoded %+v as %q, json.Marshal gives %q", inst, got[1:], want)
+		}
+		var e journalEntry
+		if err := json.Unmarshal(want, &e); err != nil {
+			t.Fatal(err)
+		}
+		back, err := decodeJSONEntry(want, map[string]string{})
+		if err != nil || back != e.instance() {
+			t.Fatalf("%q decodes to %+v (err %v), json.Unmarshal gives %+v", want, back, err, e.instance())
+		}
+		short := func(vs ...int64) bool { // at most 18 digits: the fast path's integers
+			for _, v := range vs {
+				if v <= -1e18 || v >= 1e18 {
+					return false
+				}
+			}
+			return true
+		}
+		if plainJSONString(modelName(inst)) && plainJSONString(heuristic) &&
+			short(int64(ncom), int64(wmin), int64(scenario), int64(trial), makespan) {
+			inst.Model = modelName(inst)
+			if fast, ok := parseCanonicalEntry(want, map[string]string{}); !ok || fast != inst {
+				t.Fatalf("fast path decodes its own %q as %+v (ok %v), want %+v", want, fast, ok, inst)
 			}
 		}
 	})

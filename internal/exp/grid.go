@@ -559,13 +559,17 @@ func (sp GridSpec) Sweep() GridSweep {
 	}
 }
 
-// gridKind is the grid journal's codec.
+// gridKind is the grid journal's codec. A grid campaign writes about a
+// hundred records, so their JSON stays on encoding/json.
 var gridKind = &journalKind[GridKey, GridInstance, GridSpec]{
-	kind:        "grid",
-	key:         GridInstance.Key,
-	sort:        sortGridInstances,
-	marshalJSON: func(in GridInstance) ([]byte, error) { return json.Marshal(in) },
-	unmarshalJSON: func(b []byte) (GridInstance, error) {
+	kind: "grid",
+	key:  GridInstance.Key,
+	sort: sortGridInstances,
+	marshalJSON: func(dst []byte, in GridInstance) ([]byte, error) {
+		b, err := json.Marshal(in)
+		return append(dst, b...), err
+	},
+	unmarshalJSON: func(b []byte, _ map[string]string) (GridInstance, error) {
 		var in GridInstance
 		err := json.Unmarshal(b, &in)
 		return in, err

@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"bytes"
 	"cmp"
 	"context"
 	"encoding/json"
@@ -20,15 +21,16 @@ import (
 
 // journalKind is the codec of one journal kind: the header's kind
 // marker, the record's coordinate key and canonical order, and its JSON
-// and binary encodings (codec.go).
+// and binary encodings (codec.go). The encoders append to dst; the
+// decoders may intern strings in a replay's shared map.
 type journalKind[K comparable, R, S any] struct {
 	// kind is the header's "kind" marker. Sweep journals predate the
 	// marker and write none.
 	kind          string
 	key           func(R) K
 	sort          func([]R)
-	marshalJSON   func(R) ([]byte, error)
-	unmarshalJSON func([]byte) (R, error)
+	marshalJSON   func(dst []byte, r R) ([]byte, error)
+	unmarshalJSON func(b []byte, intern map[string]string) (R, error)
 	appendBinary  func([]byte, R) []byte
 	decodeBinary  func([]byte, map[string]string) (R, error)
 }
@@ -67,22 +69,21 @@ func (k *journalKind[K, R, S]) parseHeader(path string, raw []byte) (journalHead
 	return h, nil
 }
 
-// encode appends one record's encoding in the given format to dst (JSON
-// records are freshly marshaled; dst only backs binary ones).
+// encode appends one record's encoding in the given format to dst.
 func (k *journalKind[K, R, S]) encode(dst []byte, format Format, r R) ([]byte, error) {
 	if format == FormatBinary {
 		return k.appendBinary(dst, r), nil
 	}
-	return k.marshalJSON(r)
+	return k.marshalJSON(dst, r)
 }
 
 // decode decodes one record payload in the given format. intern
-// deduplicates strings across a replay's binary records.
+// deduplicates strings across a replay's records.
 func (k *journalKind[K, R, S]) decode(format Format, payload []byte, intern map[string]string) (R, error) {
 	if format == FormatBinary {
 		return k.decodeBinary(payload, intern)
 	}
-	return k.unmarshalJSON(payload)
+	return k.unmarshalJSON(payload, intern)
 }
 
 // journalCodec is a journal kind with its types erased: what readers of
@@ -271,17 +272,31 @@ func (j *journal[K, R, S]) Instances() []R {
 }
 
 // Append records one completed instance, immediately flushed to disk.
+// A journal holds one record per key: appending a key it already holds
+// writes nothing, and is an error unless the record encodes identically.
 func (j *journal[K, R, S]) Append(r R) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
+	k := j.kind.key(r)
+	prev, dup := j.done[k]
 	var err error
 	if j.buf, err = j.kind.encode(j.buf[:0], j.format, r); err != nil {
 		return fmt.Errorf("exp: %w", err)
 	}
+	if dup {
+		old, err := j.kind.encode(nil, j.format, prev)
+		if err != nil {
+			return fmt.Errorf("exp: %w", err)
+		}
+		if !bytes.Equal(old, j.buf) {
+			return fmt.Errorf("exp: journal %s already records %+v with a different result", j.path, k)
+		}
+		return nil
+	}
 	if err := j.w.AppendRecord(j.buf); err != nil {
 		return fmt.Errorf("exp: %w", err)
 	}
-	j.done[j.kind.key(r)] = r
+	j.done[k] = r
 	return nil
 }
 
@@ -422,22 +437,20 @@ type journalEntry struct {
 	Failed    bool   `json:"failed,omitempty"`
 }
 
+// instance returns the sweep instance the record describes.
+func (e journalEntry) instance() InstanceResult {
+	return InstanceResult{Point: Point{e.Ncom, e.Wmin, e.Scenario}, Trial: e.Trial,
+		Model: e.Model, Heuristic: e.Heuristic, Makespan: e.Makespan, Failed: e.Failed}
+}
+
 // sweepKind is the sweep journal's codec.
 var sweepKind = &journalKind[Key, InstanceResult, SweepSpec]{
-	key:  InstanceResult.Key,
-	sort: sortInstances,
-	marshalJSON: func(inst InstanceResult) ([]byte, error) {
-		return json.Marshal(journalEntry{modelName(inst), inst.Point.Ncom, inst.Point.Wmin,
-			inst.Point.Scenario, inst.Trial, inst.Heuristic, inst.Makespan, inst.Failed})
-	},
-	unmarshalJSON: func(b []byte) (InstanceResult, error) {
-		var e journalEntry
-		err := json.Unmarshal(b, &e)
-		return InstanceResult{Point: Point{e.Ncom, e.Wmin, e.Scenario}, Trial: e.Trial,
-			Model: e.Model, Heuristic: e.Heuristic, Makespan: e.Makespan, Failed: e.Failed}, err
-	},
-	appendBinary: appendBinaryEntry,
-	decodeBinary: decodeBinaryEntry,
+	key:           InstanceResult.Key,
+	sort:          sortInstances,
+	marshalJSON:   appendJSONEntry,
+	unmarshalJSON: decodeJSONEntry,
+	appendBinary:  appendBinaryEntry,
+	decodeBinary:  decodeBinaryEntry,
 }
 
 // Journal is the append-only journal of a sweep campaign, keyed by

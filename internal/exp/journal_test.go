@@ -1,12 +1,14 @@
 package exp
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -592,5 +594,80 @@ func TestReadersRejectWrongKind(t *testing.T) {
 				})
 			}
 		}
+	}
+}
+
+// TestJournalAppendDuplicateKey: a journal holds one record per key. An
+// identical duplicate writes nothing; a conflicting one is an error that
+// names the key and leaves the file unchanged, so every reader sees the
+// first record.
+func TestJournalAppendDuplicateKey(t *testing.T) {
+	s := tinySweep([]string{"IE", "RANDOM"})
+	c := s.Coords()[0]
+	for _, format := range []Format{FormatJSONL, FormatBinary} {
+		t.Run(format.String(), func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "dup."+format.String())
+			j, err := CreateJournalFormat(path, s, Shard{}, format)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer j.Close()
+			first := InstanceResult{Point: c.Point, Trial: c.Trial, Model: "markov", Heuristic: "RANDOM", Makespan: 1000}
+			other := first
+			other.Heuristic = "IE"
+			for _, inst := range []InstanceResult{first, other} {
+				if err := j.Append(inst); err != nil {
+					t.Fatal(err)
+				}
+			}
+			before, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			same := first
+			same.Model = "" // the implicit default model: the same record
+			if err := j.Append(same); err != nil {
+				t.Fatalf("identical duplicate: %v", err)
+			}
+			conflict := first
+			conflict.Makespan = 1500
+			err = j.Append(conflict)
+			if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("%+v", first.Key())) {
+				t.Fatalf("conflicting duplicate: err %v, want one naming %+v", err, first.Key())
+			}
+			if after, _ := os.ReadFile(path); !bytes.Equal(after, before) {
+				t.Fatalf("duplicate appends changed the file:\n got %q\nwant %q", after, before)
+			}
+			if got, _ := j.Done(first.Key()); got != first {
+				t.Fatalf("Done holds %+v, want the first record %+v", got, first)
+			}
+			if err := j.Close(); err != nil {
+				t.Fatal(err)
+			}
+
+			loaded, _, err := LoadJournal(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := []InstanceResult{other, first}; !reflect.DeepEqual(loaded.Instances, want) {
+				t.Fatalf("LoadJournal: %+v, want %+v", loaded.Instances, want)
+			}
+			agg, err := AggregateJournal(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := agg.Table(ReferenceHeuristic)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := loaded.Table(ReferenceHeuristic)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if FormatTable(got) != FormatTable(want) {
+				t.Fatalf("AggregateJournal and LoadJournal disagree:\n%s\nwant\n%s", FormatTable(got), FormatTable(want))
+			}
+		})
 	}
 }

@@ -44,7 +44,8 @@ func ReadJSONL(path string) (header []byte, records [][]byte, validLen int64, er
 // one write syscall per record, so a crash loses at most the line being
 // written.
 type JSONLWriter struct {
-	f *os.File
+	f   *os.File
+	buf []byte // AppendRecord's line buffer, reused across appends
 }
 
 // CreateJSONL starts a new journal file with the given header record. It

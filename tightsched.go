@@ -307,8 +307,8 @@ func MergeSweepJournals(paths ...string) (*SweepResult, error) {
 
 // JournalFormat selects a journal's on-disk encoding: JournalJSONL (the
 // default, one JSON document per line) or JournalBinary (the compact
-// length-prefixed record container — same records, CRC-checked, several
-// times faster to replay). Readers sniff the format from the file, so
+// length-prefixed record container — same records, CRC-checked, about
+// 4x smaller and somewhat faster to replay). Readers sniff the format from the file, so
 // the choice matters only at creation.
 type JournalFormat = exp.Format
 
