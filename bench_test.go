@@ -916,3 +916,27 @@ func benchJournalReplay(b *testing.B, format exp.Format) {
 
 func BenchmarkJournalReplayJSONL(b *testing.B)  { benchJournalReplay(b, exp.FormatJSONL) }
 func BenchmarkJournalReplayBinary(b *testing.B) { benchJournalReplay(b, exp.FormatBinary) }
+
+// benchJournalOpen measures reopening the full 100k-instance journal
+// for appending per op: decode every record and rebuild the journal's
+// done index. This is the resume path of tables -resume, Resume and
+// the cluster coordinator's restart.
+func benchJournalOpen(b *testing.B, format exp.Format) {
+	path, n := buildBenchJournal(b, format)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		j, err := exp.OpenJournal(path)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if got := j.DoneCount(); got != n {
+			b.Fatalf("reopened %d of %d instances", got, n)
+		}
+		if err := j.Close(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkJournalOpenJSONL(b *testing.B)  { benchJournalOpen(b, exp.FormatJSONL) }
+func BenchmarkJournalOpenBinary(b *testing.B) { benchJournalOpen(b, exp.FormatBinary) }

@@ -1,12 +1,14 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -631,4 +633,138 @@ func TestWorkerFleetWithCrash(t *testing.T) {
 	if st.Expired == 0 || st.Requeued == 0 {
 		t.Fatalf("no lease expired despite the killed worker: %+v", st)
 	}
+}
+
+// fuzzRecord decodes one upload record from two fuzz bytes: a coordinate
+// of tinySweep's grid with one of eight outcomes, so that batches hit
+// duplicates and conflicts often, and with one chance in four a single
+// field moved off the grid. It reports whether the record is a
+// coordinate of the campaign.
+func fuzzRecord(b0, b1 byte) (Record, bool) {
+	rec := Record{
+		Model:     "markov",
+		Ncom:      5,
+		Wmin:      1 + int(b1>>1&1),
+		Scenario:  int(b1 >> 2 & 1),
+		Trial:     int(b1 >> 3 & 1),
+		Heuristic: []string{"IE", "RANDOM"}[b1&1],
+		Failed:    b1>>4&1 == 1,
+		Makespan:  100 * int64(b1>>5),
+	}
+	switch b0 % 32 {
+	case 0:
+		rec.Model = "" // the implicit default model, which uploads must name
+	case 1:
+		rec.Model = "semimarkov"
+	case 2:
+		rec.Heuristic = "Y-IE"
+	case 3:
+		rec.Ncom = 6
+	case 4:
+		rec.Wmin = 3
+	case 5:
+		rec.Scenario = -1
+	case 6:
+		rec.Scenario = 2
+	case 7:
+		rec.Trial = 2
+	default:
+		return rec, true
+	}
+	return rec, false
+}
+
+// FuzzClusterIngest feeds arbitrary upload batches to Coordinator.Ingest
+// and checks it against a model of the journal, in which a key's first
+// record wins. No batch panics; a batch holding a record off the grid
+// is refused and writes nothing; a conflict or a duplicate never changes
+// the journal file or its recorded results; Accepted, Duplicates and
+// Conflicts match the model, and Accepted is the change in DoneCount.
+// Once every coordinate is journaled the campaign ends and further
+// batches write nothing.
+func FuzzClusterIngest(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{2, 9, 0x00, 9, 0x01})
+	f.Add([]byte{1, 9, 0x20, 1, 9, 0x20, 1, 9, 0x40})
+	f.Add([]byte{3, 9, 0x02, 3, 0x04, 9, 0x06, 0, 1, 9, 0x02})
+	f.Add([]byte{4, 9, 0, 9, 1, 9, 2, 9, 3, 4, 9, 4, 9, 5, 9, 6, 9, 7,
+		4, 9, 8, 9, 9, 9, 10, 9, 11, 4, 9, 12, 9, 13, 9, 14, 9, 15, 1, 9, 0})
+	s := tinySweep([]string{"IE", "RANDOM"})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		dir := t.TempDir()
+		co, j := testCoordinator(t, dir, s, func(c *Config) { c.Logf = func(string, ...any) {} })
+		defer co.Close()
+		defer j.Close()
+		model := map[exp.Key]exp.InstanceResult{}
+		for len(data) > 0 {
+			n := int(data[0] % 5)
+			data = data[1:]
+			var batch []Record
+			valid := true
+			for ; n > 0 && len(data) >= 2; n-- {
+				rec, ok := fuzzRecord(data[0], data[1])
+				batch, valid, data = append(batch, rec), valid && ok, data[2:]
+			}
+			ended := false
+			select {
+			case <-co.Done():
+				ended = true
+			default:
+			}
+			before, err := os.ReadFile(j.Path())
+			if err != nil {
+				t.Fatal(err)
+			}
+			count := j.DoneCount()
+			resp, err := co.Ingest("fuzz", batch)
+			after, rerr := os.ReadFile(j.Path())
+			if rerr != nil {
+				t.Fatal(rerr)
+			}
+			switch {
+			case ended:
+				if err != nil || resp != (UploadResponse{}) || !bytes.Equal(after, before) {
+					t.Fatalf("batch %+v after the campaign ended: %+v, %v, file changed %v", batch, resp, err, !bytes.Equal(after, before))
+				}
+				continue
+			case !valid:
+				if err == nil || !bytes.Equal(after, before) || j.DoneCount() != count {
+					t.Fatalf("batch %+v with a record off the grid: err %v, file changed %v, DoneCount %d -> %d",
+						batch, err, !bytes.Equal(after, before), count, j.DoneCount())
+				}
+				continue
+			case err != nil:
+				t.Fatalf("batch %+v: %v", batch, err)
+			}
+			var want UploadResponse
+			for _, rec := range batch {
+				inst := rec.Instance()
+				prev, ok := model[inst.Key()]
+				switch {
+				case !ok:
+					model[inst.Key()] = inst
+					want.Accepted++
+				case prev == inst:
+					want.Duplicates++
+				default:
+					want.Conflicts++
+				}
+			}
+			want.LeaseLive = resp.LeaseLive
+			if resp != want {
+				t.Fatalf("batch %+v: response %+v, want %+v", batch, resp, want)
+			}
+			if got := j.DoneCount() - count; got != resp.Accepted {
+				t.Fatalf("batch %+v: DoneCount rose by %d, Accepted %d", batch, got, resp.Accepted)
+			}
+			if !bytes.HasPrefix(after, before) || (resp.Accepted == 0) != bytes.Equal(after, before) {
+				t.Fatalf("batch %+v (%+v): the journal file changed other than by appending the accepted records", batch, resp)
+			}
+			for k, inst := range model {
+				if got, ok := j.Done(k); !ok || got != inst {
+					t.Fatalf("batch %+v: journal records %+v for %+v, want the first upload %+v", batch, got, k, inst)
+				}
+			}
+		}
+	})
 }

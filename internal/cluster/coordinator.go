@@ -447,9 +447,11 @@ func (co *Coordinator) Heartbeat(leaseID string) (time.Time, error) {
 // journaled with the same outcome count as duplicates, and mismatched
 // outcomes are refused and counted as conflicts (an honest worker can
 // never produce one — every instance is a deterministic function of its
-// coordinate). Ingest accepts batches for dead leases too — the work is
-// valid regardless — and reports whether the lease still stands so the
-// worker can stop wasting effort when it does not.
+// coordinate). A batch holding a record that is not a coordinate of the
+// campaign is an error, and nothing of it is journaled. Ingest accepts
+// batches for dead leases too — the work is valid regardless — and
+// reports whether the lease still stands so the worker can stop wasting
+// effort when it does not.
 func (co *Coordinator) Ingest(leaseID string, recs []Record) (UploadResponse, error) {
 	co.mu.Lock()
 	var resp UploadResponse
@@ -459,13 +461,15 @@ func (co *Coordinator) Ingest(leaseID string, recs []Record) (UploadResponse, er
 		co.mu.Unlock()
 		return resp, nil
 	}
-	var observed []exp.InstanceDone
 	for _, rec := range recs {
-		inst := rec.Instance()
-		if !co.validCoordinate(inst) {
+		if !co.validCoordinate(rec.Instance()) {
 			co.mu.Unlock()
 			return UploadResponse{}, fmt.Errorf("cluster: instance %+v is not a coordinate of campaign %s", rec, co.cfg.Campaign)
 		}
+	}
+	var observed []exp.InstanceDone
+	for _, rec := range recs {
+		inst := rec.Instance()
 		k := inst.Key()
 		if prev, ok := co.cfg.Journal.Done(k); ok {
 			if prev != inst {

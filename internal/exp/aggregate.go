@@ -336,7 +336,7 @@ func (r *Result) aggFor(ref string) (*tableAccumulator, error) {
 func AggregateJournal(path string) (*Result, error) {
 	var sweep Sweep
 	var acc *tableAccumulator
-	_, err := scanJournal(sweepKind, path,
+	err := scanDistinct(sweepKind, path,
 		func(_ Format, h journalHeader[SweepSpec]) error {
 			sweep = h.Spec.sweepDims()
 			acc = newTableAccumulator(ReferenceHeuristic, len(h.Spec.Heuristics))
@@ -424,7 +424,7 @@ func (a *tableIVAccumulator) rows() []TableIVRow {
 // sorted instance slice.
 func AggregateGridJournal(path string) (*Result, error) {
 	res := &GridResult{agg: newTableIVAccumulator()}
-	_, err := scanJournal(gridKind, path,
+	err := scanDistinct(gridKind, path,
 		func(_ Format, h journalHeader[GridSpec]) error {
 			res.Sweep = h.Spec.Sweep()
 			return nil

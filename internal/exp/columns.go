@@ -106,8 +106,8 @@ func (d *columnDict) id(s string) uint32 {
 // columnar dataset: fixed-width little-endian files ncom.i32, wmin.i32,
 // scenario.i32, trial.i32, model.u32, heuristic.u32, makespan.i64,
 // failed.u8, plus manifest.json describing rows, dictionaries and a
-// streaming makespan summary. dir is created; it must not already
-// contain a manifest.
+// streaming makespan summary, one row per journaled key. dir is
+// created; it must not already contain a manifest.
 func ExportColumns(journalPath, dir string) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
@@ -162,7 +162,7 @@ func ExportColumns(journalPath, dir string) error {
 			writeErr = err
 		}
 	}
-	_, err := scanJournal(sweepKind, journalPath,
+	err := scanDistinct(sweepKind, journalPath,
 		func(f Format, _ journalHeader[SweepSpec]) error {
 			format = f
 			return nil

@@ -8,6 +8,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"slices"
 	"sync"
 
 	"tightsched/internal/avail"
@@ -33,6 +34,21 @@ type journalKind[K comparable, R, S any] struct {
 	unmarshalJSON func(b []byte, intern map[string]string) (R, error)
 	appendBinary  func([]byte, R) []byte
 	decodeBinary  func([]byte, map[string]string) (R, error)
+	// grid, when set, places the keys of a journal with this header's
+	// spec and (normalized) shard on a dense grid: pos returns a key's
+	// position in [0, size), or -1 for a key that is not a coordinate of
+	// the journal. Its done index finds a key by position instead of by
+	// hash (index.go); kinds without it keep every key in a map.
+	grid func(spec S, shard Shard) (pos func(K) int, size int)
+}
+
+// newIndex returns an empty done index for a journal with header h.
+func newIndex[V any, K comparable, R, S any](kind *journalKind[K, R, S], h journalHeader[S]) *doneIndex[K, V] {
+	x := &doneIndex[K, V]{other: map[K]V{}}
+	if kind.grid != nil {
+		x.pos, x.size = kind.grid(h.Spec, h.Shard.normalize())
+	}
+	return x
 }
 
 // journalHeader is every journal's first record: the same JSON document
@@ -141,7 +157,7 @@ type journal[K comparable, R, S any] struct {
 	format Format
 	path   string
 	header journalHeader[S]
-	done   map[K]R
+	done   *doneIndex[K, R]
 	buf    []byte // record encode buffer, reused across appends
 }
 
@@ -153,23 +169,26 @@ func createJournal[K comparable, R, S any](kind *journalKind[K, R, S], path stri
 	if err != nil {
 		return nil, fmt.Errorf("exp: create journal: %w", err)
 	}
-	return &journal[K, R, S]{kind: kind, w: w, format: format, path: path, header: header, done: map[K]R{}}, nil
+	return &journal[K, R, S]{kind: kind, w: w, format: format, path: path, header: header,
+		done: newIndex[R](kind, header)}, nil
 }
 
 // readJournal loads a journal file of either format without modifying
 // it: a read-only journal, and the length of its intact prefix (a torn
 // tail, as scanRecords defines it, lies past it). The instance a torn
 // record would have recorded is simply re-run on resume, or covered by
-// an overlapping journal on merge.
+// an overlapping journal on merge. A key's first record wins, as in
+// Append; a later record of the key (only a hand-edited or
+// concatenated file holds one) is ignored.
 func readJournal[K comparable, R, S any](kind *journalKind[K, R, S], path string) (*journal[K, R, S], int64, error) {
-	j := &journal[K, R, S]{kind: kind, path: path, done: map[K]R{}}
+	j := &journal[K, R, S]{kind: kind, path: path}
 	validLen, err := scanJournal(kind, path,
 		func(f Format, h journalHeader[S]) error {
-			j.format, j.header = f, h
+			j.format, j.header, j.done = f, h, newIndex[R](kind, h)
 			return nil
 		},
 		func(r R) error {
-			j.done[kind.key(r)] = r
+			j.done.add(kind.key(r), r)
 			return nil
 		})
 	if err != nil {
@@ -231,6 +250,25 @@ func scanJournal[K comparable, R, S any](kind *journalKind[K, R, S], path string
 	return validLen, err
 }
 
+// scanDistinct is scanJournal keeping only each key's first record, the
+// rule Append enforces and readJournal follows, so that every reader of
+// a file sees the same records.
+func scanDistinct[K comparable, R, S any](kind *journalKind[K, R, S], path string, onHeader func(Format, journalHeader[S]) error, add func(R) error) error {
+	var seen *doneIndex[K, struct{}]
+	_, err := scanJournal(kind, path,
+		func(f Format, h journalHeader[S]) error {
+			seen = newIndex[struct{}](kind, h)
+			return onHeader(f, h)
+		},
+		func(r R) error {
+			if !seen.add(kind.key(r), struct{}{}) {
+				return nil
+			}
+			return add(r)
+		})
+	return err
+}
+
 // Path returns the journal's file path.
 func (j *journal[K, R, S]) Path() string { return j.path }
 
@@ -248,25 +286,21 @@ func (j *journal[K, R, S]) Shard() Shard { return j.header.Shard.normalize() }
 func (j *journal[K, R, S]) Done(k K) (R, bool) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	r, ok := j.done[k]
-	return r, ok
+	return j.done.get(j.done.position(k), k)
 }
 
 // DoneCount returns the number of journaled instances.
 func (j *journal[K, R, S]) DoneCount() int {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return len(j.done)
+	return j.done.len()
 }
 
 // Instances returns the journaled results in canonical order.
 func (j *journal[K, R, S]) Instances() []R {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	out := make([]R, 0, len(j.done))
-	for _, r := range j.done {
-		out = append(out, r)
-	}
+	out := j.done.appendAll(make([]R, 0, j.done.len()))
 	j.kind.sort(out)
 	return out
 }
@@ -278,7 +312,8 @@ func (j *journal[K, R, S]) Append(r R) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	k := j.kind.key(r)
-	prev, dup := j.done[k]
+	p := j.done.position(k)
+	prev, dup := j.done.get(p, k)
 	var err error
 	if j.buf, err = j.kind.encode(j.buf[:0], j.format, r); err != nil {
 		return fmt.Errorf("exp: %w", err)
@@ -296,7 +331,7 @@ func (j *journal[K, R, S]) Append(r R) error {
 	if err := j.w.AppendRecord(j.buf); err != nil {
 		return fmt.Errorf("exp: %w", err)
 	}
-	j.done[k] = r
+	j.done.put(p, k, r)
 	return nil
 }
 
@@ -451,6 +486,51 @@ var sweepKind = &journalKind[Key, InstanceResult, SweepSpec]{
 	unmarshalJSON: decodeJSONEntry,
 	appendBinary:  appendBinaryEntry,
 	decodeBinary:  decodeBinaryEntry,
+	grid:          sweepGrid,
+}
+
+// sweepGrid places a sweep journal's keys at their canonical positions:
+// a key's coordinate has index c in Sweep.Coords order, shard i/n owns
+// it when c mod n = i (Shard.Covers) and holds it as its (c/n)th
+// coordinate, and each coordinate fans out over the heuristics in spec
+// order. Finding a position compares names against the spec's short
+// model and heuristic lists; it hashes nothing.
+func sweepGrid(sp SweepSpec, sh Shard) (func(Key) int, int) {
+	if sh.Validate() != nil {
+		return nil, 0
+	}
+	coords := 1
+	for _, d := range []int{len(sp.Models), len(sp.Ncoms), len(sp.Wmins), sp.Scenarios, sp.Trials} {
+		if d <= 0 || coords > maxIndexGrid/d {
+			return nil, 0
+		}
+		coords *= d
+	}
+	owned := 0
+	if coords > sh.Index {
+		owned = (coords-sh.Index-1)/sh.Count + 1
+	}
+	heuristics := len(sp.Heuristics)
+	if heuristics == 0 || owned > maxIndexGrid/heuristics {
+		return nil, 0
+	}
+	pos := func(k Key) int {
+		m, h := slices.Index(sp.Models, k.Model), slices.Index(sp.Heuristics, k.Heuristic)
+		n, w := slices.Index(sp.Ncoms, k.Ncom), slices.Index(sp.Wmins, k.Wmin)
+		if m < 0 || h < 0 || n < 0 || w < 0 || k.Scenario < 0 || k.Scenario >= sp.Scenarios ||
+			k.Trial < 0 || k.Trial >= sp.Trials {
+			return -1
+		}
+		c := (((m*len(sp.Ncoms)+n)*len(sp.Wmins)+w)*sp.Scenarios+k.Scenario)*sp.Trials + k.Trial
+		if sh.Count > 1 { // skip the division on a whole-campaign journal
+			if !sh.Covers(c) {
+				return -1
+			}
+			c /= sh.Count
+		}
+		return c*heuristics + h
+	}
+	return pos, owned * heuristics
 }
 
 // Journal is the append-only journal of a sweep campaign, keyed by

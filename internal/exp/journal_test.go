@@ -6,11 +6,14 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math/rand/v2"
 	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
+
+	"tightsched/internal/avail"
 )
 
 // journalSweep shrinks QuickSweep(10) — the Table II campaign — to test
@@ -669,5 +672,343 @@ func TestJournalAppendDuplicateKey(t *testing.T) {
 				t.Fatalf("AggregateJournal and LoadJournal disagree:\n%s\nwant\n%s", FormatTable(got), FormatTable(want))
 			}
 		})
+	}
+}
+
+// TestJournalReadersAgreeOnDuplicateKey: a journal file that records a
+// key twice (here a conflicting record appended by hand, bypassing
+// Append) reads the same through every reader: the key's first record
+// wins, as it does in Append, and the later one is not exported.
+func TestJournalReadersAgreeOnDuplicateKey(t *testing.T) {
+	s := tinySweep([]string{"IE", "RANDOM"})
+	for _, format := range []Format{FormatJSONL, FormatBinary} {
+		t.Run(format.String(), func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "dup."+format.String())
+			j, err := CreateJournalFormat(path, s, Shard{}, format)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var first InstanceResult
+			for i, c := range s.Coords() {
+				for _, h := range s.Heuristics {
+					inst := InstanceResult{Point: c.Point, Trial: c.Trial, Model: c.Model, Heuristic: h,
+						Makespan: int64(1000 + 100*i)}
+					if h == "RANDOM" && i == 0 {
+						first = inst
+					}
+					if err := j.Append(inst); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			later := first
+			later.Makespan *= 5
+			rec, err := sweepKind.encode(nil, format, later)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := j.w.AppendRecord(rec); err != nil {
+				t.Fatal(err)
+			}
+			if err := j.Close(); err != nil {
+				t.Fatal(err)
+			}
+
+			loaded, _, err := LoadJournal(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n := len(loaded.Instances); n != s.InstanceCount()*len(s.Heuristics) {
+				t.Fatalf("LoadJournal holds %d instances, want %d", n, s.InstanceCount()*len(s.Heuristics))
+			}
+			for _, inst := range loaded.Instances {
+				if inst.Key() == first.Key() && inst != first {
+					t.Fatalf("LoadJournal keeps %+v, want the first record %+v", inst, first)
+				}
+			}
+			opened, err := OpenJournal(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, _ := opened.Done(first.Key())
+			count := opened.DoneCount()
+			opened.Close()
+			if got != first || count != len(loaded.Instances) {
+				t.Fatalf("OpenJournal: Done %+v, DoneCount %d; want %+v, %d", got, count, first, len(loaded.Instances))
+			}
+
+			agg, err := AggregateJournal(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			aggRows, err := agg.Table(ReferenceHeuristic)
+			if err != nil {
+				t.Fatal(err)
+			}
+			loadRows, err := loaded.Table(ReferenceHeuristic)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if FormatTable(aggRows) != FormatTable(loadRows) {
+				t.Fatalf("AggregateJournal and LoadJournal disagree:\n%s\nwant\n%s", FormatTable(aggRows), FormatTable(loadRows))
+			}
+
+			cols := filepath.Join(t.TempDir(), "cols")
+			if err := ExportColumns(path, cols); err != nil {
+				t.Fatal(err)
+			}
+			makespans, err := os.ReadFile(filepath.Join(cols, "makespan.i64"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n := len(makespans) / 8; n != len(loaded.Instances) {
+				t.Fatalf("ExportColumns wrote %d rows, LoadJournal holds %d instances", n, len(loaded.Instances))
+			}
+		})
+	}
+}
+
+// indexCase is one journal of TestJournalIndexMatchesMap: the journal
+// under test, a generator of random records for it, and how two records
+// of one key compare.
+type indexCase[K comparable, R, S any] struct {
+	kind *journalKind[K, R, S]
+	// create starts the journal under test at path.
+	create func(path string) (*journal[K, R, S], error)
+	// draw returns a random record: usually a coordinate of the journal,
+	// sometimes a key off its grid.
+	draw func(r *rand.Rand) R
+	// vary returns a record of r's key that Append takes for an
+	// identical duplicate when same is set, and for a conflict otherwise.
+	vary func(r *rand.Rand, rec R, same bool) R
+	// load reads the file through the kind's public loader, when it has
+	// one beyond readJournal.
+	load func(path string) ([]R, error)
+}
+
+// TestJournalIndexMatchesMap checks a journal's done index against a
+// map model: seeded random Append sequences mix coordinates of the
+// journal, keys off its grid (another shard's coordinates among them),
+// identical and conflicting duplicates and the implicit default model's
+// empty name. After each sequence Done, DoneCount, Instances and the
+// file bytes must match the model, and again after OpenJournal and
+// LoadJournal.
+func TestJournalIndexMatchesMap(t *testing.T) {
+	s := tinySweep([]string{"IE", "Y-IE", "RANDOM"})
+	s.Models = []avail.Model{avail.MarkovModel{}, cheapSemiMarkov()}
+	s.Ncoms = []int{10, 5} // not sorted: grid order is not Instances order
+	s.Scenarios, s.Trials = 3, 40
+	// 2·2·2·3·40 coordinates × 3 heuristics = 2,880 positions: three pages.
+	drawSweep := func(r *rand.Rand) InstanceResult {
+		inst := InstanceResult{
+			Point: Point{Ncom: s.Ncoms[r.IntN(2)], Wmin: s.Wmins[r.IntN(2)], Scenario: r.IntN(s.Scenarios)},
+			Trial: r.IntN(s.Trials), Model: []string{"markov", "", "semimarkov"}[r.IntN(3)],
+			Heuristic: s.Heuristics[r.IntN(3)], Makespan: int64(r.IntN(5000)), Failed: r.IntN(20) == 0,
+		}
+		if r.IntN(8) == 0 {
+			switch r.IntN(6) {
+			case 0:
+				inst.Model = "lognormal"
+			case 1:
+				inst.Point.Ncom = 7
+			case 2:
+				inst.Point.Wmin = 9
+			case 3:
+				inst.Point.Scenario = []int{-1, s.Scenarios}[r.IntN(2)]
+			case 4:
+				inst.Trial = []int{-1, s.Trials, 1 << 20}[r.IntN(3)]
+			case 5:
+				inst.Heuristic = "IP"
+			}
+		}
+		return inst
+	}
+	varySweep := func(r *rand.Rand, inst InstanceResult, same bool) InstanceResult {
+		if !same {
+			inst.Makespan++
+		} else if modelName(inst) == "markov" && r.IntN(2) == 0 {
+			inst.Model = map[string]string{"": "markov", "markov": ""}[inst.Model]
+		}
+		return inst
+	}
+	loadSweep := func(path string) ([]InstanceResult, error) {
+		res, _, err := LoadJournal(path)
+		if err != nil {
+			return nil, err
+		}
+		return res.Instances, nil
+	}
+	for _, format := range []Format{FormatJSONL, FormatBinary} {
+		for _, shard := range []Shard{{}, {Index: 1, Count: 3}, {Index: 2, Count: 3}} {
+			t.Run(fmt.Sprintf("sweep-%s-%s", format, shard), func(t *testing.T) {
+				checkIndexAgainstMap(t, format, indexCase[Key, InstanceResult, SweepSpec]{
+					kind: sweepKind,
+					create: func(path string) (*Journal, error) {
+						return CreateJournalFormat(path, s, shard, format)
+					},
+					draw: drawSweep, vary: varySweep, load: loadSweep,
+				})
+			})
+		}
+	}
+	g := contractGrid()
+	t.Run("grid", func(t *testing.T) {
+		checkIndexAgainstMap(t, FormatJSONL, indexCase[GridKey, GridInstance, GridSpec]{
+			kind: gridKind,
+			create: func(path string) (*GridJournal, error) {
+				return CreateGridJournalFormat(path, &g, FormatJSONL)
+			},
+			draw: func(r *rand.Rand) GridInstance {
+				return GridInstance{
+					GridKey: GridKey{Arrival: "trace", Admission: g.Admissions[0],
+						Preemption: g.Preemptions[r.IntN(2)], Trial: r.IntN(g.Trials + 1)},
+					Apps: r.IntN(50), Completed: r.IntN(50), RespSum: int64(r.IntN(1000)), Makespan: int64(r.IntN(3000)),
+				}
+			},
+			vary: func(_ *rand.Rand, in GridInstance, same bool) GridInstance {
+				if !same {
+					in.Missed++
+				}
+				return in
+			},
+		})
+	})
+}
+
+// checkIndexAgainstMap runs two seeded Append sequences of the case
+// against a fresh journal each and compares it with the model after
+// each, then reopens and reloads the file.
+func checkIndexAgainstMap[K comparable, R, S any](t *testing.T, format Format, c indexCase[K, R, S]) {
+	for seed := uint64(1); seed <= 2; seed++ {
+		r := rand.New(rand.NewPCG(seed, 0x1dec5))
+		dir := t.TempDir()
+		path := filepath.Join(dir, "j")
+		j, err := c.create(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(j.done.pages) != 0 {
+			t.Fatalf("a new journal holds %d index pages; pages are allocated on first touch", len(j.done.pages))
+		}
+		ref, err := createRecordLog(filepath.Join(dir, "ref"), format, j.header)
+		if err != nil {
+			t.Fatal(err)
+		}
+		model := map[K]R{}
+		var appended []R
+		for range 1500 {
+			rec := c.draw(r)
+			if len(appended) > 0 && r.IntN(6) == 0 {
+				same := r.IntN(2) == 0
+				rec = c.vary(r, appended[r.IntN(len(appended))], same)
+			}
+			k := c.kind.key(rec)
+			prev, dup := model[k]
+			err := j.Append(rec)
+			switch {
+			case !dup:
+				if err != nil {
+					t.Fatalf("append %+v: %v", rec, err)
+				}
+				model[k] = rec
+				appended = append(appended, rec)
+				b, err := c.kind.encode(nil, format, rec)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := ref.AppendRecord(b); err != nil {
+					t.Fatal(err)
+				}
+			case sameEncoding(t, c.kind, format, prev, rec) != (err == nil):
+				t.Fatalf("append %+v over %+v: err %v", rec, prev, err)
+			}
+		}
+		if err := ref.Close(); err != nil {
+			t.Fatal(err)
+		}
+		compareIndex(t, "after appends", c.kind, j, model)
+		for range 200 {
+			k := c.kind.key(c.draw(r))
+			if _, want := model[k]; !want {
+				if got, ok := j.Done(k); ok {
+					t.Fatalf("Done(%+v) = %+v for a key never appended", k, got)
+				}
+			}
+		}
+		if err := j.Close(); err != nil {
+			t.Fatal(err)
+		}
+		got, err1 := os.ReadFile(path)
+		want, err2 := os.ReadFile(filepath.Join(dir, "ref"))
+		if err1 != nil || err2 != nil {
+			t.Fatal(err1, err2)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("seed %d: journal file differs from the model's records", seed)
+		}
+		// A reader sees each record as the file holds it: the implicit
+		// default model's empty name reads back as "markov".
+		for k, rec := range model {
+			b, err := c.kind.encode(nil, format, rec)
+			if err == nil {
+				model[k], err = c.kind.decode(format, b, map[string]string{})
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		opened, err := openJournal(c.kind, path, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		compareIndex(t, "after OpenJournal", c.kind, opened, model)
+		opened.Close()
+		if c.load != nil {
+			loaded, err := c.load(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := sortedValues(c.kind, model); !reflect.DeepEqual(loaded, want) {
+				t.Fatalf("seed %d: LoadJournal holds %d instances, the model %d", seed, len(loaded), len(want))
+			}
+		}
+	}
+}
+
+// sameEncoding reports whether Append takes b, over a recorded a of the
+// same key, for an identical duplicate.
+func sameEncoding[K comparable, R, S any](t *testing.T, kind *journalKind[K, R, S], format Format, a, b R) bool {
+	ea, err1 := kind.encode(nil, format, a)
+	eb, err2 := kind.encode(nil, format, b)
+	if err1 != nil || err2 != nil {
+		t.Fatal(err1, err2)
+	}
+	return bytes.Equal(ea, eb)
+}
+
+// sortedValues returns the model's records in canonical order.
+func sortedValues[K comparable, R, S any](kind *journalKind[K, R, S], model map[K]R) []R {
+	out := make([]R, 0, len(model))
+	for _, r := range model {
+		out = append(out, r)
+	}
+	kind.sort(out)
+	return out
+}
+
+// compareIndex checks Done for every recorded key, DoneCount and
+// Instances against the model.
+func compareIndex[K comparable, R, S any](t *testing.T, when string, kind *journalKind[K, R, S], j *journal[K, R, S], model map[K]R) {
+	t.Helper()
+	for k, want := range model {
+		if got, ok := j.Done(k); !ok || !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: Done(%+v) = %+v, %v; want %+v", when, k, got, ok, want)
+		}
+	}
+	if j.DoneCount() != len(model) {
+		t.Fatalf("%s: DoneCount %d, model %d", when, j.DoneCount(), len(model))
+	}
+	if got, want := j.Instances(), sortedValues(kind, model); !reflect.DeepEqual(got, want) {
+		t.Fatalf("%s: Instances differ from the model's records", when)
 	}
 }
