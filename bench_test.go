@@ -889,8 +889,9 @@ func BenchmarkJournalAppendJSONL(b *testing.B)  { benchJournalAppend(b, exp.Form
 func BenchmarkJournalAppendBinary(b *testing.B) { benchJournalAppend(b, exp.FormatBinary) }
 
 // benchJournalReplay measures streaming aggregation over the full
-// 100k-instance journal per op: decode every record, fold it into the
-// table accumulators, render nothing. This is the replay path behind
+// 100k-instance journal per op: decode every record, skip repeated keys
+// and fold it into the table accumulator, both by the record's grid
+// position, render nothing. This is the replay path behind
 // tables -resume and the daemon's restart recovery. With the JSONL
 // sweep codec off encoding/json the two formats allocate alike; binary
 // still decodes faster (ci/bench_baseline.json records both).

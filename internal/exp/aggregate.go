@@ -1,19 +1,35 @@
 package exp
 
 import (
+	"cmp"
 	"fmt"
+	"math"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 
 	"tightsched/internal/stats"
 )
 
 // This file holds the incremental table accumulators behind Tables I–IV:
-// instances stream in (journal replay, DiscardInstances runs, or one
-// memoized walk over Result.Instances) and tables render from O(cells)
+// instances stream in one at a time (journal replay, DiscardInstances
+// runs, or a walk over Result.Instances) and tables render from O(cells)
 // state — cells being (heuristic × scenario) for the offline tables and
-// (policy combination) for Table IV — instead of re-walking a
-// materialized instance slice per table.
+// (policy combination) for Table IV — so that journal replays and
+// DiscardInstances runs never hold the instances.
+//
+// The offline tables' accumulator indexes everything by integer id.
+// When the feed knows its campaign (a journal header, a live sweep), a
+// record's heuristic, scenario draw and coordinate ids are its place on
+// the campaign grid: the heuristic's index in the spec, the draw's index
+// in Sweep.Coords order, and the coordinate's index among the feed's
+// shard's coordinates. A journal replay reads all three off the grid
+// position its duplicate skip already computed (scanDistinct), so an
+// on-grid record hashes nothing. Anything off the grid — an unknown
+// model, point, trial or heuristic, a coordinate outside the shard, or
+// every key of a feed without a campaign — gets ids past the grid from
+// one small map. Accumulation and rendering run one code path over ids.
 //
 // Byte parity with the slice-walking aggregation it replaced is held by
 // construction:
@@ -30,8 +46,8 @@ import (
 //     in the same sorted scenario-key order the old walk used, so the
 //     float reductions (mean, stdev) see identical operand sequences.
 //
-// Duplicate coordinates never reach an accumulator: journals deduplicate
-// on Key at append time, and the run/merge paths generate each
+// A feed holds each key at most once: journal readers keep a key's
+// first record (scanDistinct), and the run and merge paths generate each
 // coordinate exactly once.
 
 // coordKey is one coordinate group: a scenario draw and trial, across
@@ -42,10 +58,12 @@ type coordKey struct {
 	trial int
 }
 
-// coordEntry is one heuristic's outcome inside an open coordinate group.
+// coordEntry is one heuristic's outcome at a coordinate; set marks an
+// entry that holds one.
 type coordEntry struct {
 	makespan int64
 	failed   bool
+	set      bool
 }
 
 // aggCell is the per-(heuristic, scenario) accumulator cell.
@@ -58,112 +76,367 @@ type aggCell struct {
 	trials int // trials where both this heuristic and ref recorded
 }
 
+// openGroup is a coordinate group waiting for heuristics.
+type openGroup struct {
+	scen    int          // the group's scenario id; -1 while the group is free
+	got     int          // distinct on-grid heuristics arrived
+	entries []coordEntry // by heuristic id
+}
+
+// coordPage holds the state of pageLen consecutive coordinates, 4 bytes
+// and two bits each. Until a coordinate's group closes, val is 1 + the
+// index in groups of its open group (0 while none is open); once it has
+// closed, val is the reference's makespan there (wideMakespan when it
+// does not fit: the accumulator's wide map holds it) and its failed bit
+// whether the reference failed.
+type coordPage struct {
+	val            [pageLen]int32
+	closed, failed [pageLen / 64]uint64
+}
+
+// wideMakespan marks a closed coordinate whose reference makespan does
+// not fit a coordPage's val.
+const wideMakespan = math.MinInt32
+
+// offKey is what an id past the grid stands for: a heuristic (name), a
+// scenario draw (coord, trial 0) or a coordinate (coord).
+type offKey struct {
+	kind  offKind
+	name  string
+	coord coordKey
+}
+
+type offKind uint8
+
+const (
+	offHeuristic offKind = iota
+	offScenario
+	offCoord
+)
+
+// keyedScenario is a scenario id with its key.
+type keyedScenario struct {
+	id  int
+	key scenarioKey
+}
+
 // tableAccumulator aggregates instances incrementally for one reference
-// heuristic. Groups close — and their relative counters resolve — as
-// soon as every expected heuristic of a coordinate has arrived, so
-// steady-state memory is O(cells) plus the handful of in-flight groups,
-// not O(instances).
+// heuristic. On a feed with a campaign, a coordinate's group closes as
+// soon as every heuristic of the campaign has arrived there, so
+// steady-state memory is O(cells) plus the handful of in-flight groups
+// and 4 bytes per coordinate, rather than a record per instance: a
+// closed coordinate keeps the reference's outcome, against which a
+// heuristic off the grid arriving later still resolves. Relative
+// counters (wins, dominance) resolve only against a reference among the
+// campaign's heuristics; a feed without a campaign keeps every group
+// open until finish and resolves against the reference wherever it
+// arrived.
 type tableAccumulator struct {
-	ref string
-	// expect is the number of heuristics per coordinate group (0 defers
-	// every resolution to finish, for feeds of unknown width).
-	expect int
-	cells  map[string]map[scenarioKey]*aggCell
-	open   map[coordKey]map[string]coordEntry
-	// free recycles closed groups' maps: a well-ordered stream keeps only
-	// a handful of groups in flight, so steady-state allocation — not
-	// just live memory — stays O(cells) rather than O(instances).
-	free      []map[string]coordEntry
+	ref   string
+	refID int // ref's heuristic id; -1 while unknown
+
+	// The campaign grid; spec is nil and the counts zero when the feed
+	// has none.
+	spec   *SweepSpec
+	shard  Shard // the shard the feed's grid positions are over
+	nh     int   // heuristic ids [0, nh) are the spec's heuristics
+	nscen  int   // scenario ids [0, nscen) are the campaign's draws
+	ncoord int   // coordinate ids [0, ncoord) are the shard's coordinates
+
+	names    []string      // heuristic id → name
+	offScens []scenarioKey // scenario id − nscen → key
+	nOff     int           // coordinate ids handed out past the grid
+	other    map[offKey]int
+
+	cells  pageTable[[pageLen][]aggCell] // scenario id → cells by heuristic id
+	coords pageTable[coordPage]          // coordinate id → state
+	wide   map[int]int64                 // coordinate id → reference makespan past int32
+	groups []openGroup
+	free   []int // indexes of free groups
+
+	order     []keyedScenario // after finish: scenario ids holding cells, in key order
 	dominance int
 	finished  bool
 }
 
-func newTableAccumulator(ref string, expect int) *tableAccumulator {
-	return &tableAccumulator{
-		ref:    ref,
-		expect: expect,
-		cells:  map[string]map[scenarioKey]*aggCell{},
-		open:   map[coordKey]map[string]coordEntry{},
+// newTableAccumulator returns an empty accumulator for reference ref
+// over a feed of campaign spec (nil when the feed has none) whose grid
+// positions, where it supplies them, are sweepGrid's over shard.
+func newTableAccumulator(ref string, spec *SweepSpec, shard Shard) *tableAccumulator {
+	a := &tableAccumulator{ref: ref, refID: -1, other: map[offKey]int{}}
+	if spec == nil || spec.coordCount() == 0 || len(spec.Heuristics) == 0 || shard.Validate() != nil {
+		return a
+	}
+	coords := spec.coordCount()
+	a.spec, a.shard = spec, shard.normalize()
+	a.nh, a.nscen, a.ncoord = len(spec.Heuristics), coords/spec.Trials, a.shard.owned(coords)
+	a.names = slices.Clone(spec.Heuristics)
+	a.refID = slices.Index(a.names, ref)
+	return a
+}
+
+// add feeds one instance, in any order. p is the instance's position on
+// the grid of the feed's campaign and shard (sweepGrid), or -1 when it
+// is off the grid or unknown.
+func (a *tableAccumulator) add(inst InstanceResult, p int) {
+	e := coordEntry{inst.Makespan, inst.Failed, true}
+	if p >= 0 {
+		c := p / a.nh
+		a.put(c, p-c*a.nh, -1, e)
+		return
+	}
+	h, s, c := a.locate(inst)
+	a.put(c, h, s, e)
+}
+
+// put records heuristic h's outcome e at coordinate c of scenario s (-1
+// for a coordinate on the grid: put derives it when needed). Cells take
+// a group's outcomes when it closes.
+func (a *tableAccumulator) put(c, h, s int, e coordEntry) {
+	pg, i := a.coords.at(c)
+	w, bit := i/64, uint64(1)<<(i%64)
+	if pg.closed[w]&bit != 0 {
+		// Only a heuristic off the grid arrives after its group closed.
+		if s < 0 {
+			s = a.scenarioOf(c)
+		}
+		ref := coordEntry{int64(pg.val[i]), pg.failed[w]&bit != 0, true}
+		if pg.val[i] == wideMakespan {
+			ref.makespan = a.wide[c]
+		}
+		cell := a.cell(h, s)
+		cell.tally(e)
+		a.resolve(cell, h, e, ref)
+		return
+	}
+	if pg.val[i] == 0 {
+		if s < 0 {
+			s = a.scenarioOf(c)
+		}
+		pg.val[i] = int32(a.open(s))
+	}
+	gi := int(pg.val[i] - 1)
+	g := &a.groups[gi]
+	if h >= len(g.entries) {
+		g.entries = append(g.entries, make([]coordEntry, len(a.names)-len(g.entries))...)
+	}
+	if old := g.entries[h]; old.set {
+		a.cell(h, g.scen).tally(old) // a feed repeating a key: the last outcome is compared
+	} else if h < a.nh {
+		g.got++
+	}
+	g.entries[h] = e
+	if a.nh > 0 && g.got == a.nh {
+		pg.val[i] = 0
+		if a.refID >= 0 && a.refID < a.nh {
+			ref := g.entries[a.refID]
+			if pg.val[i] = int32(ref.makespan); int64(pg.val[i]) != ref.makespan || pg.val[i] == wideMakespan {
+				pg.val[i] = wideMakespan
+				if a.wide == nil {
+					a.wide = map[int]int64{}
+				}
+				a.wide[c] = ref.makespan
+			}
+			pg.closed[w] |= bit
+			if ref.failed {
+				pg.failed[w] |= bit
+			}
+		}
+		a.close(g)
+		a.release(gi)
 	}
 }
 
-// add feeds one instance, in any order.
-func (a *tableAccumulator) add(inst InstanceResult) {
+// scenarioOf returns the scenario id of coordinate c on the grid.
+func (a *tableAccumulator) scenarioOf(c int) int {
+	return (c*a.shard.Count + a.shard.Index) / a.spec.Trials
+}
+
+// locate returns the heuristic, scenario and coordinate ids of an
+// instance given without its grid position.
+func (a *tableAccumulator) locate(inst InstanceResult) (h, s, c int) {
+	h = slices.Index(a.names[:a.nh], inst.Heuristic)
+	if h < 0 {
+		h = a.offID(offKey{kind: offHeuristic, name: inst.Heuristic})
+	}
 	key := scenarioKey{inst.Point.Ncom, inst.Point.Wmin, inst.Point.Scenario, modelName(inst)}
-	byScen := a.cells[inst.Heuristic]
-	if byScen == nil {
-		byScen = map[scenarioKey]*aggCell{}
-		a.cells[inst.Heuristic] = byScen
+	s = -1
+	if a.spec != nil {
+		s = a.spec.scenarioIndex(key.Model, key.Ncom, key.Wmin, key.Scenario)
 	}
-	c := byScen[key]
-	if c == nil {
-		c = &aggCell{}
-		byScen[key] = c
+	if s < 0 {
+		s = a.offID(offKey{kind: offScenario, coord: coordKey{scenarioKey: key}})
 	}
-	if inst.Failed {
+	if s < a.nscen && inst.Trial >= 0 && inst.Trial < a.spec.Trials {
+		if g := s*a.spec.Trials + inst.Trial; a.shard.Covers(g) {
+			return h, s, g / a.shard.Count
+		}
+	}
+	return h, s, a.offID(offKey{kind: offCoord, coord: coordKey{key, inst.Trial}})
+}
+
+// offID returns the id past the grid of k, handing out the next one on
+// first sight.
+func (a *tableAccumulator) offID(k offKey) int {
+	if id, ok := a.other[k]; ok {
+		return id
+	}
+	var id int
+	switch k.kind {
+	case offHeuristic:
+		id = len(a.names)
+		a.names = append(a.names, k.name)
+		if k.name == a.ref {
+			a.refID = id
+		}
+	case offScenario:
+		id = a.nscen + len(a.offScens)
+		a.offScens = append(a.offScens, k.coord.scenarioKey)
+	default:
+		id = a.ncoord + a.nOff
+		a.nOff++
+	}
+	a.other[k] = id
+	return id
+}
+
+// cell returns heuristic h's cell for scenario s, creating it.
+func (a *tableAccumulator) cell(h, s int) *aggCell {
+	return &a.row(s, h+1)[h]
+}
+
+// row returns scenario s's cells, creating at least n of them.
+func (a *tableAccumulator) row(s, n int) []aggCell {
+	pg, i := a.cells.at(s)
+	if row := &pg[i]; len(*row) < n {
+		*row = append(*row, make([]aggCell, len(a.names)-len(*row))...)
+	}
+	return pg[i]
+}
+
+// peekCell returns heuristic h's cell for scenario s, or nil when no
+// instance of the pair arrived.
+func (a *tableAccumulator) peekCell(h, s int) *aggCell {
+	pg, i := a.cells.peek(s)
+	if pg == nil || h < 0 || h >= len(pg[i]) {
+		return nil
+	}
+	if c := &pg[i][h]; c.n+c.fails > 0 {
+		return c
+	}
+	return nil
+}
+
+// open returns 1 + the index of a free group, now open for scenario s.
+func (a *tableAccumulator) open(s int) int {
+	var i int
+	if n := len(a.free); n > 0 {
+		i, a.free = a.free[n-1], a.free[:n-1]
+	} else {
+		i = len(a.groups)
+		a.groups = append(a.groups, openGroup{})
+	}
+	a.groups[i].scen = s
+	return i + 1
+}
+
+// release returns group i to the free list: a well-ordered stream keeps
+// only a handful of groups in flight, so steady-state allocation — not
+// just live memory — stays O(cells) rather than O(instances).
+func (a *tableAccumulator) release(i int) {
+	g := &a.groups[i]
+	clear(g.entries)
+	g.scen, g.got = -1, 0
+	a.free = append(a.free, i)
+}
+
+// close moves a group's outcomes into its scenario's cells and
+// resolves its relative counters against its reference entry. All
+// counters are integers, so close order cannot perturb results.
+func (a *tableAccumulator) close(g *openGroup) {
+	row := a.row(g.scen, len(g.entries))
+	// Wins and dominance are relative to ref, and need it on the grid of
+	// a feed that has one.
+	ref := a.refID
+	compare := ref >= 0 && (a.nh == 0 || ref < a.nh) && ref < len(g.entries) && g.entries[ref].set
+	for h, e := range g.entries {
+		if !e.set {
+			continue
+		}
+		cell := &row[h]
+		cell.tally(e)
+		if compare {
+			a.resolve(cell, h, e, g.entries[ref])
+		}
+	}
+}
+
+// tally counts one outcome into the cell.
+func (c *aggCell) tally(e coordEntry) {
+	if e.failed {
 		c.fails++
 	} else {
-		c.sum += inst.Makespan
+		c.sum += e.makespan
 		c.n++
-	}
-	ck := coordKey{key, inst.Trial}
-	g := a.open[ck]
-	if g == nil {
-		if n := len(a.free); n > 0 {
-			g = a.free[n-1]
-			a.free = a.free[:n-1]
-		} else {
-			g = map[string]coordEntry{}
-		}
-		a.open[ck] = g
-	}
-	g[inst.Heuristic] = coordEntry{inst.Makespan, inst.Failed}
-	if a.expect > 0 && len(g) == a.expect {
-		a.closeGroup(ck, g)
-		delete(a.open, ck)
-		clear(g)
-		a.free = append(a.free, g)
 	}
 }
 
-// closeGroup resolves one coordinate group's relative counters. All
-// counters are integers, so close order cannot perturb results. The
-// comparisons run on capped makespans (failed instances record the cap),
-// exactly as the paper's win percentages are defined.
-func (a *tableAccumulator) closeGroup(ck coordKey, g map[string]coordEntry) {
-	refE, refOK := g[a.ref]
-	if !refOK {
-		return // wins and dominance are relative to ref; nothing to resolve
+// resolve counts heuristic h's outcome e, whose cell is c, against the
+// reference's outcome at the same coordinate. The comparisons run on
+// capped makespans (failed instances record the cap), exactly as the
+// paper's win percentages are defined.
+func (a *tableAccumulator) resolve(c *aggCell, h int, e, ref coordEntry) {
+	mk, refMk := float64(e.makespan), float64(ref.makespan)
+	c.trials++
+	if mk <= refMk {
+		c.wins++
 	}
-	refMk := float64(refE.makespan)
-	for name, e := range g {
-		c := a.cells[name][ck.scenarioKey]
-		mk := float64(e.makespan)
-		c.trials++
-		if mk <= refMk {
-			c.wins++
-		}
-		if mk <= 1.3*refMk {
-			c.wins30++
-		}
-		if refE.failed && name != a.ref && !e.failed {
-			a.dominance++
-		}
+	if mk <= 1.3*refMk {
+		c.wins30++
+	}
+	if ref.failed && h != a.refID && !e.failed {
+		a.dominance++
 	}
 }
 
 // finish resolves every still-open group (partial coverage: filtered
-// feeds, interrupted shards). Idempotent.
+// feeds, interrupted shards), drops the per-coordinate state and lists
+// the scenarios in key order. Idempotent.
 func (a *tableAccumulator) finish() {
 	if a.finished {
 		return
 	}
 	a.finished = true
-	for ck, g := range a.open {
-		a.closeGroup(ck, g)
+	for i := range a.groups {
+		if g := &a.groups[i]; g.scen >= 0 {
+			a.close(g)
+		}
 	}
-	a.open = nil
-	a.free = nil
+	a.groups, a.free, a.coords, a.wide, a.other = nil, nil, pageTable[coordPage]{}, nil, nil
+	for pg, page := range a.cells.pages {
+		if page == nil {
+			continue
+		}
+		for i, row := range page {
+			if len(row) > 0 {
+				s := pg*pageLen + i
+				a.order = append(a.order, keyedScenario{s, a.scenario(s)})
+			}
+		}
+	}
+	slices.SortFunc(a.order, func(x, y keyedScenario) int {
+		a, b := x.key, y.key
+		return cmp.Or(strings.Compare(a.Model, b.Model), cmp.Compare(a.Ncom, b.Ncom),
+			cmp.Compare(a.Wmin, b.Wmin), cmp.Compare(a.Scenario, b.Scenario))
+	})
+}
+
+// scenario returns the key of scenario id s.
+func (a *tableAccumulator) scenario(s int) scenarioKey {
+	if s < a.nscen {
+		return a.spec.scenarioAt(s)
+	}
+	return a.offScens[s-a.nscen]
 }
 
 // rows renders the accumulated cells into table rows, restricted to the
@@ -172,48 +445,31 @@ func (a *tableAccumulator) finish() {
 // instances arrived.
 func (a *tableAccumulator) rows(keep func(scenarioKey) bool) ([]TableRow, error) {
 	a.finish()
-	refCells := a.cells[a.ref]
+	scens := make([]int, 0, len(a.order))
 	refSeen := false
-	for key := range refCells {
-		if keep == nil || keep(key) {
-			refSeen = true
-			break
+	for _, ks := range a.order {
+		if keep == nil || keep(ks.key) {
+			scens = append(scens, ks.id)
+			refSeen = refSeen || a.peekCell(a.refID, ks.id) != nil
 		}
 	}
 	if !refSeen {
 		return nil, fmt.Errorf("exp: reference heuristic %q not in results", a.ref)
 	}
 	var rows []TableRow
-	for name, byScen := range a.cells {
-		keys := make([]scenarioKey, 0, len(byScen))
-		for key := range byScen {
-			if keep == nil || keep(key) {
-				keys = append(keys, key)
-			}
-		}
-		if len(keys) == 0 {
-			continue
-		}
-		sort.Slice(keys, func(i, j int) bool {
-			a, b := keys[i], keys[j]
-			if a.Model != b.Model {
-				return a.Model < b.Model
-			}
-			if a.Ncom != b.Ncom {
-				return a.Ncom < b.Ncom
-			}
-			if a.Wmin != b.Wmin {
-				return a.Wmin < b.Wmin
-			}
-			return a.Scenario < b.Scenario
-		})
+	for h, name := range a.names {
 		row := TableRow{Heuristic: name}
 		var diffs []float64
+		seen := false
 		wins, wins30, trials := 0, 0, 0
-		for _, key := range keys {
-			c := byScen[key]
+		for _, s := range scens {
+			c := a.peekCell(h, s)
+			if c == nil {
+				continue
+			}
+			seen = true
 			row.Fails += c.fails
-			refC := refCells[key]
+			refC := a.peekCell(a.refID, s)
 			if refC == nil {
 				continue
 			}
@@ -232,6 +488,9 @@ func (a *tableAccumulator) rows(keep func(scenarioKey) bool) ([]TableRow, error)
 					diffs = append(diffs, (mH-mRef)/den)
 				}
 			}
+		}
+		if !seen {
+			continue
 		}
 		if len(diffs) > 0 {
 			row.Diff = 100 * stats.Mean(diffs)
@@ -254,17 +513,13 @@ func (a *tableAccumulator) rows(keep func(scenarioKey) bool) ([]TableRow, error)
 
 // models returns the distinct model names the accumulator has seen.
 func (a *tableAccumulator) models() []string {
-	seen := map[string]bool{}
-	for _, byScen := range a.cells {
-		for key := range byScen {
-			seen[key.Model] = true
+	a.finish()
+	names := []string{}
+	for _, ks := range a.order {
+		if n := len(names); n == 0 || names[n-1] != ks.key.Model {
+			names = append(names, ks.key.Model)
 		}
 	}
-	names := make([]string, 0, len(seen))
-	for n := range seen {
-		names = append(names, n)
-	}
-	sort.Strings(names)
 	return names
 }
 
@@ -320,9 +575,9 @@ func (r *Result) aggFor(ref string) (*tableAccumulator, error) {
 		sort.Strings(refs)
 		return nil, fmt.Errorf("exp: aggregation-only result was streamed for reference %v, cannot aggregate for %q", refs, ref)
 	}
-	acc := newTableAccumulator(ref, 0)
+	acc := newTableAccumulator(ref, nil, Shard{})
 	for _, inst := range r.Instances {
-		acc.add(inst)
+		acc.add(inst, -1)
 	}
 	acc.finish()
 	return acc, nil
@@ -339,11 +594,11 @@ func AggregateJournal(path string) (*Result, error) {
 	err := scanDistinct(sweepKind, path,
 		func(_ Format, h journalHeader[SweepSpec]) error {
 			sweep = h.Spec.sweepDims()
-			acc = newTableAccumulator(ReferenceHeuristic, len(h.Spec.Heuristics))
+			acc = newTableAccumulator(ReferenceHeuristic, &h.Spec, h.Shard)
 			return nil
 		},
-		func(inst InstanceResult) error {
-			acc.add(inst)
+		func(inst InstanceResult, p int) error {
+			acc.add(inst, p)
 			return nil
 		})
 	if err != nil {
@@ -429,7 +684,7 @@ func AggregateGridJournal(path string) (*Result, error) {
 			res.Sweep = h.Spec.Sweep()
 			return nil
 		},
-		func(inst GridInstance) error {
+		func(inst GridInstance, _ int) error {
 			res.agg.add(inst)
 			return nil
 		})

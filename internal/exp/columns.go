@@ -167,7 +167,7 @@ func ExportColumns(journalPath, dir string) error {
 			format = f
 			return nil
 		},
-		func(e InstanceResult) error {
+		func(e InstanceResult, _ int) error {
 			put32("ncom", uint32(int32(e.Point.Ncom)))
 			put32("wmin", uint32(int32(e.Point.Wmin)))
 			put32("scenario", uint32(int32(e.Point.Scenario)))

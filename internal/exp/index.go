@@ -77,14 +77,23 @@ func (x *doneIndex[K, R]) put(p int, k K, r R) {
 	page.recs[i] = r
 }
 
-// add records r under k unless k is already recorded, and reports
-// whether it did.
-func (x *doneIndex[K, R]) add(k K, r R) bool {
-	p := x.position(k)
-	if _, dup := x.get(p, k); dup {
+// add records r as the record of key k at position p unless k is
+// already recorded, and reports whether it did.
+func (x *doneIndex[K, R]) add(p int, k K, r R) bool {
+	if p < 0 {
+		if _, dup := x.other[k]; dup {
+			return false
+		}
+		x.other[k] = r
+		return true
+	}
+	page, i := x.slot(p, true)
+	if page.has(i) {
 		return false
 	}
-	x.put(p, k, r)
+	page.set[i/64] |= 1 << (i % 64)
+	page.recs[i] = r
+	x.n++
 	return true
 }
 
@@ -135,4 +144,41 @@ func (x *doneIndex[K, R]) appendAll(dst []R) []R {
 		dst = append(dst, r)
 	}
 	return dst
+}
+
+// pageLen is the number of ids in one page of a pageTable.
+const pageLen = 1024
+
+// pageTable holds pages P of pageLen consecutive non-negative ids each,
+// allocated on first touch behind a table grown on demand, so that ids
+// spread over a large range cost memory only where they are used. The
+// done index keeps its own pages: it sizes its last page to the grid,
+// and allocates records apart from their presence bits so that a page
+// of 1,024 sweep records stays exactly 80 KB.
+type pageTable[P any] struct {
+	pages []*P
+}
+
+// at returns the page holding id i, allocating it if needed, and i's
+// index in it.
+func (x *pageTable[P]) at(i int) (*P, int) {
+	pg := i / pageLen
+	if pg >= len(x.pages) {
+		x.pages = append(x.pages, make([]*P, pg+1-len(x.pages))...)
+	}
+	page := x.pages[pg]
+	if page == nil {
+		page = new(P)
+		x.pages[pg] = page
+	}
+	return page, i % pageLen
+}
+
+// peek returns the page holding id i, or nil when it was never touched,
+// and i's index in it.
+func (x *pageTable[P]) peek(i int) (*P, int) {
+	if pg := i / pageLen; pg < len(x.pages) {
+		return x.pages[pg], i % pageLen
+	}
+	return nil, i % pageLen
 }

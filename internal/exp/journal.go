@@ -188,7 +188,8 @@ func readJournal[K comparable, R, S any](kind *journalKind[K, R, S], path string
 			return nil
 		},
 		func(r R) error {
-			j.done.add(kind.key(r), r)
+			k := kind.key(r)
+			j.done.add(j.done.position(k), k, r)
 			return nil
 		})
 	if err != nil {
@@ -252,8 +253,10 @@ func scanJournal[K comparable, R, S any](kind *journalKind[K, R, S], path string
 
 // scanDistinct is scanJournal keeping only each key's first record, the
 // rule Append enforces and readJournal follows, so that every reader of
-// a file sees the same records.
-func scanDistinct[K comparable, R, S any](kind *journalKind[K, R, S], path string, onHeader func(Format, journalHeader[S]) error, add func(R) error) error {
+// a file sees the same records. add also receives the record's position
+// on the journal's grid (journalKind.grid), or -1 for a key off it, so
+// that a reader indexing by position need not compute it again.
+func scanDistinct[K comparable, R, S any](kind *journalKind[K, R, S], path string, onHeader func(Format, journalHeader[S]) error, add func(r R, pos int) error) error {
 	var seen *doneIndex[K, struct{}]
 	_, err := scanJournal(kind, path,
 		func(f Format, h journalHeader[S]) error {
@@ -261,10 +264,12 @@ func scanDistinct[K comparable, R, S any](kind *journalKind[K, R, S], path strin
 			return onHeader(f, h)
 		},
 		func(r R) error {
-			if !seen.add(kind.key(r), struct{}{}) {
+			k := kind.key(r)
+			p := seen.position(k)
+			if !seen.add(p, k, struct{}{}) {
 				return nil
 			}
-			return add(r)
+			return add(r, p)
 		})
 	return err
 }
@@ -496,32 +501,42 @@ var sweepKind = &journalKind[Key, InstanceResult, SweepSpec]{
 // order. Finding a position compares names against the spec's short
 // model and heuristic lists; it hashes nothing.
 func sweepGrid(sp SweepSpec, sh Shard) (func(Key) int, int) {
-	if sh.Validate() != nil {
+	coords := sp.coordCount()
+	if sh.Validate() != nil || coords == 0 {
 		return nil, 0
 	}
-	coords := 1
-	for _, d := range []int{len(sp.Models), len(sp.Ncoms), len(sp.Wmins), sp.Scenarios, sp.Trials} {
-		if d <= 0 || coords > maxIndexGrid/d {
-			return nil, 0
-		}
-		coords *= d
-	}
-	owned := 0
-	if coords > sh.Index {
-		owned = (coords-sh.Index-1)/sh.Count + 1
-	}
+	owned := sh.owned(coords)
 	heuristics := len(sp.Heuristics)
 	if heuristics == 0 || owned > maxIndexGrid/heuristics {
 		return nil, 0
 	}
+	// A journal's next key mostly shares the previous key's scenario draw
+	// and names the next heuristic, so pos tries those first. The memo
+	// makes pos unsafe for concurrent use: a done index calls it under
+	// its journal's lock or from a single scan.
+	var last struct {
+		model                         string
+		ncom, wmin, scenario, scen, h int
+	}
+	last.scen = -1
 	pos := func(k Key) int {
-		m, h := slices.Index(sp.Models, k.Model), slices.Index(sp.Heuristics, k.Heuristic)
-		n, w := slices.Index(sp.Ncoms, k.Ncom), slices.Index(sp.Wmins, k.Wmin)
-		if m < 0 || h < 0 || n < 0 || w < 0 || k.Scenario < 0 || k.Scenario >= sp.Scenarios ||
-			k.Trial < 0 || k.Trial >= sp.Trials {
+		h := last.h + 1
+		if h == heuristics {
+			h = 0
+		}
+		if sp.Heuristics[h] != k.Heuristic {
+			h = slices.Index(sp.Heuristics, k.Heuristic)
+		}
+		last.h = h
+		s := last.scen
+		if s < 0 || k.Scenario != last.scenario || k.Wmin != last.wmin || k.Ncom != last.ncom || k.Model != last.model {
+			s = sp.scenarioIndex(k.Model, k.Ncom, k.Wmin, k.Scenario)
+			last.model, last.ncom, last.wmin, last.scenario, last.scen = k.Model, k.Ncom, k.Wmin, k.Scenario, s
+		}
+		if h < 0 || s < 0 || k.Trial < 0 || k.Trial >= sp.Trials {
 			return -1
 		}
-		c := (((m*len(sp.Ncoms)+n)*len(sp.Wmins)+w)*sp.Scenarios+k.Scenario)*sp.Trials + k.Trial
+		c := s*sp.Trials + k.Trial
 		if sh.Count > 1 { // skip the division on a whole-campaign journal
 			if !sh.Covers(c) {
 				return -1
@@ -531,6 +546,41 @@ func sweepGrid(sp SweepSpec, sh Shard) (func(Key) int, int) {
 		return c*heuristics + h
 	}
 	return pos, owned * heuristics
+}
+
+// coordCount returns the number of coordinates (model, point, trial) of
+// the campaign, or 0 when a dimension is empty or the grid exceeds
+// maxIndexGrid coordinates.
+func (sp *SweepSpec) coordCount() int {
+	coords := 1
+	for _, d := range []int{len(sp.Models), len(sp.Ncoms), len(sp.Wmins), sp.Scenarios, sp.Trials} {
+		if d <= 0 || coords > maxIndexGrid/d {
+			return 0
+		}
+		coords *= d
+	}
+	return coords
+}
+
+// scenarioIndex returns the index of a scenario draw among the
+// campaign's draws in Sweep.Coords order, so that draw s holds
+// coordinates s·Trials to s·Trials+Trials−1, or -1 when the campaign
+// has no such draw.
+func (sp *SweepSpec) scenarioIndex(model string, ncom, wmin, scenario int) int {
+	m, n, w := slices.Index(sp.Models, model), slices.Index(sp.Ncoms, ncom), slices.Index(sp.Wmins, wmin)
+	if m < 0 || n < 0 || w < 0 || scenario < 0 || scenario >= sp.Scenarios {
+		return -1
+	}
+	return ((m*len(sp.Ncoms)+n)*len(sp.Wmins)+w)*sp.Scenarios + scenario
+}
+
+// scenarioAt returns the key of scenario draw s, the inverse of
+// scenarioIndex.
+func (sp *SweepSpec) scenarioAt(s int) scenarioKey {
+	sc, s := s%sp.Scenarios, s/sp.Scenarios
+	w, s := s%len(sp.Wmins), s/len(sp.Wmins)
+	n, m := s%len(sp.Ncoms), s/len(sp.Ncoms)
+	return scenarioKey{sp.Ncoms[n], sp.Wmins[w], sc, sp.Models[m]}
 }
 
 // Journal is the append-only journal of a sweep campaign, keyed by

@@ -81,6 +81,15 @@ func (sh Shard) Covers(idx int) bool {
 	return idx%sh.Count == sh.Index
 }
 
+// owned returns how many of the n items at indexes 0 to n−1 the
+// (normalized) shard covers.
+func (sh Shard) owned(n int) int {
+	if n <= sh.Index {
+		return 0
+	}
+	return (n-sh.Index-1)/sh.Count + 1
+}
+
 // Shard returns the (model, point, trial) coordinates owned by shard i of
 // n — n disjoint, jointly exhaustive, deterministic slices of the grid,
 // for splitting a campaign across machines or CI jobs. Recombine the

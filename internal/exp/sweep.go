@@ -363,8 +363,8 @@ type RunOptions struct {
 	// campaigns. The returned Result has nil Instances but still renders
 	// Tables I–III, Figure 2 and the failure-dominance check (for
 	// ReferenceHeuristic): every instance is folded into streaming
-	// accumulators as it completes, holding O(cells) — not O(instances)
-	// — in memory.
+	// accumulators as it completes, holding O(cells) plus 4 bytes a
+	// coordinate — not the instances — in memory.
 	DiscardInstances bool
 }
 
@@ -383,8 +383,10 @@ func Run(ctx context.Context, sweep Sweep, opts RunOptions) (*Result, error) {
 	var acc *tableAccumulator
 	if opts.DiscardInstances {
 		// Streaming aggregation in place of collection: groups close as
-		// each coordinate's heuristics complete, keeping memory O(cells).
-		acc = newTableAccumulator(ReferenceHeuristic, len(sweep.heuristics()))
+		// each coordinate's heuristics complete, keeping memory O(cells)
+		// plus 4 bytes a coordinate of the shard.
+		spec := sweep.Spec()
+		acc = newTableAccumulator(ReferenceHeuristic, &spec, opts.Shard)
 	}
 	for ev, err := range Stream(ctx, sweep, opts) {
 		if err != nil {
@@ -393,7 +395,7 @@ func Run(ctx context.Context, sweep Sweep, opts RunOptions) (*Result, error) {
 		switch ev := ev.(type) {
 		case InstanceDone:
 			if acc != nil {
-				acc.add(ev.Instance)
+				acc.add(ev.Instance, -1)
 			} else {
 				collected = append(collected, ev.Instance)
 			}
