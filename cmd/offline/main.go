@@ -258,12 +258,12 @@ type trialHeader struct {
 	Shard  string  `json:"shard"`
 }
 
-// trialJournal is the trial-loop analogue of exp.Journal, built on the
-// same crash-tolerant JSONL substrate (exp.ReadJSONL and friends): a
-// header line, then one line per trial, flushed per line, tolerating a
-// crash-torn tail on reopen. An empty path makes it a no-op.
+// trialJournal is the trial-loop analogue of exp.Journal, on the same
+// record log (exp.RecordLog): a JSON header line, then one line per
+// trial, flushed per line. Reopening drops a crash-torn tail, as the
+// record log's scan defines it. An empty path makes it a no-op.
 type trialJournal struct {
-	w    *exp.JSONLWriter
+	w    *exp.RecordLog
 	done map[int]trialRecord
 }
 
@@ -272,43 +272,54 @@ func openTrialJournal(path string, resume bool, hdr trialHeader) (*trialJournal,
 	if path == "" {
 		return tj, nil
 	}
-	headerLine, records, validLen, err := exp.ReadJSONL(path)
-	switch {
-	case err == nil:
-		if !resume {
-			return nil, fmt.Errorf("journal %s exists; pass -resume to continue it", path)
-		}
-		var got trialHeader
-		if err := json.Unmarshal(headerLine, &got); err != nil {
-			return nil, fmt.Errorf("journal %s header: %w", path, err)
-		}
-		if got != hdr {
-			return nil, fmt.Errorf("journal %s records a different batch (%+v, want %+v)", path, got, hdr)
-		}
-		for i, line := range records {
+	var format exp.Format
+	var validLen int64
+	err := exp.ScanRecords(path,
+		func(f exp.Format, raw []byte, end int64) error {
+			if !resume {
+				return fmt.Errorf("journal %s exists; pass -resume to continue it", path)
+			}
+			var got trialHeader
+			if err := json.Unmarshal(raw, &got); err != nil {
+				return fmt.Errorf("journal %s header: %w", path, err)
+			}
+			if got != hdr {
+				return fmt.Errorf("journal %s records a different batch (%+v, want %+v)", path, got, hdr)
+			}
+			format, validLen = f, end
+			return nil
+		},
+		func(payload []byte, end int64) error {
 			var rec trialRecord
-			if err := json.Unmarshal(line, &rec); err != nil {
-				return nil, fmt.Errorf("journal %s line %d: %w", path, i+2, err)
+			if err := json.Unmarshal(payload, &rec); err != nil {
+				return err
 			}
 			tj.done[rec.Trial] = rec
-		}
-		if tj.w, err = exp.OpenJSONLAppend(path, validLen); err != nil {
-			return nil, err
-		}
-		return tj, nil
+			validLen = end
+			return nil
+		})
+	switch {
 	case os.IsNotExist(err):
-		if tj.w, err = exp.CreateJSONL(path, hdr); err != nil {
-			return nil, err
+		var header []byte
+		if header, err = json.Marshal(hdr); err == nil {
+			tj.w, err = exp.CreateRecordLog(path, exp.FormatJSONL, header)
 		}
-		return tj, nil
-	default:
+	case err == nil:
+		tj.w, err = exp.OpenRecordLog(path, format, validLen)
+	}
+	if err != nil {
 		return nil, err
 	}
+	return tj, nil
 }
 
 func (tj *trialJournal) append(rec trialRecord) error {
 	if tj.w != nil {
-		if err := tj.w.Append(rec); err != nil {
+		b, err := json.Marshal(rec)
+		if err != nil {
+			return err
+		}
+		if err := tj.w.Append(b); err != nil {
 			return err
 		}
 	}

@@ -51,7 +51,7 @@ func (c *fakeClock) Advance(d time.Duration) {
 }
 
 // testCoordinator builds a coordinator over a fresh journal in dir.
-func testCoordinator(t *testing.T, dir string, sweep exp.Sweep, mut func(*Config)) (*Coordinator, *exp.Journal) {
+func testCoordinator(t testing.TB, dir string, sweep exp.Sweep, mut func(*Config)) (*Coordinator, *exp.Journal) {
 	t.Helper()
 	j, err := exp.CreateJournal(filepath.Join(dir, "c.journal"), sweep, exp.Shard{})
 	if err != nil {

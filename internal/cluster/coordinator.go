@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"encoding/json"
 	"fmt"
 	"os"
 	"reflect"
@@ -116,7 +117,7 @@ type Coordinator struct {
 	validNcom, validWmin       map[int]bool
 
 	mu     sync.Mutex
-	log    *exp.JSONLWriter
+	log    *exp.RecordLog
 	units  map[exp.Shard]*unit
 	avail  []exp.Shard // claim queue, FIFO
 	leases map[string]*lease
@@ -205,7 +206,11 @@ func Start(cfg Config) (*Coordinator, error) {
 			GCIntervalMillis: cfg.GCInterval.Milliseconds(),
 			Reshard:          cfg.Reshard,
 		}
-		w, err := exp.CreateJSONL(cfg.StatePath, header)
+		raw, err := json.Marshal(header)
+		if err != nil {
+			return nil, fmt.Errorf("cluster: create lease log: %w", err)
+		}
+		w, err := exp.CreateRecordLog(cfg.StatePath, exp.FormatJSONL, raw)
 		if err != nil {
 			return nil, fmt.Errorf("cluster: create lease log: %w", err)
 		}
@@ -237,12 +242,13 @@ func Start(cfg Config) (*Coordinator, error) {
 
 // resume rebuilds the unit and lease tables by replaying the lease log.
 func (co *Coordinator) resume() error {
-	header, events, terminal, validLen, err := ReadState(co.cfg.StatePath)
+	st, err := ReadState(co.cfg.StatePath)
 	if err != nil {
 		return err
 	}
-	if terminal != "" {
-		return fmt.Errorf("cluster: campaign %s already ended %q", header.Campaign, terminal)
+	header := st.Header
+	if st.Terminal != "" {
+		return fmt.Errorf("cluster: campaign %s already ended %q", header.Campaign, st.Terminal)
 	}
 	if !reflect.DeepEqual(header.Spec, co.spec) {
 		return fmt.Errorf("cluster: lease log %s records a different campaign (spec %+v, want %+v)",
@@ -253,7 +259,7 @@ func (co *Coordinator) resume() error {
 		co.units[sh] = &unit{shard: sh}
 	}
 	now := co.cfg.Now()
-	for _, ev := range events {
+	for _, ev := range st.Events {
 		sh, perr := exp.ParseShard(ev.Unit)
 		if ev.Ev != "end" && perr != nil {
 			return fmt.Errorf("cluster: lease log %s: bad unit %q in %q event", co.cfg.StatePath, ev.Unit, ev.Ev)
@@ -317,7 +323,7 @@ func (co *Coordinator) resume() error {
 	})
 	co.avail = avail
 
-	w, err := exp.OpenJSONLAppend(co.cfg.StatePath, validLen)
+	w, err := exp.OpenRecordLog(co.cfg.StatePath, st.Format, st.ValidLen)
 	if err != nil {
 		return fmt.Errorf("cluster: reopen lease log: %w", err)
 	}
@@ -403,7 +409,7 @@ func (co *Coordinator) Claim(worker string) (*LeaseGrant, error) {
 			deadline: co.cfg.Now().Add(co.cfg.LeaseTTL),
 			offset:   co.cfg.Journal.DoneCount(),
 		}
-		if err := co.log.Append(stateEvent{Ev: "grant", Unit: sh.String(), Lease: l.id,
+		if err := co.logEvent(stateEvent{Ev: "grant", Unit: sh.String(), Lease: l.id,
 			Worker: worker, Offset: l.offset}); err != nil {
 			return nil, fmt.Errorf("cluster: persist grant: %w", err)
 		}
@@ -597,7 +603,7 @@ func (co *Coordinator) GC() (int, error) {
 func (co *Coordinator) requeueLocked(l *lease) error {
 	u := co.units[l.unit]
 	split := co.cfg.Reshard && splittable(l.unit, len(co.coords))
-	if err := co.log.Append(stateEvent{Ev: "requeue", Unit: l.unit.String(), Lease: l.id, Split: split}); err != nil {
+	if err := co.logEvent(stateEvent{Ev: "requeue", Unit: l.unit.String(), Lease: l.id, Split: split}); err != nil {
 		return fmt.Errorf("cluster: persist requeue: %w", err)
 	}
 	delete(co.leases, l.id)
@@ -623,7 +629,7 @@ func (co *Coordinator) requeueLocked(l *lease) error {
 // markUnitDone persists and applies a unit's completion. Caller holds
 // mu.
 func (co *Coordinator) markUnitDone(sh exp.Shard, leaseID string) error {
-	if err := co.log.Append(stateEvent{Ev: "done", Unit: sh.String(), Lease: leaseID}); err != nil {
+	if err := co.logEvent(stateEvent{Ev: "done", Unit: sh.String(), Lease: leaseID}); err != nil {
 		return fmt.Errorf("cluster: persist done: %w", err)
 	}
 	u := co.units[sh]
@@ -690,7 +696,7 @@ func (co *Coordinator) endLocked(state string) error {
 	if co.ended != "" {
 		return nil
 	}
-	if err := co.log.Append(stateEvent{Ev: "end", State: state}); err != nil {
+	if err := co.logEvent(stateEvent{Ev: "end", State: state}); err != nil {
 		return fmt.Errorf("cluster: persist end: %w", err)
 	}
 	co.ended = state

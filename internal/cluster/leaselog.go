@@ -8,10 +8,10 @@ import (
 	"tightsched/internal/exp"
 )
 
-// The lease state log is the coordinator's durability: an append-only
-// JSONL file (same crash-tolerant substrate as the campaign journal)
-// holding one header line — the campaign's full cluster identity — and
-// one line per lease-lifecycle transition. Heartbeats are deliberately
+// The lease state log is the coordinator's durability: a JSONL record
+// log (exp.RecordLog, the campaign journal's substrate) holding one
+// header line — the campaign's full cluster identity — and one line per
+// lease-lifecycle transition. Heartbeats are deliberately
 // NOT logged: deadlines are volatile state, recomputed on restart, so
 // the log grows with decisions (grants, requeues, completions), not
 // with time. Replaying the log over the campaign journal reconstructs
@@ -66,47 +66,58 @@ type stateEvent struct {
 	State string `json:"state,omitempty"`
 }
 
-// ReadState reads a lease log without modifying it: the header, the
-// decoded events of the intact prefix, the terminal state ("" while the
-// campaign is live), and the byte length of the intact prefix for
-// appending. A torn tail — the signature of a coordinator killed
-// mid-write — is dropped: the transition it would have recorded was
-// never acknowledged, so losing it is consistent by construction.
-func ReadState(path string) (StateHeader, []stateEvent, string, int64, error) {
-	headerLine, records, validLen, err := exp.ReadJSONL(path)
+// logEvent persists one transition as a lease-log record. Caller holds
+// mu.
+func (co *Coordinator) logEvent(ev stateEvent) error {
+	b, err := json.Marshal(ev)
 	if err != nil {
-		return StateHeader{}, nil, "", 0, fmt.Errorf("cluster: read state %s: %w", path, err)
+		return err
 	}
-	var header StateHeader
-	if err := json.Unmarshal(headerLine, &header); err != nil {
-		return StateHeader{}, nil, "", 0, fmt.Errorf("cluster: state %s header: %w", path, err)
-	}
-	if header.V != 1 {
-		return StateHeader{}, nil, "", 0, fmt.Errorf("cluster: state %s has unknown version %d", path, header.V)
-	}
-	events := make([]stateEvent, 0, len(records))
-	terminal := ""
-	for i, line := range records {
-		var ev stateEvent
-		if err := json.Unmarshal(line, &ev); err != nil {
-			if i == len(records)-1 {
-				validLen -= int64(len(line)) + 1 // torn tail
-				break
-			}
-			return StateHeader{}, nil, "", 0, fmt.Errorf("cluster: state %s line %d: %w", path, i+2, err)
-		}
-		if ev.Ev == "end" {
-			terminal = ev.State
-		}
-		events = append(events, ev)
-	}
-	return header, events, terminal, validLen, nil
+	return co.log.Append(b)
 }
 
-// StateCampaignID reads just enough of a lease log to identify its
-// campaign and terminal state — what the daemon's startup rescan needs
-// to decide whether to resume, and what to register it as.
-func StateCampaignID(path string) (StateHeader, string, error) {
-	header, _, terminal, _, err := ReadState(path)
-	return header, terminal, err
+// State is a lease log read back: the header, the decoded events of the
+// intact prefix, the terminal state ("" while the campaign is live), and
+// the format and intact length the log reopens with for appending.
+type State struct {
+	Header   StateHeader
+	Events   []stateEvent
+	Terminal string
+	Format   exp.Format
+	ValidLen int64
+}
+
+// ReadState reads a lease log without modifying it. A torn tail — the
+// signature of a coordinator killed mid-write — is dropped by the record
+// log's scan (exp.ScanRecords): the transition it would have recorded
+// was never acknowledged, so losing it is consistent by construction.
+func ReadState(path string) (State, error) {
+	var st State
+	err := exp.ScanRecords(path,
+		func(format exp.Format, raw []byte, end int64) error {
+			if err := json.Unmarshal(raw, &st.Header); err != nil {
+				return fmt.Errorf("header: %w", err)
+			}
+			if st.Header.V != 1 {
+				return fmt.Errorf("unknown version %d", st.Header.V)
+			}
+			st.Format, st.ValidLen = format, end
+			return nil
+		},
+		func(payload []byte, end int64) error {
+			var ev stateEvent
+			if err := json.Unmarshal(payload, &ev); err != nil {
+				return err
+			}
+			if ev.Ev == "end" {
+				st.Terminal = ev.State
+			}
+			st.Events = append(st.Events, ev)
+			st.ValidLen = end
+			return nil
+		})
+	if err != nil {
+		return State{}, fmt.Errorf("cluster: read state %s: %w", path, err)
+	}
+	return st, nil
 }

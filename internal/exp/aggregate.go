@@ -611,85 +611,23 @@ func AggregateJournal(path string) (*Result, error) {
 
 // ---- Table IV --------------------------------------------------------------
 
-// gridCombo is one policy combination — Table IV's row key.
-type gridCombo struct {
-	arrival, admission, preemption string
-}
-
-// tableIVAccumulator groups grid instances by policy combination. Grid
-// instances are already per-trial aggregates (a campaign has
-// |combos| × trials of them), so buffering them per combo is small by
-// construction; rows render by replaying each combo's trials in sorted
-// order, reproducing the canonical-order float accumulation exactly.
-type tableIVAccumulator struct {
-	combos map[gridCombo][]GridInstance
-}
-
-func newTableIVAccumulator() *tableIVAccumulator {
-	return &tableIVAccumulator{combos: map[gridCombo][]GridInstance{}}
-}
-
-// add feeds one grid instance, in any order.
-func (a *tableIVAccumulator) add(in GridInstance) {
-	k := gridCombo{in.Arrival, in.Admission, in.Preemption}
-	a.combos[k] = append(a.combos[k], in)
-}
-
-// rows renders Table IV in canonical combo order.
-func (a *tableIVAccumulator) rows() []TableIVRow {
-	keys := make([]gridCombo, 0, len(a.combos))
-	for k := range a.combos {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		x, y := keys[i], keys[j]
-		if x.arrival != y.arrival {
-			return x.arrival < y.arrival
-		}
-		if x.admission != y.admission {
-			return x.admission < y.admission
-		}
-		return x.preemption < y.preemption
-	})
-	var rows []TableIVRow
-	for _, k := range keys {
-		insts := a.combos[k]
-		sort.Slice(insts, func(i, j int) bool { return insts[i].Trial < insts[j].Trial })
-		row := TableIVRow{Arrival: k.arrival, Admission: k.admission, Preemption: k.preemption}
-		var respSum int64
-		slowSum := 0.0
-		var makespanSum int64
-		for _, in := range insts {
-			row.Apps += in.Apps
-			row.Completed += in.Completed
-			row.Missed += in.Missed
-			row.Preempted += in.Preempted
-			respSum += in.RespSum
-			slowSum += in.SlowSum
-			makespanSum += in.Makespan
-		}
-		finishTableIVRow(&row, respSum, slowSum, makespanSum, len(insts))
-		rows = append(rows, row)
-	}
-	return rows
-}
-
-// AggregateGridJournal replays a grid journal (either format) into an
-// aggregation-only Result whose Grid renders Table IV without holding a
-// sorted instance slice.
+// AggregateGridJournal replays a grid journal (either format) into a
+// Result whose Grid holds the journal's distinct instances in canonical
+// order, from which Table IV renders.
 func AggregateGridJournal(path string) (*Result, error) {
-	res := &GridResult{agg: newTableIVAccumulator()}
+	res := &GridResult{}
 	err := scanDistinct(gridKind, path,
 		func(_ Format, h journalHeader[GridSpec]) error {
 			res.Sweep = h.Spec.Sweep()
 			return nil
 		},
 		func(inst GridInstance, _ int) error {
-			res.agg.add(inst)
+			res.Instances = append(res.Instances, inst)
 			return nil
 		})
 	if err != nil {
 		return nil, err
 	}
+	sortGridInstances(res.Instances)
 	return &Result{Grid: res}, nil
 }

@@ -440,7 +440,7 @@ func appendRaw(t *testing.T, j *Journal, in InstanceResult) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := j.w.AppendRecord(b); err != nil {
+	if err := j.w.Append(b); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -1,29 +1,25 @@
 package exp
 
 import (
-	"bufio"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
-	"hash/crc32"
-	"io"
 	"math"
-	"os"
 	"strconv"
 )
 
 // This file is the journal codec seam: the Format knob every journal
-// creation path threads through (CLI flag, daemon spec, cluster config),
-// the compact binary encodings of the two record types, and the one
-// streaming record scanner every journal reader is built on (open, load,
-// resume, merge, aggregation, conversion and columnar export).
+// creation path threads through (CLI flag, daemon spec, cluster config)
+// and the JSONL and binary encodings of the two record types. The
+// framing of both formats, and the one streaming scanner every journal
+// reader is built on, are the record log's (recordlog.go).
 //
 // The two formats carry the same records under the same coordinate Keys;
 // only the framing and per-record encoding differ. The header record is
 // the identical JSON document in both, so campaign identity — and every
 // spec-equality check built on it (resume, merge, cluster adoption) — is
-// format-independent. Readers sniff the container magic, so a journal is
-// always opened by content, never by flag.
+// format-independent. Readers tell the formats apart by the binary
+// magic, so a journal is always opened by content, never by flag.
 
 // Format selects a journal's on-disk encoding.
 type Format int
@@ -32,7 +28,7 @@ const (
 	// FormatJSONL is the interoperable default: one JSON record per line.
 	FormatJSONL Format = iota
 	// FormatBinary is the compact length-prefixed binary codec
-	// (binlog.go): a version byte up front, CRC per record.
+	// (recordlog.go): a version byte up front, CRC per record.
 	FormatBinary
 )
 
@@ -61,69 +57,12 @@ func ParseFormat(s string) (Format, error) {
 	}
 }
 
-// recordAppender abstracts the two journal writers behind one append
-// seam: a payload in, one flushed write out.
-type recordAppender interface {
-	AppendRecord(payload []byte) error
-	Close() error
-}
-
-// AppendRecord writes a pre-encoded JSON payload as one journal line,
-// assembled in the writer's reused line buffer (the owning journal's
-// mutex serializes appends).
-func (w *JSONLWriter) AppendRecord(payload []byte) error {
-	w.buf = append(append(w.buf[:0], payload...), '\n')
-	if _, err := w.f.Write(w.buf); err != nil {
-		return fmt.Errorf("journal append: %w", err)
+// check reports an error for a value other than the two formats.
+func (f Format) check() error {
+	if f != FormatJSONL && f != FormatBinary {
+		return fmt.Errorf("exp: unknown journal format %v", f)
 	}
 	return nil
-}
-
-// sniffData reports the format of journal bytes: binary by magic,
-// JSONL otherwise (its first byte is '{').
-func sniffData(data []byte) Format {
-	if IsBinaryLog(data) {
-		return FormatBinary
-	}
-	return FormatJSONL
-}
-
-// SniffFormat reports a journal file's on-disk format from its leading
-// bytes.
-func SniffFormat(path string) (Format, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return 0, err
-	}
-	defer f.Close()
-	head := make([]byte, len(binMagic))
-	n, err := io.ReadFull(f, head)
-	if err != nil && err != io.ErrUnexpectedEOF && err != io.EOF {
-		return 0, err
-	}
-	return sniffData(head[:n]), nil
-}
-
-// openRecordAppender reopens a journal of the given format for appending
-// at validLen (the intact prefix), truncating a torn tail.
-func openRecordAppender(path string, format Format, validLen int64) (recordAppender, error) {
-	if format == FormatBinary {
-		return OpenBinaryLogAppend(path, validLen)
-	}
-	return OpenJSONLAppend(path, validLen)
-}
-
-// createRecordLog creates a fresh journal of the given format whose first
-// record is the marshaled header document.
-func createRecordLog(path string, format Format, header any) (recordAppender, error) {
-	if format == FormatJSONL {
-		return CreateJSONL(path, header)
-	}
-	hdr, err := json.Marshal(header)
-	if err != nil {
-		return nil, err
-	}
-	return CreateBinaryLog(path, hdr)
 }
 
 // ---- entry encodings -------------------------------------------------------
@@ -432,121 +371,4 @@ func (p *canonicalParser) num(prefix string) int {
 		p.bad = true
 	}
 	return int(v)
-}
-
-// ---- streaming scan --------------------------------------------------------
-
-// scanRecords is the one journal reader: it streams a journal's records
-// through fn without loading the file into memory. It sniffs the format,
-// hands it with the raw header payload to header, then each record
-// payload (valid for the duration of the call only) to fn, each with the
-// file offset just past the record. Torn tails are tolerated whatever
-// their shape: a frame cut short or failing its CRC ends the scan
-// silently, and so does a final record on which fn fails (a zero-filled
-// or garbled block from filesystem crash recovery); the last offset
-// handed out then ends the intact prefix. A record on which fn fails
-// with records after it is an error — the journal is append-only, so
-// damage there means the file was tampered with. A failing header
-// aborts the scan.
-func scanRecords(path string, header func(format Format, payload []byte, end int64) error, fn func(payload []byte, end int64) error) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	br := bufio.NewReaderSize(f, 1<<20)
-	head, err := br.Peek(len(binMagic))
-	if err != nil && err != io.EOF {
-		return err
-	}
-	format := sniffData(head)
-	next := jsonlFrames(br)
-	if format == FormatBinary {
-		if next, err = binaryFrames(path, br); err != nil {
-			return err
-		}
-	}
-	var pending error // fn's error on the previous record, fatal iff a record follows
-	for i := 0; ; i++ {
-		payload, end, err := next()
-		if err == io.EOF {
-			return nil
-		}
-		if err != nil {
-			return err
-		}
-		if pending != nil {
-			return pending
-		}
-		if i == 0 {
-			if err := header(format, payload, end); err != nil {
-				return err
-			}
-		} else if err := fn(payload, end); err != nil {
-			pending = fmt.Errorf("exp: journal %s record %d: %w", path, i+1, err)
-		}
-	}
-}
-
-// jsonlFrames yields a JSONL journal's lines. A final line without its
-// newline is a write cut short: it ends the scan (io.EOF) unread. Lines
-// are read in place from the reader's buffer; one longer than the buffer
-// (a header with a large inline spec) is accumulated in a side buffer.
-// Either way a line is overwritten by the next one.
-func jsonlFrames(br *bufio.Reader) func() ([]byte, int64, error) {
-	var off int64
-	var long []byte
-	return func() ([]byte, int64, error) {
-		line, err := br.ReadSlice('\n')
-		if err == bufio.ErrBufferFull {
-			long = append(long[:0], line...)
-			for err == bufio.ErrBufferFull {
-				line, err = br.ReadSlice('\n')
-				long = append(long, line...)
-			}
-			line = long
-		}
-		if err != nil {
-			return nil, 0, err
-		}
-		off += int64(len(line))
-		return line[:len(line)-1], off, nil
-	}
-}
-
-// binaryFrames checks a binary journal's container header and yields its
-// CRC-checked frames. A frame that is short, oversized or fails its CRC
-// is a torn write: it ends the scan (io.EOF). Payloads share one buffer,
-// overwritten by the next frame.
-func binaryFrames(path string, br *bufio.Reader) (func() ([]byte, int64, error), error) {
-	hdr := make([]byte, binHeaderLen)
-	if _, err := io.ReadFull(br, hdr); err != nil {
-		return nil, fmt.Errorf("%s: truncated binary journal header", path)
-	}
-	if hdr[4] != binVersion {
-		return nil, fmt.Errorf("%s: unknown binary journal version %d", path, hdr[4])
-	}
-	off := int64(binHeaderLen)
-	var buf []byte
-	var lenBuf [binary.MaxVarintLen64]byte
-	return func() ([]byte, int64, error) {
-		n, err := binary.ReadUvarint(br)
-		if err != nil || n > maxBinRecord {
-			return nil, 0, io.EOF // torn or garbled length prefix
-		}
-		need := int(n) + 4
-		if cap(buf) < need {
-			buf = make([]byte, need)
-		}
-		buf = buf[:need]
-		if _, err := io.ReadFull(br, buf); err != nil {
-			return nil, 0, io.EOF // frame runs past EOF: cut-short write
-		}
-		payload := buf[:n]
-		if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(buf[n:]) {
-			return nil, 0, io.EOF // damaged payload (zero-fill, bit rot)
-		}
-		off += int64(binary.PutUvarint(lenBuf[:], n) + need)
-		return payload, off, nil
-	}, nil
 }

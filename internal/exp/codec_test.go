@@ -69,11 +69,13 @@ func TestBinaryJournalResultParity(t *testing.T) {
 	jsonlPath, ref := runJournaled(t, dir, s, FormatJSONL)
 	binPath, _ := runJournaled(t, dir, s, FormatBinary)
 
-	if f, err := SniffFormat(binPath); err != nil || f != FormatBinary {
-		t.Fatalf("SniffFormat(bin) = %v, %v", f, err)
-	}
-	if f, err := SniffFormat(jsonlPath); err != nil || f != FormatJSONL {
-		t.Fatalf("SniffFormat(jsonl) = %v, %v", f, err)
+	for path, want := range map[string]Format{binPath: FormatBinary, jsonlPath: FormatJSONL} {
+		got := Format(-1)
+		err := ScanRecords(path, func(f Format, _ []byte, _ int64) error { got = f; return nil },
+			func([]byte, int64) error { return nil })
+		if err != nil || got != want {
+			t.Fatalf("ScanRecords(%s) format = %v, %v; want %v", path, got, err, want)
+		}
 	}
 
 	fromJSONL, _, err := LoadJournal(jsonlPath)
@@ -266,7 +268,7 @@ func TestBinaryCorruptMiddleRejected(t *testing.T) {
 			// is record 0).
 			var ends []int64
 			end := func(_ []byte, e int64) error { ends = append(ends, e); return nil }
-			if err := scanRecords(path, func(_ Format, p []byte, e int64) error { return end(p, e) }, end); err != nil {
+			if err := ScanRecords(path, func(_ Format, p []byte, e int64) error { return end(p, e) }, end); err != nil {
 				t.Fatal(err)
 			}
 
@@ -652,7 +654,7 @@ func FuzzJournalDecode(f *testing.F) {
 		var format Format
 		var codec journalCodec
 		scanned := 0
-		scanErr := scanRecords(path,
+		scanErr := ScanRecords(path,
 			func(f Format, raw []byte, _ int64) (err error) {
 				format = f
 				codec, err = codecOf(path, raw)

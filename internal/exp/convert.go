@@ -16,25 +16,26 @@ import (
 func ConvertJournal(src, dst string, to Format) error {
 	var srcFormat Format
 	var codec journalCodec
-	var w recordAppender
+	var w *RecordLog
 	var buf []byte
 	intern := map[string]string{}
-	// scanRecords swallows an fn error on the final record (that is the
+	// ScanRecords swallows an fn error on the final record (that is the
 	// torn-tail contract, and a tail that fails to decode should indeed
 	// be dropped) — but a destination write failure must surface even
 	// there, so track it separately.
 	var writeErr error
-	err := scanRecords(src,
+	err := ScanRecords(src,
 		func(format Format, headerRaw []byte, _ int64) error {
 			srcFormat = format
 			var err error
 			if codec, err = codecOf(src, headerRaw); err != nil {
 				return err
 			}
-			out, err := createRecordLog(dst, to, json.RawMessage(headerRaw))
-			if err == nil {
-				w = out // never a typed nil: the cleanup below tests w
+			header, err := json.Marshal(json.RawMessage(headerRaw))
+			if err != nil {
+				return err
 			}
+			w, err = CreateRecordLog(dst, to, header)
 			return err
 		},
 		func(payload []byte, _ int64) error {
@@ -42,7 +43,7 @@ func ConvertJournal(src, dst string, to Format) error {
 			if buf, err = codec.transcode(buf[:0], srcFormat, to, payload, intern); err != nil {
 				return err
 			}
-			writeErr = w.AppendRecord(buf)
+			writeErr = w.Append(buf)
 			return writeErr
 		})
 	if err == nil {

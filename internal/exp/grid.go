@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -277,10 +278,6 @@ func (i GridInstance) Key() GridKey { return i.GridKey }
 type GridResult struct {
 	Sweep     GridSweep
 	Instances []GridInstance
-	// agg carries an aggregation-only result's streaming Table IV
-	// accumulator (AggregateGridJournal); nil when Instances is the
-	// source of truth.
-	agg *tableIVAccumulator
 }
 
 // RunGrid executes the campaign on the campaign executor: cancelling
@@ -646,26 +643,42 @@ type TableIVRow struct {
 }
 
 // TableIV aggregates the campaign into its Table IV rows, grouped by
-// (arrival, admission, preemption) in the canonical instance order.
-// Aggregation runs through the incremental combo accumulator
-// (aggregate.go), which replays each combination's trials in sorted
-// order over journaled integer sums, so the floats — and the rendered
-// artifact — are bit-identical across worker counts, shards, resumes
-// and streaming journal replays.
+// (arrival, admission, preemption) in the canonical instance order. It
+// groups a canonically sorted copy of Instances, so each row sums its
+// combination's trials in trial order over journaled integer sums, and
+// the floats — and the rendered artifact — are bit-identical across
+// worker counts, shards, resumes and journal replays.
 func (r *GridResult) TableIV() []TableIVRow {
-	acc := r.agg
-	if acc == nil {
-		acc = newTableIVAccumulator()
-		for _, in := range r.Instances {
-			acc.add(in)
+	insts := slices.Clone(r.Instances)
+	sortGridInstances(insts)
+	var rows []TableIVRow
+	for len(insts) > 0 {
+		n := 1
+		for n < len(insts) && insts[n].Arrival == insts[0].Arrival &&
+			insts[n].Admission == insts[0].Admission && insts[n].Preemption == insts[0].Preemption {
+			n++
 		}
+		rows = append(rows, tableIVRow(insts[:n]))
+		insts = insts[n:]
 	}
-	return acc.rows()
+	return rows
 }
 
-// finishTableIVRow derives a row's mean metrics from its accumulated
-// sums (trials is the number of instances folded into the row).
-func finishTableIVRow(row *TableIVRow, respSum int64, slowSum float64, makespanSum int64, trials int) {
+// tableIVRow folds one policy combination's trials, in trial order, into
+// its row.
+func tableIVRow(insts []GridInstance) TableIVRow {
+	row := TableIVRow{Arrival: insts[0].Arrival, Admission: insts[0].Admission, Preemption: insts[0].Preemption}
+	var respSum, makespanSum int64
+	slowSum := 0.0
+	for _, in := range insts {
+		row.Apps += in.Apps
+		row.Completed += in.Completed
+		row.Missed += in.Missed
+		row.Preempted += in.Preempted
+		respSum += in.RespSum
+		slowSum += in.SlowSum
+		makespanSum += in.Makespan
+	}
 	if row.Apps > 0 {
 		row.MissPct = 100 * float64(row.Missed) / float64(row.Apps)
 	}
@@ -676,9 +689,8 @@ func finishTableIVRow(row *TableIVRow, respSum int64, slowSum float64, makespanS
 		row.MeanSlowdown = math.NaN()
 		row.MeanResponse = math.NaN()
 	}
-	if trials > 0 {
-		row.MeanMakespan = float64(makespanSum) / float64(trials)
-	}
+	row.MeanMakespan = float64(makespanSum) / float64(len(insts))
+	return row
 }
 
 // FormatTableIV renders Table IV rows in the experiment tables' fixed

@@ -144,7 +144,7 @@ func codecOf(path string, raw []byte) (journalCodec, error) {
 
 // journal is an append-only record of a campaign's completed instances:
 // a header record stamping the campaign spec, then one record per
-// instance, in either the JSONL or the binary format (codec.go). Every
+// instance: a record log (recordlog.go) in either format. Every
 // Append is written and flushed immediately, so a crash loses at most
 // the record being written — and readers tolerate exactly that torn
 // tail. The journal file is the unit of resume and of cross-machine
@@ -153,7 +153,7 @@ func codecOf(path string, raw []byte) (journalCodec, error) {
 type journal[K comparable, R, S any] struct {
 	kind   *journalKind[K, R, S]
 	mu     sync.Mutex
-	w      recordAppender // nil when read-only
+	w      *RecordLog // nil when read-only
 	format Format
 	path   string
 	header journalHeader[S]
@@ -165,7 +165,11 @@ type journal[K comparable, R, S any] struct {
 // existing one.
 func createJournal[K comparable, R, S any](kind *journalKind[K, R, S], path string, format Format, spec S, shard Shard) (*journal[K, R, S], error) {
 	header := journalHeader[S]{V: 1, Kind: kind.kind, Spec: spec, Shard: shard}
-	w, err := createRecordLog(path, format, header)
+	raw, err := json.Marshal(header)
+	if err != nil {
+		return nil, fmt.Errorf("exp: create journal: %w", err)
+	}
+	w, err := CreateRecordLog(path, format, raw)
 	if err != nil {
 		return nil, fmt.Errorf("exp: create journal: %w", err)
 	}
@@ -175,7 +179,7 @@ func createJournal[K comparable, R, S any](kind *journalKind[K, R, S], path stri
 
 // readJournal loads a journal file of either format without modifying
 // it: a read-only journal, and the length of its intact prefix (a torn
-// tail, as scanRecords defines it, lies past it). The instance a torn
+// tail, as ScanRecords defines it, lies past it). The instance a torn
 // record would have recorded is simply re-run on resume, or covered by
 // an overlapping journal on merge. A key's first record wins, as in
 // Append; a later record of the key (only a hand-edited or
@@ -211,7 +215,7 @@ func openJournal[K comparable, R, S any](kind *journalKind[K, R, S], path string
 			return nil, err
 		}
 	}
-	if j.w, err = openRecordAppender(path, j.format, validLen); err != nil {
+	if j.w, err = OpenRecordLog(path, j.format, validLen); err != nil {
 		return nil, fmt.Errorf("exp: open journal for append: %w", err)
 	}
 	return j, nil
@@ -224,15 +228,14 @@ func openJournal[K comparable, R, S any](kind *journalKind[K, R, S], path string
 func scanJournal[K comparable, R, S any](kind *journalKind[K, R, S], path string, onHeader func(Format, journalHeader[S]) error, add func(R) error) (int64, error) {
 	var format Format
 	var validLen int64
-	seen := false
 	intern := map[string]string{}
-	err := scanRecords(path,
+	err := ScanRecords(path,
 		func(f Format, raw []byte, end int64) error {
 			h, err := kind.parseHeader(path, raw)
 			if err != nil {
 				return err
 			}
-			format, validLen, seen = f, end, true
+			format, validLen = f, end
 			return onHeader(f, h)
 		},
 		func(payload []byte, end int64) error {
@@ -245,9 +248,6 @@ func scanJournal[K comparable, R, S any](kind *journalKind[K, R, S], path string
 			}
 			return err
 		})
-	if err == nil && !seen {
-		err = fmt.Errorf("exp: journal %s: no header record", path)
-	}
 	return validLen, err
 }
 
@@ -333,7 +333,7 @@ func (j *journal[K, R, S]) Append(r R) error {
 		}
 		return nil
 	}
-	if err := j.w.AppendRecord(j.buf); err != nil {
+	if err := j.w.Append(j.buf); err != nil {
 		return fmt.Errorf("exp: %w", err)
 	}
 	j.done.put(p, k, r)

@@ -563,7 +563,7 @@ func TestReadersRejectWrongKind(t *testing.T) {
 				t.Run(r.name+"/"+kind+"."+ext, func(t *testing.T) {
 					path := filepath.Join(t.TempDir(), "journal")
 					if kind == "bogus" {
-						w, err := createRecordLog(path, format, json.RawMessage(bogus))
+						w, err := CreateRecordLog(path, format, bogus)
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -707,7 +707,7 @@ func TestJournalReadersAgreeOnDuplicateKey(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := j.w.AppendRecord(rec); err != nil {
+			if err := j.w.Append(rec); err != nil {
 				t.Fatal(err)
 			}
 			if err := j.Close(); err != nil {
@@ -890,7 +890,11 @@ func checkIndexAgainstMap[K comparable, R, S any](t *testing.T, format Format, c
 		if len(j.done.pages) != 0 {
 			t.Fatalf("a new journal holds %d index pages; pages are allocated on first touch", len(j.done.pages))
 		}
-		ref, err := createRecordLog(filepath.Join(dir, "ref"), format, j.header)
+		header, err := json.Marshal(j.header)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref, err := CreateRecordLog(filepath.Join(dir, "ref"), format, header)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -916,7 +920,7 @@ func checkIndexAgainstMap[K comparable, R, S any](t *testing.T, format Format, c
 				if err != nil {
 					t.Fatal(err)
 				}
-				if err := ref.AppendRecord(b); err != nil {
+				if err := ref.Append(b); err != nil {
 					t.Fatal(err)
 				}
 			case sameEncoding(t, c.kind, format, prev, rec) != (err == nil):

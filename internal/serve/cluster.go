@@ -190,12 +190,13 @@ func (s *Server) RecoverClusters() ([]string, error) {
 	sort.Strings(paths)
 	var resumed []string
 	for _, p := range paths {
-		header, terminal, err := cluster.StateCampaignID(p)
+		st, err := cluster.ReadState(p)
 		if err != nil {
 			s.logf("serve: skipping unreadable lease log %s: %v", p, err)
 			continue
 		}
-		if terminal != "" || header.Campaign == "" {
+		header := st.Header
+		if st.Terminal != "" || header.Campaign == "" {
 			continue
 		}
 		sweep, err := tightsched.SweepFromSpec(header.Spec)

@@ -343,9 +343,9 @@ func AggregateSweepJournal(path string) (*SweepResult, error) {
 	return exp.AggregateJournal(path)
 }
 
-// AggregateOnlineJournal replays an online grid journal into an
-// aggregation-only result whose Table IV renders without holding the
-// instance slice.
+// AggregateOnlineJournal replays an online grid journal into a result
+// holding its distinct instances in canonical order (SweepResult.Grid),
+// from which Table IV renders.
 func AggregateOnlineJournal(path string) (*SweepResult, error) {
 	return exp.AggregateGridJournal(path)
 }
