@@ -209,8 +209,8 @@ func benchMemberSets(n int) [][]int {
 }
 
 // BenchmarkStatsOf measures the evaluation (memo-miss) cost of a set's
-// Theorem 5.1 statistics: the truncated series versus the spectral
-// closed form, over rotating member sets so no memo can hit.
+// Theorem 5.1 statistics by the truncated series, over rotating member
+// sets so no memo can hit.
 func BenchmarkStatsOf(b *testing.B) {
 	sets := benchMemberSets(512)
 	for _, bench := range []struct {
@@ -218,7 +218,6 @@ func BenchmarkStatsOf(b *testing.B) {
 		opts analytic.Options
 	}{
 		{"series", analytic.Options{DisableMemo: true}},
-		{"spectral", analytic.Options{DisableMemo: true, Spectral: true}},
 	} {
 		b.Run(bench.name, func(b *testing.B) {
 			pl := benchPlatformWith(20, sim.DefaultEps, bench.opts)
@@ -363,12 +362,11 @@ func alternatingViews(p int) [2]*sched.View {
 // BenchmarkDecideAllocations tracks per-decision cost in the scheduling
 // hot path: allocs/op (exact, machine-independent, gated tightly) and
 // ns/op (gated generously; see cmd/benchgate). The platform runs with
-// the evaluation cache plus the spectral closed form on — the tuned
-// configuration whose decision cost the perf trajectory (BENCH_*.json)
-// tracks: memo hits make a repeated decision a handful of map lookups,
-// and spectral keeps first-sight (miss) evaluations cheap. Decisions
-// alternate between two views that differ in every worker's retention,
-// so each one is a cold build (the churn a real walk produces, where
+// the default options, the production configuration: memo hits make a
+// repeated decision a handful of map lookups, and first-sight (miss)
+// evaluations pay one truncated series each. Decisions alternate
+// between two views that differ in every worker's retention, so each
+// one is a cold build (the churn a real walk produces, where
 // builds replay part of their predecessor, is BenchmarkDecideChurn's
 // subject). Before heuristics owned scratch buffers one passive decision
 // cost ~17 allocs / ~21 KB; with reuse it is down to the returned
@@ -382,7 +380,7 @@ func BenchmarkDecideAllocations(b *testing.B) {
 				Platform: sc.Platform,
 				App:      sc.App,
 				Analytic: analytic.NewPlatformWith(sc.Platform.Matrices(), sim.DefaultEps,
-					analytic.Options{Spectral: true}),
+					analytic.Options{}),
 				Rand: rng.New(7),
 			}
 			h := sched.MustBuild(name, env)
@@ -478,7 +476,7 @@ func upSetEqual(a, b []markov.State) bool {
 // provider, where simulation cost collapses from per-slot to
 // per-transition — and "capbound" is the worst case the paper's
 // DefaultCap exists for: a permanently infeasible platform ground to the
-// million-slot cap, which the leap engine crosses in O(cap / MaxLeap)
+// million-slot cap, which the leap engine crosses in O(cap / maxLeap)
 // macro-steps.
 func benchEngineScenarios(b *testing.B) []struct {
 	name     string
@@ -522,7 +520,7 @@ func benchEngineScenarios(b *testing.B) []struct {
 		}},
 		// 200k slots rather than the paper's full DefaultCap keeps the
 		// slot-engine side of the pair affordable in CI; the ratio is
-		// cap-independent (leap crosses the idle stretch in O(cap/MaxLeap)
+		// cap-independent (leap crosses the idle stretch in O(cap/maxLeap)
 		// macro-steps, the slot loop in O(cap) full passes).
 		{"capbound", true, sim.Config{
 			Platform:  paper,

@@ -41,7 +41,6 @@ func main() {
 		compare    = flag.Bool("compare", false, "run all 17 heuristics and summarize")
 		trials     = flag.Int("trials", 5, "trials for -compare")
 		list       = flag.Bool("list", false, "list heuristic names and exit")
-		spectral   = flag.Bool("spectral", false, "use the exact closed-form set evaluator (agrees with the series within eps; decisions may differ at that precision)")
 	)
 	flag.Parse()
 
@@ -60,10 +59,7 @@ func main() {
 
 	sc := tightsched.PaperScenario(*m, *ncom, *wmin, *seed)
 	sc.App.Iterations = *iterations
-	session := tightsched.NewSession(
-		tightsched.WithCap(*capSlots),
-		tightsched.WithAnalytic(tightsched.AnalyticOptions{Spectral: *spectral}),
-	)
+	session := tightsched.NewSession(tightsched.WithCap(*capSlots))
 	var opts []tightsched.Option
 	if *allUp {
 		opts = append(opts, tightsched.WithInitialAllUp())

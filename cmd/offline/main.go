@@ -294,7 +294,11 @@ func openTrialJournal(path string, resume bool, hdr trialHeader) (*trialJournal,
 			if err := json.Unmarshal(payload, &rec); err != nil {
 				return err
 			}
-			tj.done[rec.Trial] = rec
+			// A trial recorded twice keeps its first outcome, as
+			// campaign journals keep a key's first record.
+			if _, dup := tj.done[rec.Trial]; !dup {
+				tj.done[rec.Trial] = rec
+			}
 			validLen = end
 			return nil
 		})

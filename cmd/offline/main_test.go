@@ -63,6 +63,32 @@ func TestTrialJournalResumeOverZeroFilledTail(t *testing.T) {
 	}
 }
 
+// TestTrialJournalResumeKeepsFirstRecord: a journal that records a trial
+// twice with different outcomes resumes with the first one, as campaign
+// journals keep a key's first record, and appends after both lines.
+func TestTrialJournalResumeKeepsFirstRecord(t *testing.T) {
+	first, second := trialRecord{Trial: 0, A: true}, trialRecord{Trial: 0, B: true}
+	path, data := writeTrials(t, first, second)
+	tj, err := openTrialJournal(path, true, testHeader)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := map[int]trialRecord{0: first}; !reflect.DeepEqual(tj.done, want) {
+		t.Fatalf("resumed trials %v, want %v", tj.done, want)
+	}
+	next := trialRecord{Trial: 1, A: true}
+	if err := tj.append(next); err != nil {
+		t.Fatal(err)
+	}
+	if err := tj.close(); err != nil {
+		t.Fatal(err)
+	}
+	_, whole := writeTrials(t, first, second, next)
+	if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, whole) {
+		t.Fatalf("resumed journal %q (%v), want %q (was %q)", got, err, whole, data)
+	}
+}
+
 // TestTrialJournalRefusals: a journal damaged before its last line, one
 // of another batch, and an existing journal without -resume are refused
 // and left as they are.

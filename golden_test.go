@@ -117,29 +117,6 @@ func TestEvaluationCacheGoldenParity(t *testing.T) {
 	}
 }
 
-// TestSpectralGoldenScenarios smoke-tests the opt-in spectral fast path
-// on the golden scenarios: it is allowed to differ from the series within
-// the evaluation precision (so no bit-parity), but every run must still
-// complete all iterations under the cap.
-func TestSpectralGoldenScenarios(t *testing.T) {
-	session := tightsched.NewSession(tightsched.WithCap(200_000),
-		tightsched.WithAnalytic(tightsched.AnalyticOptions{Spectral: true}))
-	for _, g := range goldenRuns {
-		if g.heuristic == "RANDOM" || g.heuristic == "FASTEST" {
-			continue // no analytic evaluation involved
-		}
-		sc := tightsched.PaperScenario(g.m, 10, 2, 11)
-		res, err := session.Run(context.Background(), sc, g.heuristic, tightsched.WithSeed(g.seed))
-		if err != nil {
-			t.Fatalf("%s m=%d seed=%d spectral: %v", g.heuristic, g.m, g.seed, err)
-		}
-		if res.Failed || res.Completed != g.completed {
-			t.Errorf("%s m=%d seed=%d spectral: completed %d/%d (failed=%v)",
-				g.heuristic, g.m, g.seed, res.Completed, g.completed, res.Failed)
-		}
-	}
-}
-
 // TestLeapGoldenParity renders Tables I, II and III under the slot
 // oracle (sim.AdvanceSlot) and under the production core, selected by
 // its public name AdvanceLeap, with the default Markov provider, and

@@ -8,37 +8,14 @@ import (
 
 // Options tune a Platform's evaluation strategy beyond the series
 // precision eps. The zero value is the default: set-statistics
-// memoization on, spectral fast path off (the spectral path is exact up
-// to floating-point rounding rather than bit-identical to the truncated
-// series, so it is opt-in; see Spectral).
+// memoization on.
 type Options struct {
 	// DisableMemo turns off the membership-keyed SetStats memo table,
 	// restoring the seed behavior of re-summing series on every
 	// evaluation. Kept for differential testing and micro-benchmarks;
 	// production paths should leave it off.
 	DisableMemo bool
-	// Spectral enables the closed-form fast path: each restricted
-	// live-state chain is 2×2, so Puu_q(t) = a_q·λ1_q^t + b_q·λ2_q^t
-	// exactly and Π_q Puu_q(t) expands into 2^|S| geometric series with
-	// closed-form sums — exact in O(2^|S|) instead of O(|S|·T). Used for
-	// sets of at most SpectralCutoff members; larger sets, sets with a
-	// defective member chain, and sets that cannot fail fall back to the
-	// truncated series. Spectral values agree with the series within the
-	// truncation precision (validated in tests) but are not bit-identical
-	// to it, so heuristic decisions may differ within eps.
-	Spectral bool
-	// SpectralCutoff caps the set size taking the spectral path
-	// (DefaultSpectralCutoff when 0). The expansion holds 2^cutoff
-	// coefficient/ratio pairs in scratch buffers.
-	SpectralCutoff int
 }
-
-// DefaultSpectralCutoff is the largest set size routed through the
-// spectral evaluator by default. At 12 the expansion is 4096 terms —
-// cheaper than a fresh series pass at the paper's eigenvalue ranges —
-// and the paper's configurations (at most m = 10 enrolled workers) sit
-// comfortably below it.
-const DefaultSpectralCutoff = 12
 
 // memoLimit bounds the memo table. Long-lived platforms (a sweep worker
 // reusing one platform across trials) could otherwise accumulate every
@@ -47,17 +24,9 @@ const DefaultSpectralCutoff = 12
 // computeStats) and therefore reproducible.
 const memoLimit = 1 << 15
 
-// spectralCutoff returns the effective spectral set-size cap.
-func (o Options) spectralCutoff() int {
-	if o.SpectralCutoff > 0 {
-		return o.SpectralCutoff
-	}
-	return DefaultSpectralCutoff
-}
-
 // MemoStats counts set-statistics memo traffic on a Platform. A hit is a
 // lookup that found a canonical entry; a miss is a lookup that forced a
-// fresh series (or spectral) evaluation. Entries is the current table
+// fresh series evaluation. Entries is the current table
 // size, i.e. the number of distinct equivalence classes held (it drops
 // back when the table clears on overflow, while the hit/miss totals keep
 // accumulating). Counters are monotone over the platform's lifetime, so
@@ -135,11 +104,6 @@ func (pl *Platform) computeStats(members []int, extra int) SetStats {
 	}
 	sorted := pl.scratchMembers
 	insertionSortInts(sorted)
-	if pl.opts.Spectral && len(sorted) <= pl.opts.spectralCutoff() {
-		if st, ok := pl.spectralStats(sorted); ok {
-			return st
-		}
-	}
 	if pl.canon == nil {
 		pl.canon = pl.newSeriesSetEval()
 	} else {
@@ -214,15 +178,12 @@ func (c *PlatformCache) Get(ms []markov.Matrix, eps float64, opts Options) *Plat
 // matrixSetKey serializes the full identity of a platform build: eps,
 // options, and every matrix entry bit-for-bit.
 func matrixSetKey(ms []markov.Matrix, eps float64, opts Options) string {
-	buf := make([]byte, 0, 2+8+len(ms)*9*8)
+	buf := make([]byte, 0, 1+8+len(ms)*9*8)
 	var flags byte
 	if opts.DisableMemo {
 		flags |= 1
 	}
-	if opts.Spectral {
-		flags |= 2
-	}
-	buf = append(buf, flags, byte(opts.spectralCutoff()))
+	buf = append(buf, flags)
 	buf = appendFloatBits(buf, eps)
 	for _, m := range ms {
 		for i := 0; i < 3; i++ {

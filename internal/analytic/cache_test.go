@@ -97,85 +97,6 @@ func TestMemoCanonicalAcrossInsertionOrders(t *testing.T) {
 	}
 }
 
-// TestSpectralAgreesWithSeries validates the closed-form fast path: over
-// randomized valid matrices, the spectral evaluation must agree with the
-// eps-truncated series within a tolerance a few orders above eps (the
-// spectral sums are exact; the series carries truncation error).
-func TestSpectralAgreesWithSeries(t *testing.T) {
-	s := rng.New(103)
-	const tol = 1e-6
-	for trial := 0; trial < 60; trial++ {
-		p := 2 + int(s.Uint64()%11)
-		ms := make([]markov.Matrix, p)
-		for i := range ms {
-			ms[i] = randomValidMatrix(s)
-		}
-		spectral := NewPlatformWith(ms, DefaultEps, Options{Spectral: true})
-		series := NewPlatformWith(ms, DefaultEps, Options{DisableMemo: true})
-		for set := 0; set < 8; set++ {
-			n := 1 + int(s.Uint64()%uint64(p))
-			members := randomMembers(s, p, n)
-			insertionSortInts(members)
-			got := spectral.StatsOf(members)
-			want := series.StatsOf(members)
-			check := func(name string, g, w float64) {
-				if math.IsInf(w, 1) {
-					if !math.IsInf(g, 1) {
-						t.Fatalf("trial %d set %v: %s = %v, want +Inf", trial, members, name, g)
-					}
-					return
-				}
-				if diff := math.Abs(g - w); diff > tol*(1+math.Abs(w)) {
-					t.Fatalf("trial %d set %v: %s spectral %v vs series %v (diff %g)",
-						trial, members, name, g, w, diff)
-				}
-			}
-			check("Eu", got.Eu, want.Eu)
-			check("A", got.A, want.A)
-			check("Pplus", got.Pplus, want.Pplus)
-			check("Ec", got.Ec, want.Ec)
-
-			// Spectral without the memo must evaluate identically
-			// (canonically), through StatsOf and SetEval alike.
-			nomemo := NewPlatformWith(ms, DefaultEps, Options{Spectral: true, DisableMemo: true})
-			if alt := nomemo.StatsOf(members); alt != got {
-				t.Fatalf("trial %d set %v: memo-off spectral StatsOf %v != memo-on %v",
-					trial, members, alt, got)
-			}
-			if n >= 2 { // n == 1 takes the singleton proc-constant fast path
-				se := nomemo.NewSetEval()
-				for _, q := range members[:n-1] {
-					se.Add(q)
-				}
-				if alt := se.CandidateStats(members[n-1]); alt != got {
-					t.Fatalf("trial %d set %v: memo-off spectral CandidateStats %v != StatsOf %v",
-						trial, members, alt, got)
-				}
-			}
-		}
-	}
-}
-
-// TestSpectralCannotFailFallsBack pins the fallback: a set whose members
-// cannot fail has no convergent spectral expansion and must take the
-// series/convolution path, P⁺ = 1.
-func TestSpectralCannotFailFallsBack(t *testing.T) {
-	m := markov.Matrix{}
-	m[markov.Up][markov.Up] = 0.9
-	m[markov.Up][markov.Reclaimed] = 0.1
-	m[markov.Reclaimed][markov.Up] = 0.2
-	m[markov.Reclaimed][markov.Reclaimed] = 0.8
-	m[markov.Down][markov.Down] = 1
-	pl := NewPlatformWith([]markov.Matrix{m, m}, DefaultEps, Options{Spectral: true})
-	st := pl.StatsOf([]int{0, 1})
-	if st.Pplus != 1 || !math.IsInf(st.Eu, 1) {
-		t.Fatalf("cannot-fail set: got %v, want P+=1, Eu=+Inf", st)
-	}
-	if st.Ec <= 0 || math.IsInf(st.Ec, 1) {
-		t.Fatalf("cannot-fail set: Ec = %v, want finite positive", st.Ec)
-	}
-}
-
 // TestPowCachesBitIdentical verifies both exponentiation memo layers
 // (the platform PowPplus map and the per-entry power ring, including
 // ring eviction) against direct math.Pow.
@@ -219,7 +140,7 @@ func TestPlatformCacheReuse(t *testing.T) {
 	if b := c.Get(ms, 1e-6, Options{}); b == a {
 		t.Fatal("different eps reused the platform")
 	}
-	if b := c.Get(ms, DefaultEps, Options{Spectral: true}); b == a {
+	if b := c.Get(ms, DefaultEps, Options{DisableMemo: true}); b == a {
 		t.Fatal("different options reused the platform")
 	}
 	ms2 := append([]markov.Matrix(nil), ms...)

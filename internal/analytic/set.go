@@ -17,8 +17,6 @@ type Platform struct {
 	Procs []*Proc
 	Eps   float64
 
-	opts Options
-
 	// horizons memoizes horizonFor by eigenvalue product. Products of the
 	// per-processor eigenvalues recur bit-exactly across candidate
 	// evaluations, so a plain map hits almost always.
@@ -46,11 +44,9 @@ type Platform struct {
 	// are bit-identical to recomputation.
 	powPplus map[powKey]float64
 
-	// Scratch state of the canonical miss path (computeStats) and the
-	// spectral expansion.
+	// Scratch state of the canonical miss path (computeStats).
 	canon          *SetEval
 	scratchMembers []int
-	scoef, sratio  []float64
 }
 
 // powKey identifies one memoized exponentiation (P⁺ bit pattern, power).
@@ -93,7 +89,7 @@ func (e *memoEntry) powK(k int) float64 {
 
 // NewPlatform builds per-processor analytic state for the given
 // availability matrices with series precision eps (use DefaultEps) and
-// default Options (memoization on, spectral fast path off).
+// default Options (memoization on).
 func NewPlatform(ms []markov.Matrix, eps float64) *Platform {
 	return NewPlatformWith(ms, eps, Options{})
 }
@@ -106,7 +102,6 @@ func NewPlatformWith(ms []markov.Matrix, eps float64, opts Options) *Platform {
 	pl := &Platform{
 		Procs:    make([]*Proc, len(ms)),
 		Eps:      eps,
-		opts:     opts,
 		horizons: make(map[float64]int),
 		powPplus: make(map[powKey]float64),
 	}
@@ -374,14 +369,7 @@ func (se *SetEval) Stats() SetStats {
 		se.entry, se.stats, se.statsValid = e, e.stats, true
 		return e.stats
 	}
-	if se.plat.opts.Spectral {
-		// Memo off but spectral on: canonical evaluation without storing,
-		// matching what Platform.StatsOf does for the same options.
-		se.stats = se.plat.computeStats(se.members, -1)
-	} else {
-		se.stats = se.statsSeries()
-	}
-	se.statsValid = true
+	se.stats, se.statsValid = se.statsSeries(), true
 	return se.stats
 }
 
@@ -453,9 +441,6 @@ func (se *SetEval) candidateStats(q int) (SetStats, *memoEntry) {
 		}
 		return e.stats, e
 	}
-	if se.plat.opts.Spectral {
-		return se.plat.computeStats(se.members, q), nil
-	}
 	return se.statsFromSums(se.sums(proc)), nil
 }
 
@@ -526,9 +511,9 @@ func (se *SetEval) puuSetFunc() func(int) float64 {
 }
 
 // StatsOf evaluates a whole set at once, through the memo table when
-// enabled: only the first evaluation of a membership pays for series (or
-// spectral) work, and every later one — from any call site of the
-// platform — returns the identical stored floats.
+// enabled: only the first evaluation of a membership pays for series
+// work, and every later one — from any call site of the platform —
+// returns the identical stored floats.
 func (pl *Platform) StatsOf(members []int) SetStats {
 	if len(members) == 0 {
 		panic("analytic: Stats of empty set")
@@ -539,11 +524,6 @@ func (pl *Platform) StatsOf(members []int) SetStats {
 			return e.stats
 		}
 		return pl.memoStore(key, pl.computeStats(members, -1)).stats
-	}
-	if pl.opts.Spectral {
-		// Memo off but spectral on: evaluate canonically (spectral with
-		// series fallback) without storing.
-		return pl.computeStats(members, -1)
 	}
 	se := pl.NewSetEval()
 	for _, q := range members {

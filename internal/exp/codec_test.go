@@ -668,18 +668,18 @@ func FuzzJournalDecode(f *testing.F) {
 				return nil
 			})
 		sweep, _, sweepErr := LoadJournal(path)
-		grid, gridErr := LoadGridJournal(path)
+		agg, gridErr := AggregateGridJournal(path)
 		if scanErr != nil || codec == nil {
 			return
 		}
 		switch codec {
 		case sweepKind:
 			if sweepErr != nil || gridErr == nil || len(sweep.Instances) > scanned {
-				t.Fatalf("sweep journal of %d records: LoadJournal err %v, LoadGridJournal err %v", scanned, sweepErr, gridErr)
+				t.Fatalf("sweep journal of %d records: LoadJournal err %v, AggregateGridJournal err %v", scanned, sweepErr, gridErr)
 			}
 		case gridKind:
-			if gridErr != nil || sweepErr == nil || len(grid.Instances) > scanned {
-				t.Fatalf("grid journal of %d records: LoadGridJournal err %v, LoadJournal err %v", scanned, gridErr, sweepErr)
+			if gridErr != nil || sweepErr == nil || len(agg.Grid.Instances) > scanned {
+				t.Fatalf("grid journal of %d records: AggregateGridJournal err %v, LoadJournal err %v", scanned, gridErr, sweepErr)
 			}
 		}
 	})

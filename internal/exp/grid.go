@@ -615,16 +615,6 @@ func ResumeGrid(ctx context.Context, path string, workers int, progress func(don
 	})
 }
 
-// LoadGridJournal loads a journal read-only into a (possibly partial)
-// result, without running anything.
-func LoadGridJournal(path string) (*GridResult, error) {
-	j, _, err := readJournal(gridKind, path)
-	if err != nil {
-		return nil, err
-	}
-	return &GridResult{Sweep: j.Spec().Sweep(), Instances: j.Instances()}, nil
-}
-
 // TableIVRow is one aggregated Table IV line: a policy combination's SLO
 // metrics over an arrival process.
 type TableIVRow struct {

@@ -545,7 +545,6 @@ func TestReadersRejectWrongKind(t *testing.T) {
 		{"MergeJournals", "sweep", func(p string) error { _, err := MergeJournals(p); return err }},
 		{"ExportColumns", "sweep", func(p string) error { return ExportColumns(p, p+".columns") }},
 		{"OpenGridJournal", "grid", func(p string) error { _, err := OpenGridJournal(p, &g); return err }},
-		{"LoadGridJournal", "grid", func(p string) error { _, err := LoadGridJournal(p); return err }},
 		{"AggregateGridJournal", "grid", func(p string) error { _, err := AggregateGridJournal(p); return err }},
 		{"ResumeGrid", "grid", func(p string) error { _, err := ResumeGrid(ctx, p, 0, nil, nil); return err }},
 		{"ConvertJournal", "sweep or grid", func(p string) error { return ConvertJournal(p, p+".converted", FormatJSONL) }},

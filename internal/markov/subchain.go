@@ -108,15 +108,6 @@ func (s *SubChain) decompose() {
 // truncation horizon of the paper's series (Theorem 5.1).
 func (s *SubChain) Lambda1() float64 { return s.lam1 }
 
-// PuuSpectrum exposes the closed form PuuT(t) = a·λ1^t + b·λ2^t. When the
-// restricted chain is defective (repeated eigenvalue, not diagonalizable)
-// the two-term form does not hold — defective is true and callers must
-// fall back to PuuT. The spectral set evaluator of internal/analytic
-// expands products of these two-term forms into geometric series.
-func (s *SubChain) PuuSpectrum() (a, b, lam1, lam2 float64, defective bool) {
-	return s.puuA, s.puuB, s.lam1, s.lam2, s.defective
-}
-
 // PuuT returns P(q)_{u->t->u}: the probability that a processor UP at time
 // 0 is UP at time t without having been DOWN in between. PuuT(0) = 1.
 func (s *SubChain) PuuT(t int) float64 {

@@ -84,8 +84,8 @@ type batchGroup struct {
 
 // RunBatch executes all instances in lockstep under the production core.
 // The shared cell configuration comes from base — Platform, App, Model,
-// Cap, InitialAllUp, Eps, Analytic, AnalyticCache, RenewalE, Checkpoint,
-// MaxLeap and Advance apply to every instance — while base's
+// Cap, InitialAllUp, Eps, Analytic, AnalyticCache, RenewalE and
+// Advance apply to every instance — while base's
 // per-instance fields (Heuristic, Custom, Seed, Recorder) are ignored in
 // favor of each BatchInstance. Results are returned in instance order.
 //
@@ -228,9 +228,9 @@ func runBatchLoop(ctx context.Context, groups []*batchGroup) error {
 // instance through it via the engine's own homogeneous-span methods.
 func runGroup(ctx context.Context, g *batchGroup) error {
 	capSlots := g.insts[0].cap
-	maxLeap := g.insts[0].cfg.MaxLeap
+	maxLeap := g.insts[0].cfg.maxLeap
 	if maxLeap == 0 {
-		maxLeap = DefaultMaxLeap
+		maxLeap = defaultMaxLeap
 	}
 	done := ctx.Done()
 	slot := int64(0)

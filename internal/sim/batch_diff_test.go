@@ -19,8 +19,8 @@ import (
 // RunBatch — heuristics sharing decision equivalence classes, trials
 // sharing availability walks — must reproduce the exact Result and trace
 // of a solo slot-advance run of the equivalent Config, for scripted and
-// Markov availability, semi-Markov and sojourn models, checkpoints, and
-// custom non-SpanDecider heuristics.
+// Markov availability, semi-Markov and sojourn models, and custom
+// non-SpanDecider heuristics.
 
 // runBatchAgainstSlot runs every instance of one cell twice — jointly
 // through one RunBatch and solo under the slot reference — and asserts
@@ -94,7 +94,7 @@ func TestBatchVsSlotScriptedFuzz(t *testing.T) {
 				App:      application,
 				Cap:      5_000,
 				Provider: &ScriptProvider{Script: script},
-				MaxLeap:  maxLeap,
+				maxLeap:  maxLeap,
 			}
 			label := fmt.Sprintf("script trial=%d maxleap=%d", trial, maxLeap)
 			runBatchAgainstSlot(t, label, base, cell(heuristics, []uint64{uint64(trial), uint64(trial) + 100}))
@@ -141,32 +141,27 @@ func TestBatchVsSlotSojourn(t *testing.T) {
 	runBatchAgainstSlot(t, "sojourn", base, cell([]string{"IE", "P-IP", "IAY"}, []uint64{4, 5}))
 }
 
-// TestBatchVsSlotCheckpoint exercises the checkpoint sub-phases under the
-// batch core, with a custom non-SpanDecider heuristic (which forces
-// per-slot decisions and bypasses the decision cache) riding in the same
-// batch as cache-sharing incrementals.
-func TestBatchVsSlotCheckpoint(t *testing.T) {
+// TestBatchVsSlotCustomHeuristic runs a custom non-SpanDecider heuristic
+// (which forces per-slot decisions and bypasses the decision cache) in
+// the same batch as cache-sharing incrementals.
+func TestBatchVsSlotCustomHeuristic(t *testing.T) {
 	stream := rng.New(0xbc4e)
 	pl := testPlatform(55, 5, 2, 2)
 	application := app.Application{Tasks: 3, Tprog: 3, Tdata: 2, Iterations: 3}
 	for trial := 0; trial < 4; trial++ {
 		script := randomScript(stream, 5, 300, 0.92)
-		for _, ck := range []Checkpoint{{}, {Every: 3}, {Every: 4, Cost: 2}} {
-			base := Config{
-				Platform:   pl,
-				App:        application,
-				Cap:        5_000,
-				Provider:   &ScriptProvider{Script: script},
-				Checkpoint: ck,
-			}
-			insts := []BatchInstance{
-				{Heuristic: "IE", Seed: uint64(trial)},
-				{Heuristic: "Y-IE", Seed: uint64(trial)},
-				{Custom: &fixedHeuristic{asg: app.Assignment{1, 1, 1, 0, 0}}, Seed: uint64(trial)},
-			}
-			label := fmt.Sprintf("checkpoint trial=%d every=%d cost=%d", trial, ck.Every, ck.Cost)
-			runBatchAgainstSlot(t, label, base, insts)
+		base := Config{
+			Platform: pl,
+			App:      application,
+			Cap:      5_000,
+			Provider: &ScriptProvider{Script: script},
 		}
+		insts := []BatchInstance{
+			{Heuristic: "IE", Seed: uint64(trial)},
+			{Heuristic: "Y-IE", Seed: uint64(trial)},
+			{Custom: &fixedHeuristic{asg: app.Assignment{1, 1, 1, 0, 0}}, Seed: uint64(trial)},
+		}
+		runBatchAgainstSlot(t, fmt.Sprintf("custom trial=%d", trial), base, insts)
 	}
 }
 
@@ -239,8 +234,8 @@ func TestBatchEmptyAndValidate(t *testing.T) {
 	}
 }
 
-// TestBatchMaxLeapAndCancel: MaxLeap caps every availability request the
-// batch core makes, and a pre-cancelled context stops the batch before
+// TestBatchMaxLeapAndCancel: Config.maxLeap caps every availability
+// request the batch core makes, and a pre-cancelled context stops the batch before
 // any slot executes while reporting partial makespans.
 func TestBatchMaxLeapAndCancel(t *testing.T) {
 	script, err := ParseScript([]string{"dd", "dd", "dd"})
@@ -253,7 +248,7 @@ func TestBatchMaxLeapAndCancel(t *testing.T) {
 		App:      testApp(2, 1),
 		Cap:      100_000,
 		Provider: probe,
-		MaxLeap:  64,
+		maxLeap:  64,
 	}
 	insts := []BatchInstance{{Heuristic: "IE", Seed: 1}, {Heuristic: "IY", Seed: 2}}
 	results, _, err := RunBatch(context.Background(), base, insts)
@@ -266,7 +261,7 @@ func TestBatchMaxLeapAndCancel(t *testing.T) {
 		}
 	}
 	if probe.maxAsked > 64 {
-		t.Fatalf("batch requested a %d-slot run with MaxLeap 64", probe.maxAsked)
+		t.Fatalf("batch requested a %d-slot run with maxLeap 64", probe.maxAsked)
 	}
 
 	ctx, cancel := context.WithCancel(context.Background())

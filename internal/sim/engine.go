@@ -23,11 +23,11 @@ const DefaultCap = 1_000_000
 // analytic.DefaultEps, and the series horizon scales with log(1/eps).
 const DefaultEps = 1e-6
 
-// DefaultMaxLeap caps one macro-step of the event-leap engine. Beyond
+// defaultMaxLeap caps one macro-step of the production core. Beyond
 // bounding memory per trace span, it bounds cancellation latency: a
 // cancellable context is polled at macro-step boundaries, so at most
-// MaxLeap slots of O(p) bulk arithmetic run between polls.
-const DefaultMaxLeap = 1 << 16
+// defaultMaxLeap slots of O(p) bulk arithmetic run between polls.
+const defaultMaxLeap = 1 << 16
 
 // TimeAdvance selects the engine's time-advance core. There are two:
 // the production trial-group loop and the slot-stepped reference.
@@ -39,10 +39,10 @@ const (
 	// of one shared availability walk, and at each state change every
 	// instance leaps to its next interesting slot — the earliest of the
 	// next availability transition, the current phase's completion
-	// (message done, coupled compute done, checkpoint commit) and the
-	// cap — applying the intervening slots in O(p) bulk arithmetic. A
-	// solo run is a trial group of one; RunBatch runs a sweep cell's
-	// trials and heuristics together, sharing walks and greedy builds.
+	// (message done, coupled compute done) and the cap — applying the
+	// intervening slots in O(p) bulk arithmetic. A solo run is a trial
+	// group of one; RunBatch runs a sweep cell's trials and heuristics
+	// together, sharing walks and greedy builds.
 	// Results and traces are byte-identical to AdvanceSlot (pinned by
 	// TestLeapGoldenParity, TestBatchGoldenParity and the differential
 	// tests in leap_diff_test.go and batch_diff_test.go).
@@ -114,10 +114,7 @@ type Config struct {
 	// zero value memoizes set statistics by membership: every evaluation
 	// of a set returns the same canonical (sorted-order) floats, and
 	// golden simulations are byte-identical to the memo-disabled path
-	// (pinned by TestEvaluationCacheGoldenParity). The spectral
-	// closed-form fast path is off; Analytic.Spectral turns it on (exact
-	// geometric sums, which agree with the truncated series within eps
-	// but may flip heuristic decisions at that precision).
+	// (pinned by TestEvaluationCacheGoldenParity).
 	Analytic analytic.Options
 	// AnalyticCache, when non-nil, reuses analytic platforms across runs
 	// that share believed matrices (e.g. the trials and heuristics of one
@@ -130,34 +127,14 @@ type Config struct {
 	// uses the formula as printed in the paper, reproducing its
 	// published rankings.
 	RenewalE bool
-	// Checkpoint enables the checkpointing extension (not in the paper's
-	// model; see the Checkpoint type). The zero value disables it.
-	Checkpoint Checkpoint
 	// Advance selects the time-advance core: the production trial-group
 	// loop (AdvanceLeap, the zero value) or the reference slot-stepped
 	// loop (AdvanceSlot). Both produce byte-identical results and traces.
 	Advance TimeAdvance
-	// MaxLeap caps one macro-step of the production core in slots
-	// (DefaultMaxLeap when 0), bounding worst-case cancellation latency.
-	// Ignored by AdvanceSlot.
-	MaxLeap int64
-}
-
-// Checkpoint configures the engine's checkpointing extension, an ablation
-// of the paper's restart-from-scratch rule: every Every coupled compute
-// slots, the master synchronously saves the iteration's global state,
-// paying Cost additional all-UP slots per checkpoint. When an enrolled
-// worker goes DOWN (or the configuration changes), the iteration resumes
-// from the last checkpointed fraction of progress instead of from
-// scratch — the saved state lives at the master, so it survives any
-// reconfiguration, with progress rescaled to the new configuration's
-// workload. Communication retention is unchanged: a replacement worker
-// still needs the program and its task data.
-type Checkpoint struct {
-	// Every is the checkpoint period in compute slots (0 disables).
-	Every int
-	// Cost is the number of extra all-UP slots each checkpoint takes.
-	Cost int
+	// maxLeap caps one macro-step of the production core in slots
+	// (defaultMaxLeap when 0), bounding worst-case cancellation latency.
+	// Only this package's tests set it; AdvanceSlot ignores it.
+	maxLeap int64
 }
 
 // Result summarizes one run.
@@ -182,8 +159,6 @@ type Result struct {
 	CommSlots int64
 	// ComputeSlots counts slots in which the coupled computation advanced.
 	ComputeSlots int64
-	// Checkpoints counts committed checkpoints (checkpointing extension).
-	Checkpoints int64
 }
 
 // engine holds the mutable ground-truth state of a run.
@@ -211,13 +186,6 @@ type engine struct {
 	iterStart   int64
 	retEpoch    int64
 
-	// Checkpointing extension state: last committed progress (in the
-	// scale of the workload it was taken under) and the all-UP slots
-	// still owed for an in-progress checkpoint.
-	ckptDone    int
-	ckptW       int
-	ckptPending int
-
 	// viewBuf is the reusable snapshot handed to the heuristic: every
 	// consumer reads it synchronously inside Decide/DecideSpan (none
 	// retains the pointer), so one buffer per engine avoids an
@@ -240,8 +208,8 @@ func Run(cfg Config) (Result, error) {
 
 // RunContext is Run under a context: cancellation is checked at every
 // macro-step boundary (every slot under AdvanceSlot), so even a run
-// heading for a million-slot cap stops promptly — Config.MaxLeap bounds
-// a macro-step, so at most MaxLeap slots of O(p) bulk accounting run
+// heading for a million-slot cap stops promptly — a macro-step is
+// bounded, so at most defaultMaxLeap slots of O(p) bulk accounting run
 // between polls. A cancelled run returns the partial Result accumulated
 // so far (Makespan = slots executed, Failed unset) together with the
 // context's error. An uncancellable context costs nothing on either loop.
@@ -345,14 +313,8 @@ func newEngine(cfg Config, needProv bool) (*engine, error) {
 	if capSlots < 0 {
 		return nil, fmt.Errorf("sim: negative cap %d", capSlots)
 	}
-	if cfg.Checkpoint.Every < 0 || cfg.Checkpoint.Cost < 0 {
-		return nil, fmt.Errorf("sim: invalid checkpoint config %+v", cfg.Checkpoint)
-	}
 	if err := cfg.Advance.Validate(); err != nil {
 		return nil, err
-	}
-	if cfg.MaxLeap < 0 {
-		return nil, fmt.Errorf("sim: negative max leap %d", cfg.MaxLeap)
 	}
 
 	p := cfg.Platform.Size()
@@ -512,8 +474,7 @@ func (e *engine) apply(next app.Assignment, slot int64) error {
 	e.current = next.Clone()
 	e.enrolled = e.current.Enrolled()
 	e.workload = e.current.Workload(e.speeds)
-	e.computeDone = e.resumePoint()
-	e.ckptPending = 0 // an unfinished checkpoint is abandoned
+	e.computeDone = 0
 	// Zero-cost communication items complete instantly.
 	for _, q := range e.enrolled {
 		w := &e.workers[q]
@@ -575,49 +536,11 @@ func (e *engine) execute(slot int64, event *string) {
 	for _, q := range e.enrolled {
 		e.acts[q] = trace.Compute
 	}
-	// An in-progress checkpoint consumes this all-UP slot without
-	// advancing the computation (checkpointing extension).
-	if e.ckptPending > 0 {
-		e.ckptPending--
-		if e.ckptPending == 0 {
-			e.commitCheckpoint()
-		}
-		return
-	}
 	e.computeDone++
 	e.res.ComputeSlots++
 	if e.computeDone >= e.workload {
 		e.finishIteration(slot, event)
-		return
 	}
-	if every := e.cfg.Checkpoint.Every; every > 0 && e.computeDone%every == 0 {
-		if e.cfg.Checkpoint.Cost == 0 {
-			e.commitCheckpoint()
-		} else {
-			e.ckptPending = e.cfg.Checkpoint.Cost
-		}
-	}
-}
-
-// commitCheckpoint records the iteration's global progress at the master.
-func (e *engine) commitCheckpoint() {
-	e.ckptDone = e.computeDone
-	e.ckptW = e.workload
-	e.res.Checkpoints++
-}
-
-// resumePoint converts the last committed checkpoint into compute slots
-// under the current workload scale (0 when checkpointing is off or no
-// checkpoint exists for this iteration).
-func (e *engine) resumePoint() int {
-	if e.ckptW == 0 || e.workload == 0 {
-		return 0
-	}
-	resumed := e.ckptDone * e.workload / e.ckptW
-	if resumed >= e.workload {
-		resumed = e.workload - 1
-	}
-	return resumed
 }
 
 // commOutstanding reports whether any enrolled worker still needs master
@@ -688,9 +611,6 @@ func (e *engine) finishIteration(slot int64, event *string) {
 	e.enrolled = nil
 	e.workload = 0
 	e.computeDone = 0
-	e.ckptDone = 0
-	e.ckptW = 0
-	e.ckptPending = 0
 	e.retEpoch++
 	e.iterStart = slot + 1
 }

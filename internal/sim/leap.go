@@ -19,10 +19,10 @@ import (
 //  2. the heuristic is consulted once per homogeneous sub-step through
 //     sched.SpanDecider, which reports how long its decision is stable
 //     (heuristics without the extension are decided every slot);
-//  3. the phase mechanics (idle, communication, suspension, checkpoint,
-//     coupled compute) are applied in bulk up to the next phase event —
-//     the earliest of a message completion, the workload's end, a
-//     checkpoint boundary, the availability change and the cap;
+//  3. the phase mechanics (idle, communication, suspension, coupled
+//     compute) are applied in bulk up to the next phase event — the
+//     earliest of a message completion, the workload's end, the
+//     availability change and the cap;
 //  4. the trace recorder receives one run-length span per sub-step
 //     instead of one step per slot.
 //
@@ -85,43 +85,13 @@ func (e *engine) executeSpan(slot, k int64, event *string) int64 {
 	for _, q := range e.enrolled {
 		e.acts[q] = trace.Compute
 	}
-	// An in-progress checkpoint consumes all-UP slots without advancing
-	// the computation (checkpointing extension).
-	if e.ckptPending > 0 {
-		j := k
-		if int64(e.ckptPending) < j {
-			j = int64(e.ckptPending)
-		}
-		e.ckptPending -= int(j)
-		if e.ckptPending == 0 {
-			e.commitCheckpoint()
-		}
-		return j
-	}
-	j := k
-	if rem := int64(e.workload - e.computeDone); rem < j {
-		j = rem
-	}
-	if every := e.cfg.Checkpoint.Every; every > 0 {
-		if d := int64(every - e.computeDone%every); d < j {
-			j = d
-		}
-	}
-	if j < 1 {
-		j = 1
-	}
+	// The workload is at least one slot and computeDone stays below it
+	// between slots, so the remainder is positive.
+	j := min(k, int64(e.workload-e.computeDone))
 	e.computeDone += int(j)
 	e.res.ComputeSlots += j
 	if e.computeDone >= e.workload {
 		e.finishIteration(slot+j-1, event)
-		return j
-	}
-	if every := e.cfg.Checkpoint.Every; every > 0 && e.computeDone%every == 0 {
-		if e.cfg.Checkpoint.Cost == 0 {
-			e.commitCheckpoint()
-		} else {
-			e.ckptPending = e.cfg.Checkpoint.Cost
-		}
 	}
 	return j
 }

@@ -17,9 +17,9 @@ import (
 // This file is the differential harness pinning the event-leap engine to
 // the slot-stepped reference: for randomized scripted availability and
 // random Markov realizations, across passive, proactive, randomized,
-// extension and custom (non-SpanDecider) heuristics, checkpoint
-// configurations and max-leap caps, the two cores must produce identical
-// Results and identical traces — slot by slot, event by event.
+// extension and custom (non-SpanDecider) heuristics and max-leap caps,
+// the two cores must produce identical Results and identical traces —
+// slot by slot, event by event.
 
 // runEngines executes cfg under both time-advance cores with fresh
 // recorders and returns (slotResult, leapResult, slotTrace, leapTrace).
@@ -126,7 +126,7 @@ func TestLeapVsSlotScriptedFuzz(t *testing.T) {
 					Seed:      uint64(trial),
 					Cap:       5_000,
 					Provider:  &ScriptProvider{Script: script},
-					MaxLeap:   maxLeap,
+					maxLeap:   maxLeap,
 				}
 				label := fmt.Sprintf("script trial=%d %s maxleap=%d", trial, h, maxLeap)
 				resSlot, resLeap, recSlot, recLeap := runEngines(t, cfg)
@@ -201,40 +201,36 @@ func TestLeapVsSlotSojourn(t *testing.T) {
 	}
 }
 
-// TestLeapVsSlotCheckpoint exercises the checkpoint sub-phases (free and
-// costly commits, crash resume) under both engines, including a custom
-// non-SpanDecider heuristic that forces per-slot decisions.
-func TestLeapVsSlotCheckpoint(t *testing.T) {
+// TestLeapVsSlotCustomHeuristic runs a custom non-SpanDecider heuristic,
+// which forces per-slot decisions, next to IE under both engines.
+func TestLeapVsSlotCustomHeuristic(t *testing.T) {
 	stream := rng.New(0xc4e7)
 	pl := testPlatform(55, 5, 2, 2)
 	application := app.Application{Tasks: 3, Tprog: 3, Tdata: 2, Iterations: 3}
 	for trial := 0; trial < 6; trial++ {
 		script := randomScript(stream, 5, 300, 0.92)
-		for _, ck := range []Checkpoint{{}, {Every: 3}, {Every: 4, Cost: 2}} {
-			for _, custom := range []bool{false, true} {
-				cfg := Config{
-					Platform:   pl,
-					App:        application,
-					Heuristic:  "IE",
-					Seed:       uint64(trial),
-					Cap:        5_000,
-					Provider:   &ScriptProvider{Script: script},
-					Checkpoint: ck,
-				}
-				if custom {
-					cfg.Heuristic = ""
-					cfg.Custom = &fixedHeuristic{asg: app.Assignment{1, 1, 1, 0, 0}}
-				}
-				label := fmt.Sprintf("checkpoint trial=%d every=%d cost=%d custom=%v", trial, ck.Every, ck.Cost, custom)
-				resSlot, resLeap, recSlot, recLeap := runEngines(t, cfg)
-				assertIdentical(t, label, resSlot, resLeap, recSlot, recLeap)
+		for _, custom := range []bool{false, true} {
+			cfg := Config{
+				Platform:  pl,
+				App:       application,
+				Heuristic: "IE",
+				Seed:      uint64(trial),
+				Cap:       5_000,
+				Provider:  &ScriptProvider{Script: script},
 			}
+			if custom {
+				cfg.Heuristic = ""
+				cfg.Custom = &fixedHeuristic{asg: app.Assignment{1, 1, 1, 0, 0}}
+			}
+			label := fmt.Sprintf("custom trial=%d custom=%v", trial, custom)
+			resSlot, resLeap, recSlot, recLeap := runEngines(t, cfg)
+			assertIdentical(t, label, resSlot, resLeap, recSlot, recLeap)
 		}
 	}
 }
 
 // limitProbe wraps a RunProvider and records the largest limit the
-// engine ever requested — the observable form of the MaxLeap bound.
+// engine ever requested — the observable form of the maxLeap bound.
 type limitProbe struct {
 	inner    avail.RunProvider
 	maxAsked int64
@@ -249,7 +245,7 @@ func (p *limitProbe) StatesRun(from int64, dst []markov.State, limit int64) int6
 	return p.inner.StatesRun(from, dst, limit)
 }
 
-// TestLeapMaxLeapBoundsMacroSteps: Config.MaxLeap caps every macro-step
+// TestLeapMaxLeapBoundsMacroSteps: Config.maxLeap caps every macro-step
 // the engine requests (the cancellation-latency bound), and a
 // pre-cancelled context stops a leap run before any slot executes.
 func TestLeapMaxLeapBoundsMacroSteps(t *testing.T) {
@@ -264,7 +260,7 @@ func TestLeapMaxLeapBoundsMacroSteps(t *testing.T) {
 		Heuristic: "IE",
 		Cap:       100_000,
 		Provider:  probe,
-		MaxLeap:   64,
+		maxLeap:   64,
 	}
 	res, err := Run(cfg)
 	if err != nil {
@@ -274,7 +270,7 @@ func TestLeapMaxLeapBoundsMacroSteps(t *testing.T) {
 		t.Fatalf("cap-bound run: %+v", res)
 	}
 	if probe.maxAsked > 64 {
-		t.Fatalf("engine requested a %d-slot macro-step with MaxLeap 64", probe.maxAsked)
+		t.Fatalf("engine requested a %d-slot macro-step with maxLeap 64", probe.maxAsked)
 	}
 
 	ctx, cancel := context.WithCancel(context.Background())

@@ -148,8 +148,7 @@ type (
 	// membership-keyed set-statistics memoization is on by default
 	// (canonical values — every evaluation of a set returns the same
 	// floats, and golden simulations match the memo-disabled path byte
-	// for byte); Spectral opts into the exact closed-form fast path,
-	// which agrees with the series within the configured precision.
+	// for byte); DisableMemo selects that memo-disabled reference.
 	AnalyticOptions = analytic.Options
 	// Result is the outcome of one run.
 	Result = sim.Result
