@@ -13,6 +13,10 @@
 # run.format: binary must serve the identical Table I from a journal
 # carrying the TSBL binary magic — the artifact is format-independent.
 #
+# Plus format parity (contract 1c): one malformed spec submitted as YAML
+# and as JSON draws byte-identical 400 bodies, and a JSON spec with a
+# repeated key is a 400 rather than a silently last-wins document.
+#
 # Plus the online extension (contract 1b): a grid campaign submitted as
 # a JSON spec must serve a Table IV byte-identical to
 # `tables -table 4 -quiet`, and export the tightsched_grid_* metric
@@ -199,6 +203,30 @@ MISSES=$(awk '$1 == "tightsched_grid_deadline_misses_total" {print $2}' "$E2E_DI
 [ "$MISSES" -gt 0 ] 2>/dev/null ||
     fail "grid deadline-miss counter is '$MISSES', want > 0 for the quick campaign"
 echo "daemon-e2e: grid metrics exported (deadline misses: $MISSES)"
+
+# ---- contract 1c: YAML and JSON specs validate identically ----------------
+
+# submit_status posts a spec file with a content type, saves the response
+# body to $3 and prints the HTTP status (no -f: a 400 is the expected
+# outcome here).
+submit_status() {
+    curl -s -o "$3" -w '%{http_code}' -X POST -H "Content-Type: $2" \
+        --data-binary @"$1" "$BASE/v1/campaigns"
+}
+
+printf 'version: 1\npreset: quick\nsweep:\n  m: 5\n  ncoms: [5, many]\n' >"$E2E_DIR/bad.yaml"
+printf '{"version": 1, "preset": "quick", "sweep": {"m": 5, "ncoms": [5, "many"]}}\n' >"$E2E_DIR/bad.json"
+CODE=$(submit_status "$E2E_DIR/bad.yaml" application/yaml "$E2E_DIR/bad_yaml.out")
+[ "$CODE" = 400 ] || fail "malformed YAML spec returned $CODE, want 400"
+CODE=$(submit_status "$E2E_DIR/bad.json" application/json "$E2E_DIR/bad_json.out")
+[ "$CODE" = 400 ] || fail "malformed JSON spec returned $CODE, want 400"
+cmp "$E2E_DIR/bad_yaml.out" "$E2E_DIR/bad_json.out" ||
+    fail "YAML and JSON renderings of one malformed spec draw different 400 bodies (see $E2E_DIR/bad_{yaml,json}.out)"
+
+printf '{"version": 1, "preset": "quick", "sweep": {"m": 5, "m": 10}}\n' >"$E2E_DIR/dup.json"
+CODE=$(submit_status "$E2E_DIR/dup.json" application/json "$E2E_DIR/dup_json.out")
+[ "$CODE" = 400 ] || fail "JSON spec with a repeated key returned $CODE, want 400"
+echo "daemon-e2e: YAML and JSON specs draw identical 400s; repeated JSON keys are refused"
 
 # ---- contract 2: SIGTERM mid-campaign, journal resumes bit-identically ----
 

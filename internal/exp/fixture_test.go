@@ -41,7 +41,7 @@ func fixtureSweep() Sweep {
 // fixtureGrid is the grid fixture's campaign: the recorded arrival trace
 // under one admission and both preemption policies, two records.
 func fixtureGrid() GridSweep {
-	return GridSweep{
+	return GridSweep{GridSpec: GridSpec{
 		Tiers:       []platform.SpeedTier{{Count: 2, Speed: 1}, {Count: 2, Speed: 2}, {Count: 4, Speed: 4}},
 		Ncom:        6,
 		AppProcs:    4,
@@ -55,8 +55,7 @@ func fixtureGrid() GridSweep {
 		Arrivals:    []grid.ArrivalSpec{{Kind: grid.KindTrace, Trace: QuickOnlineTrace()}},
 		Admissions:  []string{"fcfs"},
 		Preemptions: []string{"none", "lowest-priority"},
-		Workers:     1,
-	}
+	}, Workers: 1}
 }
 
 // fixtureCases lists the committed journals; twin is the same campaign

@@ -25,38 +25,12 @@ import (
 // sweep instances so grid campaigns shard, resume and re-render
 // byte-identically.
 
-// GridSweep describes an online multi-application campaign. The
-// identity fields (everything but Workers) are stamped into journal
-// headers via Spec; two sweeps with equal specs produce byte-identical
+// GridSweep describes an online multi-application campaign: its
+// identity (GridSpec, stamped into journal headers) plus the runtime
+// Workers knob. Two sweeps with equal specs produce byte-identical
 // results on any machine and worker count.
 type GridSweep struct {
-	// Tiers is the heterogeneous platform's speed profile; the platform
-	// is regenerated per (arrival, trial) from the trial seed.
-	Tiers []platform.SpeedTier
-	// Ncom is each application's master communication capacity.
-	Ncom int
-	// AppProcs is the exclusive processor block per admitted
-	// application.
-	AppProcs int
-	// M and Iterations shape every application (arrivals vary wmin).
-	M, Iterations int
-	// Horizon is the observation window in slots.
-	Horizon int64
-	// Heuristic schedules each admitted application (one of
-	// sched.Names()).
-	Heuristic string
-	// Model is the ground-truth availability model's registry name
-	// (avail.Names()); the online default is "diurnal".
-	Model string
-	// Seed is the campaign master seed.
-	Seed uint64
-	// Trials is the number of availability/arrival realizations per
-	// policy combination.
-	Trials int
-	// Arrivals, Admissions and Preemptions are the campaign axes.
-	Arrivals    []grid.ArrivalSpec
-	Admissions  []string
-	Preemptions []string
+	GridSpec
 
 	// Workers bounds campaign parallelism (GOMAXPROCS when 0). Runtime
 	// knob, absent from GridSpec.
@@ -66,7 +40,7 @@ type GridSweep struct {
 // PaperOnlineSweep returns the full online campaign: both arrival kinds,
 // all built-in policies, five trials over a 100k-slot horizon.
 func PaperOnlineSweep() GridSweep {
-	return GridSweep{
+	return GridSweep{GridSpec: GridSpec{
 		Tiers:      []platform.SpeedTier{{Count: 4, Speed: 1}, {Count: 8, Speed: 2}, {Count: 8, Speed: 4}},
 		Ncom:       6,
 		AppProcs:   4,
@@ -83,7 +57,7 @@ func PaperOnlineSweep() GridSweep {
 		},
 		Admissions:  []string{"fcfs", "sjf", "edf"},
 		Preemptions: []string{"none", "lowest-priority"},
-	}
+	}}
 }
 
 // QuickOnlineSweep returns a reduced online campaign preserving the
@@ -503,58 +477,41 @@ func sortGridInstances(instances []GridInstance) {
 // the daemon reports; arrival traces ride inline, so a journaled trace
 // campaign resumes headlessly with no trace file around.
 type GridSpec struct {
-	Tiers       []platform.SpeedTier `json:"tiers"`
-	Ncom        int                  `json:"ncom"`
-	AppProcs    int                  `json:"appProcs"`
-	M           int                  `json:"m"`
-	Iterations  int                  `json:"iterations"`
-	Horizon     int64                `json:"horizon"`
-	Heuristic   string               `json:"heuristic"`
-	Model       string               `json:"model"`
-	Seed        uint64               `json:"seed"`
-	Trials      int                  `json:"trials"`
-	Arrivals    []grid.ArrivalSpec   `json:"arrivals"`
-	Admissions  []string             `json:"admissions"`
-	Preemptions []string             `json:"preemptions"`
+	// Tiers is the heterogeneous platform's speed profile; the platform
+	// is regenerated per (arrival, trial) from the trial seed.
+	Tiers []platform.SpeedTier `json:"tiers"`
+	// Ncom is each application's master communication capacity.
+	Ncom int `json:"ncom"`
+	// AppProcs is the exclusive processor block per admitted
+	// application.
+	AppProcs int `json:"appProcs"`
+	// M and Iterations shape every application (arrivals vary wmin).
+	M          int `json:"m"`
+	Iterations int `json:"iterations"`
+	// Horizon is the observation window in slots.
+	Horizon int64 `json:"horizon"`
+	// Heuristic schedules each admitted application (one of
+	// sched.Names()).
+	Heuristic string `json:"heuristic"`
+	// Model is the ground-truth availability model's registry name
+	// (avail.Names()); the online default is "diurnal".
+	Model string `json:"model"`
+	// Seed is the campaign master seed.
+	Seed uint64 `json:"seed"`
+	// Trials is the number of availability/arrival realizations per
+	// policy combination.
+	Trials int `json:"trials"`
+	// Arrivals, Admissions and Preemptions are the campaign axes.
+	Arrivals    []grid.ArrivalSpec `json:"arrivals"`
+	Admissions  []string           `json:"admissions"`
+	Preemptions []string           `json:"preemptions"`
 }
 
 // Spec returns the sweep's identity.
-func (g *GridSweep) Spec() GridSpec {
-	return GridSpec{
-		Tiers:       g.Tiers,
-		Ncom:        g.Ncom,
-		AppProcs:    g.AppProcs,
-		M:           g.M,
-		Iterations:  g.Iterations,
-		Horizon:     g.Horizon,
-		Heuristic:   g.Heuristic,
-		Model:       g.Model,
-		Seed:        g.Seed,
-		Trials:      g.Trials,
-		Arrivals:    g.Arrivals,
-		Admissions:  g.Admissions,
-		Preemptions: g.Preemptions,
-	}
-}
+func (g *GridSweep) Spec() GridSpec { return g.GridSpec }
 
 // Sweep reconstructs the campaign a spec identifies.
-func (sp GridSpec) Sweep() GridSweep {
-	return GridSweep{
-		Tiers:       sp.Tiers,
-		Ncom:        sp.Ncom,
-		AppProcs:    sp.AppProcs,
-		M:           sp.M,
-		Iterations:  sp.Iterations,
-		Horizon:     sp.Horizon,
-		Heuristic:   sp.Heuristic,
-		Model:       sp.Model,
-		Seed:        sp.Seed,
-		Trials:      sp.Trials,
-		Arrivals:    sp.Arrivals,
-		Admissions:  sp.Admissions,
-		Preemptions: sp.Preemptions,
-	}
-}
+func (sp GridSpec) Sweep() GridSweep { return GridSweep{GridSpec: sp} }
 
 // gridKind is the grid journal's codec. A grid campaign writes about a
 // hundred records, so their JSON stays on encoding/json.

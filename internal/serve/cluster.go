@@ -38,41 +38,32 @@ type ClusterSpec struct {
 // clusterFromTree parses run.cluster. Durations are strings in Go form
 // ("15s", "500ms"); zero values select the coordinator's defaults.
 func clusterFromTree(m map[string]any) (*ClusterSpec, *SpecError) {
-	if serr := rejectUnknown(m, "run.cluster.", "units", "leaseTtl", "gcInterval", "reshard"); serr != nil {
-		return nil, serr
-	}
 	cs := &ClusterSpec{}
-	if v, present, serr := positiveIntField(m, "units", "run.cluster.units"); serr != nil {
+	if serr := decodeBlock(m, "run.cluster.", false,
+		field{key: "units", set: intTo(&cs.Units, 1, positiveInt)},
+		field{key: "leaseTtl", set: durationTo(&cs.LeaseTTL)},
+		field{key: "gcInterval", set: durationTo(&cs.GCInterval)},
+		field{key: "reshard", set: boolTo(&cs.Reshard)},
+	); serr != nil {
 		return nil, serr
-	} else if present {
-		cs.Units = v
-	}
-	for _, f := range []struct {
-		key  string
-		dest *time.Duration
-	}{
-		{"leaseTtl", &cs.LeaseTTL},
-		{"gcInterval", &cs.GCInterval},
-	} {
-		v, present, serr := stringField(m, f.key, "run.cluster."+f.key)
-		if serr != nil {
-			return nil, serr
-		}
-		if !present || v == "" {
-			continue
-		}
-		d, err := time.ParseDuration(v)
-		if err != nil || d <= 0 {
-			return nil, specErr("run.cluster."+f.key, "must be a positive Go duration (e.g. \"15s\"), got %q", v)
-		}
-		*f.dest = d
-	}
-	if v, present, serr := boolField(m, "reshard", "run.cluster.reshard"); serr != nil {
-		return nil, serr
-	} else if present {
-		cs.Reshard = v
 	}
 	return cs, nil
+}
+
+// durationTo types a positive Go duration string; "" keeps the default.
+func durationTo(dst *time.Duration) setter {
+	return func(v any, path string) *SpecError {
+		s, serr := stringOf(v, path)
+		if serr != nil || s == "" {
+			return serr
+		}
+		d, err := time.ParseDuration(s)
+		if err != nil || d <= 0 {
+			return specErr(path, "must be a positive Go duration (e.g. \"15s\"), got %q", s)
+		}
+		*dst = d
+		return nil
+	}
 }
 
 // leasePath is the campaign's lease-log file, next to its journal.

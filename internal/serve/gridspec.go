@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"encoding/json"
 	"fmt"
 
 	"tightsched"
@@ -46,11 +45,6 @@ import (
 // shape field is required — silence would run a campaign the submitter
 // never described.
 func gridFromTree(m map[string]any, preset string) (tightsched.OnlineSweep, *SpecError) {
-	if serr := rejectUnknown(m, "grid.", "tiers", "ncom", "appProcs", "m", "iterations",
-		"horizon", "heuristic", "model", "seed", "trials", "arrivals", "admissions", "preemptions"); serr != nil {
-		return tightsched.OnlineSweep{}, serr
-	}
-
 	var g tightsched.OnlineSweep
 	switch preset {
 	case "quick":
@@ -58,286 +52,66 @@ func gridFromTree(m map[string]any, preset string) (tightsched.OnlineSweep, *Spe
 	case "full":
 		g = tightsched.PaperOnlineSweep()
 	default:
-		g = tightsched.OnlineSweep{Heuristic: "IE", Model: "diurnal"}
-		for _, req := range []struct {
-			key     string
-			example string
-		}{
-			{"tiers", `[{"count": 4, "speed": 1}]`},
-			{"ncom", "6"},
-			{"appProcs", "4"},
-			{"m", "5"},
-			{"iterations", "5"},
-			{"horizon", "20000"},
-			{"trials", "2"},
-			{"arrivals", `[{"kind": "poisson", "meanGap": 250, ...}]`},
-			{"admissions", `[fcfs, sjf, edf]`},
-			{"preemptions", `[none, lowest-priority]`},
-		} {
-			if _, ok := m[req.key]; !ok {
-				return tightsched.OnlineSweep{}, specErr("grid."+req.key,
-					"required without a preset (e.g. %s); or set preset: quick|full", req.example)
-			}
-		}
+		g.Heuristic, g.Model = "IE", "diurnal"
 	}
-
-	if raw, ok := m["tiers"]; ok {
-		tiers, serr := tiersFromTree(raw, "grid.tiers")
-		if serr != nil {
-			return tightsched.OnlineSweep{}, serr
-		}
-		g.Tiers = tiers
-	}
-	for _, f := range []struct {
-		key  string
-		dest *int
-	}{
-		{"ncom", &g.Ncom},
-		{"appProcs", &g.AppProcs},
-		{"m", &g.M},
-		{"iterations", &g.Iterations},
-		{"trials", &g.Trials},
-	} {
-		if v, present, serr := positiveIntField(m, f.key, "grid."+f.key); serr != nil {
-			return tightsched.OnlineSweep{}, serr
-		} else if present {
-			*f.dest = v
-		}
-	}
-	if v, present, serr := int64Field(m, "horizon", "grid.horizon"); serr != nil {
-		return tightsched.OnlineSweep{}, serr
-	} else if present {
-		if v <= 0 {
-			return tightsched.OnlineSweep{}, specErr("grid.horizon", "must be a positive slot count, got %d", v)
-		}
-		g.Horizon = v
-	}
-	if v, present, serr := stringField(m, "heuristic", "grid.heuristic"); serr != nil {
-		return tightsched.OnlineSweep{}, serr
-	} else if present {
-		g.Heuristic = v
-	}
-	if v, present, serr := stringField(m, "model", "grid.model"); serr != nil {
-		return tightsched.OnlineSweep{}, serr
-	} else if present {
-		g.Model = v
-	}
-	if v, present, serr := uint64Field(m, "seed", "grid.seed"); serr != nil {
-		return tightsched.OnlineSweep{}, serr
-	} else if present {
-		g.Seed = v
-	}
-	if raw, ok := m["arrivals"]; ok {
-		arrivals, serr := arrivalsFromTree(raw, "grid.arrivals")
-		if serr != nil {
-			return tightsched.OnlineSweep{}, serr
-		}
-		g.Arrivals = arrivals
-	}
-	if v, present, serr := stringListField(m, "admissions", "grid.admissions"); serr != nil {
-		return tightsched.OnlineSweep{}, serr
-	} else if present {
-		for i, name := range v {
-			if !registeredName(tightsched.AdmissionPolicies(), name) {
-				return tightsched.OnlineSweep{}, specErr(fmt.Sprintf("grid.admissions[%d]", i),
-					"unknown admission policy %q (choose from %v)", name, tightsched.AdmissionPolicies())
-			}
-		}
-		g.Admissions = v
-	}
-	if v, present, serr := stringListField(m, "preemptions", "grid.preemptions"); serr != nil {
-		return tightsched.OnlineSweep{}, serr
-	} else if present {
-		for i, name := range v {
-			if !registeredName(tightsched.PreemptionPolicies(), name) {
-				return tightsched.OnlineSweep{}, specErr(fmt.Sprintf("grid.preemptions[%d]", i),
-					"unknown preemption policy %q (choose from %v)", name, tightsched.PreemptionPolicies())
-			}
-		}
-		g.Preemptions = v
-	}
-	return g, nil
+	serr := decodeBlock(m, "grid.", preset != "",
+		field{key: "tiers", preset: `[{"count": 4, "speed": 1}]`,
+			set: listOf(&g.Tiers, "a list of {count, speed} mappings", itemOf("a {count, speed} mapping", tierFields))},
+		field{key: "ncom", set: intTo(&g.Ncom, 1, positiveInt), preset: "6"},
+		field{key: "appProcs", set: intTo(&g.AppProcs, 1, positiveInt), preset: "4"},
+		field{key: "m", set: intTo(&g.M, 1, positiveInt), preset: "5"},
+		field{key: "iterations", set: intTo(&g.Iterations, 1, positiveInt), preset: "5"},
+		field{key: "horizon", set: int64To(&g.Horizon, 1, positiveSlots), preset: "20000"},
+		field{key: "heuristic", set: stringTo(&g.Heuristic)},
+		field{key: "model", set: stringTo(&g.Model)},
+		field{key: "seed", set: uint64To(&g.Seed)},
+		field{key: "trials", set: intTo(&g.Trials, 1, positiveInt), preset: "2"},
+		field{key: "arrivals", preset: `[{"kind": "poisson", "meanGap": 250, ...}]`,
+			set: listOf(&g.Arrivals, "a list of arrival-process mappings", itemOf("a mapping", arrivalFields))},
+		field{key: "admissions", preset: `[fcfs, sjf, edf]`, set: namesTo(&g.Admissions, tightsched.AdmissionPolicies(),
+			"admission policy", fmt.Sprintf("choose from %v", tightsched.AdmissionPolicies()))},
+		field{key: "preemptions", preset: `[none, lowest-priority]`, set: namesTo(&g.Preemptions, tightsched.PreemptionPolicies(),
+			"preemption policy", fmt.Sprintf("choose from %v", tightsched.PreemptionPolicies()))},
+	)
+	return g, serr
 }
 
-// tiersFromTree parses the heterogeneous speed profile: a list of
-// {count, speed} mappings.
-func tiersFromTree(raw any, path string) ([]tightsched.OnlineSpeedTier, *SpecError) {
-	list, ok := raw.([]any)
-	if !ok {
-		return nil, specErr(path, "must be a list of {count, speed} mappings, got %s", describeValue(raw))
+// tierFields is the schema of one heterogeneous speed tier.
+func tierFields(t *tightsched.OnlineSpeedTier) []field {
+	return []field{
+		{key: "count", set: intTo(&t.Count, 1, positiveInt), need: "required (positive integer)"},
+		{key: "speed", set: intTo(&t.Speed, 1, positiveInt), need: "required (positive integer)"},
 	}
-	if len(list) == 0 {
-		return nil, specErr(path, "must not be empty")
-	}
-	tiers := make([]tightsched.OnlineSpeedTier, len(list))
-	for i, item := range list {
-		ipath := fmt.Sprintf("%s[%d]", path, i)
-		tm, ok := item.(map[string]any)
-		if !ok {
-			return nil, specErr(ipath, "must be a {count, speed} mapping, got %s", describeValue(item))
-		}
-		if serr := rejectUnknown(tm, ipath+".", "count", "speed"); serr != nil {
-			return nil, serr
-		}
-		for _, f := range []struct {
-			key  string
-			dest *int
-		}{
-			{"count", &tiers[i].Count},
-			{"speed", &tiers[i].Speed},
-		} {
-			v, present, serr := positiveIntField(tm, f.key, ipath+"."+f.key)
-			if serr != nil {
-				return nil, serr
-			}
-			if !present {
-				return nil, specErr(ipath+"."+f.key, "required (positive integer)")
-			}
-			*f.dest = v
-		}
-	}
-	return tiers, nil
 }
 
-// arrivalsFromTree parses the arrival-process axis: a list of mappings,
-// each a seeded Poisson stream or an inline recorded trace.
-func arrivalsFromTree(raw any, path string) ([]tightsched.OnlineArrival, *SpecError) {
-	list, ok := raw.([]any)
-	if !ok {
-		return nil, specErr(path, "must be a list of arrival-process mappings, got %s", describeValue(raw))
+// arrivalFields is the schema of one arrival process: a seeded Poisson
+// stream or an inline recorded trace.
+func arrivalFields(a *tightsched.OnlineArrival) []field {
+	return []field{
+		{key: "kind", set: stringTo(&a.Kind), need: `required ("poisson" or "trace")`},
+		{key: "label", set: stringTo(&a.Label)},
+		{key: "meanGap", set: int64To(&a.MeanGap, 0, "")},
+		{key: "apps", set: intTo(&a.Apps, 0, "")},
+		{key: "wminLo", set: intTo(&a.WminLo, 0, "")},
+		{key: "wminHi", set: intTo(&a.WminHi, 0, "")},
+		{key: "deadlineFactor", set: floatTo(&a.DeadlineFactor)},
+		{key: "trace", set: listOf(&a.Trace, "a list of {t, app, wmin, deadline} mappings", itemOf("a mapping", traceFields))},
 	}
-	if len(list) == 0 {
-		return nil, specErr(path, "must not be empty")
-	}
-	arrivals := make([]tightsched.OnlineArrival, len(list))
-	for i, item := range list {
-		ipath := fmt.Sprintf("%s[%d]", path, i)
-		am, ok := item.(map[string]any)
-		if !ok {
-			return nil, specErr(ipath, "must be a mapping, got %s", describeValue(item))
-		}
-		if serr := rejectUnknown(am, ipath+".", "kind", "label", "meanGap", "apps",
-			"wminLo", "wminHi", "deadlineFactor", "trace"); serr != nil {
-			return nil, serr
-		}
-		a := &arrivals[i]
-		kind, present, serr := stringField(am, "kind", ipath+".kind")
-		if serr != nil {
-			return nil, serr
-		}
-		if !present {
-			return nil, specErr(ipath+".kind", `required ("poisson" or "trace")`)
-		}
-		a.Kind = kind
-		if a.Label, _, serr = stringField(am, "label", ipath+".label"); serr != nil {
-			return nil, serr
-		}
-		if v, present, serr := int64Field(am, "meanGap", ipath+".meanGap"); serr != nil {
-			return nil, serr
-		} else if present {
-			a.MeanGap = v
-		}
-		for _, f := range []struct {
-			key  string
-			dest *int
-		}{
-			{"apps", &a.Apps},
-			{"wminLo", &a.WminLo},
-			{"wminHi", &a.WminHi},
-		} {
-			if v, present, serr := intField(am, f.key, ipath+"."+f.key); serr != nil {
-				return nil, serr
-			} else if present {
-				*f.dest = v
+}
+
+// traceFields is the schema of one inline recorded arrival.
+func traceFields(e *tightsched.OnlineEntry) []field {
+	const needApp = "required (non-empty application name)"
+	return []field{
+		{key: "t", set: int64To(&e.T, 0, "")},
+		{key: "app", need: needApp, set: func(v any, path string) (serr *SpecError) {
+			e.App, serr = stringOf(v, path)
+			if serr == nil && e.App == "" {
+				serr = specErr(path, needApp)
 			}
-		}
-		if v, present, serr := floatField(am, "deadlineFactor", ipath+".deadlineFactor"); serr != nil {
-			return nil, serr
-		} else if present {
-			a.DeadlineFactor = v
-		}
-		if rawTrace, ok := am["trace"]; ok {
-			entries, serr := traceFromTree(rawTrace, ipath+".trace")
-			if serr != nil {
-				return nil, serr
-			}
-			a.Trace = entries
-		}
+			return serr
+		}},
+		{key: "wmin", set: intTo(&e.Wmin, 0, "")},
+		{key: "deadline", set: int64To(&e.Deadline, 0, "")},
 	}
-	return arrivals, nil
-}
-
-// traceFromTree parses an inline recorded arrival log: a list of
-// {t, app, wmin, deadline} mappings.
-func traceFromTree(raw any, path string) ([]tightsched.OnlineEntry, *SpecError) {
-	list, ok := raw.([]any)
-	if !ok {
-		return nil, specErr(path, "must be a list of {t, app, wmin, deadline} mappings, got %s", describeValue(raw))
-	}
-	if len(list) == 0 {
-		return nil, specErr(path, "must not be empty")
-	}
-	entries := make([]tightsched.OnlineEntry, len(list))
-	for i, item := range list {
-		ipath := fmt.Sprintf("%s[%d]", path, i)
-		em, ok := item.(map[string]any)
-		if !ok {
-			return nil, specErr(ipath, "must be a mapping, got %s", describeValue(item))
-		}
-		if serr := rejectUnknown(em, ipath+".", "t", "app", "wmin", "deadline"); serr != nil {
-			return nil, serr
-		}
-		e := &entries[i]
-		if v, present, serr := int64Field(em, "t", ipath+".t"); serr != nil {
-			return nil, serr
-		} else if present {
-			e.T = v
-		}
-		app, present, serr := stringField(em, "app", ipath+".app")
-		if serr != nil {
-			return nil, serr
-		}
-		if !present || app == "" {
-			return nil, specErr(ipath+".app", "required (non-empty application name)")
-		}
-		e.App = app
-		if v, present, serr := intField(em, "wmin", ipath+".wmin"); serr != nil {
-			return nil, serr
-		} else if present {
-			e.Wmin = v
-		}
-		if v, present, serr := int64Field(em, "deadline", ipath+".deadline"); serr != nil {
-			return nil, serr
-		} else if present {
-			e.Deadline = v
-		}
-	}
-	return entries, nil
-}
-
-// registeredName reports whether name is in the sorted registry listing.
-func registeredName(names []string, name string) bool {
-	for _, n := range names {
-		if n == name {
-			return true
-		}
-	}
-	return false
-}
-
-// floatField types a numeric field as float64 (integers accepted).
-func floatField(m map[string]any, key, path string) (float64, bool, *SpecError) {
-	raw, ok := m[key]
-	if !ok {
-		return 0, false, nil
-	}
-	num, ok := raw.(json.Number)
-	if !ok {
-		return 0, true, specErr(path, "must be a number, got %s", describeValue(raw))
-	}
-	v, err := num.Float64()
-	if err != nil {
-		return 0, true, specErr(path, "must be a number, got %s", num.String())
-	}
-	return v, true, nil
 }

@@ -65,6 +65,12 @@ var gridSpecValidationCases = []struct {
 	{"unknown heuristic via validate",
 		"version: 1\npreset: quick\ngrid:\n  heuristic: FANCY\n",
 		"application/yaml", "grid", "unknown heuristic"},
+	{"repeated top-level JSON key",
+		`{"version": 1, "preset": "quick", "grid": {}, "preset": "full"}`,
+		"application/json", "", `invalid JSON: duplicate key "preset"`},
+	{"repeated nested JSON key",
+		`{"version": 1, "preset": "quick", "grid": {"trials": 1, "trials": 2}}`,
+		"application/json", "", `invalid JSON: duplicate key "trials"`},
 }
 
 // TestDecodeGridSpecValidationPaths: every malformed grid spec must be

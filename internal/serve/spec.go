@@ -13,6 +13,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -150,8 +151,8 @@ func decodeTree(data []byte, contentType string) (any, error) {
 	if isJSON {
 		dec := json.NewDecoder(bytes.NewReader(data))
 		dec.UseNumber()
-		var tree any
-		if err := dec.Decode(&tree); err != nil {
+		tree, err := jsonValue(dec, 0)
+		if err != nil {
 			return nil, fmt.Errorf("invalid JSON: %v", err)
 		}
 		var trailing any
@@ -167,72 +168,118 @@ func decodeTree(data []byte, contentType string) (any, error) {
 	return tree, nil
 }
 
+// maxJSONDepth is encoding/json's own nesting bound, which a token walk
+// does not apply.
+const maxJSONDepth = 10000
+
+// jsonValue decodes one JSON value token by token into the generic tree
+// (map[string]any, []any, string, json.Number, bool, nil). Unlike
+// json.Decoder.Decode, it refuses a key that repeats within one object:
+// encoding/json would silently keep the last value, where the YAML
+// decoder rejects the same document.
+func jsonValue(dec *json.Decoder, depth int) (any, error) {
+	tok, err := dec.Token()
+	if err != nil {
+		return nil, err
+	}
+	delim, ok := tok.(json.Delim)
+	if !ok {
+		return tok, nil
+	}
+	if depth++; depth > maxJSONDepth {
+		return nil, fmt.Errorf("exceeded max depth %d", maxJSONDepth)
+	}
+	var out any
+	if delim == '[' {
+		list := []any{}
+		for dec.More() {
+			v, err := jsonValue(dec, depth)
+			if err != nil {
+				return nil, err
+			}
+			list = append(list, v)
+		}
+		out = list
+	} else {
+		m := map[string]any{}
+		for dec.More() {
+			tok, err := dec.Token()
+			if err != nil {
+				return nil, err
+			}
+			key := tok.(string) // the decoder only yields string keys
+			if _, dup := m[key]; dup {
+				return nil, fmt.Errorf("duplicate key %q", key)
+			}
+			if m[key], err = jsonValue(dec, depth); err != nil {
+				return nil, err
+			}
+		}
+		out = m
+	}
+	if _, err := dec.Token(); err != nil { // the closing delimiter
+		return nil, err
+	}
+	return out, nil
+}
+
 // specFromTree walks the generic tree against the v1 schema.
 func specFromTree(tree any) (*Spec, *SpecError) {
 	root, ok := tree.(map[string]any)
 	if !ok {
 		return nil, specErr("", "spec document must be a mapping")
 	}
-	if serr := rejectUnknown(root, "", "version", "name", "preset", "sweep", "grid", "run"); serr != nil {
-		return nil, serr
-	}
-
-	version, present, serr := intField(root, "version", "version")
-	if serr != nil {
-		return nil, serr
-	}
-	if !present {
-		return nil, specErr("version", "required (this daemon speaks spec v%d)", SpecVersion)
-	}
-	if version != SpecVersion {
-		return nil, specErr("version", "unsupported spec version %d (this daemon speaks v%d)", version, SpecVersion)
-	}
-
 	spec := &Spec{Journal: true}
-	if spec.Name, _, serr = stringField(root, "name", "name"); serr != nil {
+	var sweepMap, gridMap, runMap map[string]any
+	if serr := decodeBlock(root, "", false,
+		field{key: "version", need: fmt.Sprintf("required (this daemon speaks spec v%d)", SpecVersion),
+			set: func(v any, path string) *SpecError {
+				version, serr := int64Of(v, path)
+				if serr == nil && version != SpecVersion {
+					serr = specErr(path, "unsupported spec version %d (this daemon speaks v%d)", version, SpecVersion)
+				}
+				return serr
+			}},
+		field{key: "name", set: stringTo(&spec.Name)},
+		field{key: "preset", set: func(v any, path string) (serr *SpecError) {
+			spec.Preset, serr = stringOf(v, path)
+			if serr == nil && spec.Preset != "" && spec.Preset != "quick" && spec.Preset != "full" {
+				serr = specErr(path, "unknown preset %q (choose quick or full, or omit)", spec.Preset)
+			}
+			return serr
+		}},
+		field{key: "sweep", set: mappingTo(&sweepMap)},
+		field{key: "grid", set: mappingTo(&gridMap)},
+		field{key: "run", set: mappingTo(&runMap)},
+	); serr != nil {
 		return nil, serr
 	}
-	if spec.Preset, _, serr = stringField(root, "preset", "preset"); serr != nil {
-		return nil, serr
-	}
-	switch spec.Preset {
-	case "", "quick", "full":
-	default:
-		return nil, specErr("preset", "unknown preset %q (choose quick or full, or omit)", spec.Preset)
-	}
-
-	sweepTree, hasSweep := root["sweep"]
-	gridTree, hasGrid := root["grid"]
-	hasSweep = hasSweep && sweepTree != nil
-	hasGrid = hasGrid && gridTree != nil
-	if hasSweep && hasGrid {
+	if sweepMap != nil && gridMap != nil {
 		return nil, specErr("grid", "mutually exclusive with sweep (a campaign is offline or online, not both)")
 	}
-	if !hasSweep && !hasGrid {
+	if sweepMap == nil && gridMap == nil {
 		return nil, specErr("sweep", "required block (campaign dimensions; or a grid block for an online campaign)")
 	}
 
-	if hasGrid {
-		gridMap, ok := gridTree.(map[string]any)
-		if !ok {
-			return nil, specErr("grid", "must be a mapping")
-		}
-		g, serr := gridFromTree(gridMap, spec.Preset)
-		if serr != nil {
-			return nil, serr
-		}
+	var sweep tightsched.Sweep
+	var serr *SpecError
+	if gridMap != nil {
+		var g tightsched.OnlineSweep
+		g, serr = gridFromTree(gridMap, spec.Preset)
 		spec.Grid = &g
-		if runTree, ok := root["run"]; ok && runTree != nil {
-			runMap, ok := runTree.(map[string]any)
-			if !ok {
-				return nil, specErr("run", "must be a mapping")
-			}
-			workers, serr := runFromTree(runMap, spec)
-			if serr != nil {
-				return nil, serr
-			}
-			g.Workers = workers
-		}
+	} else {
+		sweep, serr = sweepFromTree(sweepMap, spec.Preset)
+	}
+	workers := 0
+	if serr == nil {
+		workers, serr = runFromTree(runMap, spec)
+	}
+	if serr != nil {
+		return nil, serr
+	}
+
+	if g := spec.Grid; g != nil {
+		g.Workers = workers
 		if err := g.Validate(); err != nil {
 			return nil, &SpecError{Path: "grid", Message: err.Error()}
 		}
@@ -240,27 +287,6 @@ func specFromTree(tree any) (*Spec, *SpecError) {
 		spec.GridStamped = &stamped
 		return spec, nil
 	}
-
-	sweepMap, ok := sweepTree.(map[string]any)
-	if !ok {
-		return nil, specErr("sweep", "must be a mapping")
-	}
-	sweep, serr := sweepFromTree(sweepMap, spec.Preset)
-	if serr != nil {
-		return nil, serr
-	}
-
-	workers := 0
-	if runTree, ok := root["run"]; ok && runTree != nil {
-		runMap, ok := runTree.(map[string]any)
-		if !ok {
-			return nil, specErr("run", "must be a mapping")
-		}
-		if workers, serr = runFromTree(runMap, spec); serr != nil {
-			return nil, serr
-		}
-	}
-
 	built, err := tightsched.SweepFromSpec(sweep.Spec())
 	if err != nil {
 		return nil, &SpecError{Path: "sweep", Message: err.Error()}
@@ -273,119 +299,48 @@ func specFromTree(tree any) (*Spec, *SpecError) {
 
 // sweepFromTree builds the campaign dimensions, defaulting from the
 // preset profile when one is named and from the paper's constants
-// otherwise. Axes have no sensible defaults without a preset, so a
-// missing axis is a per-path rejection — silence would run a campaign
-// the submitter never described.
+// otherwise (the presets differ from those only in their axes and in m,
+// which the block always sets). Axes have no sensible defaults without a
+// preset, so a missing axis is a per-path rejection — silence would run
+// a campaign the submitter never described.
 func sweepFromTree(m map[string]any, preset string) (tightsched.Sweep, *SpecError) {
-	if serr := rejectUnknown(m, "sweep.", "m", "ncoms", "wmins", "scenarios", "trials",
-		"p", "iterations", "cap", "seed", "heuristics", "models", "initialAllUp"); serr != nil {
-		return tightsched.Sweep{}, serr
-	}
-	tasks, present, serr := positiveIntField(m, "m", "sweep.m")
-	if serr != nil {
-		return tightsched.Sweep{}, serr
-	}
-	if !present {
-		return tightsched.Sweep{}, specErr("sweep.m", "required (tasks per iteration; the paper uses 5 and 10)")
-	}
-
 	var sweep tightsched.Sweep
 	switch preset {
 	case "quick":
-		sweep = tightsched.QuickSweep(tasks)
+		sweep = tightsched.QuickSweep(0)
 	case "full":
-		sweep = tightsched.PaperSweep(tasks)
+		sweep = tightsched.PaperSweep(0)
 	default:
-		sweep = tightsched.Sweep{M: tasks, P: 20, Iterations: 10, Cap: tightsched.DefaultCap}
-		for _, axis := range []struct {
-			key     string
-			example string
-		}{
-			{"ncoms", "[5, 10, 20]"},
-			{"wmins", "[1, 2, 3]"},
-			{"scenarios", "2"},
-			{"trials", "2"},
-		} {
-			if _, ok := m[axis.key]; !ok {
-				return tightsched.Sweep{}, specErr("sweep."+axis.key,
-					"required without a preset (e.g. %s); or set preset: quick|full", axis.example)
-			}
-		}
+		sweep = tightsched.Sweep{P: 20, Iterations: 10, Cap: tightsched.DefaultCap}
 	}
-	sweep.M = tasks
-
-	if v, present, serr := positiveIntListField(m, "ncoms", "sweep.ncoms"); serr != nil {
-		return tightsched.Sweep{}, serr
-	} else if present {
-		sweep.Ncoms = v
-	}
-	if v, present, serr := positiveIntListField(m, "wmins", "sweep.wmins"); serr != nil {
-		return tightsched.Sweep{}, serr
-	} else if present {
-		sweep.Wmins = v
-	}
-	for _, f := range []struct {
-		key  string
-		dest *int
-	}{
-		{"scenarios", &sweep.Scenarios},
-		{"trials", &sweep.Trials},
-		{"p", &sweep.P},
-		{"iterations", &sweep.Iterations},
-	} {
-		if v, present, serr := positiveIntField(m, f.key, "sweep."+f.key); serr != nil {
-			return tightsched.Sweep{}, serr
-		} else if present {
-			*f.dest = v
-		}
-	}
-	if v, present, serr := int64Field(m, "cap", "sweep.cap"); serr != nil {
-		return tightsched.Sweep{}, serr
-	} else if present {
-		if v <= 0 {
-			return tightsched.Sweep{}, specErr("sweep.cap", "must be a positive slot count, got %d", v)
-		}
-		sweep.Cap = v
-	}
-	if v, present, serr := uint64Field(m, "seed", "sweep.seed"); serr != nil {
-		return tightsched.Sweep{}, serr
-	} else if present {
-		sweep.Seed = v
-	}
-	if v, present, serr := stringListField(m, "heuristics", "sweep.heuristics"); serr != nil {
-		return tightsched.Sweep{}, serr
-	} else if present {
-		known := map[string]bool{}
-		for _, h := range tightsched.Heuristics() {
-			known[h] = true
-		}
-		for i, h := range v {
-			if !known[h] {
-				return tightsched.Sweep{}, specErr(fmt.Sprintf("sweep.heuristics[%d]", i),
-					"unknown heuristic %q (see GET /v1/heuristics)", h)
-			}
-		}
-		sweep.Heuristics = v
-	}
-	if v, present, serr := stringListField(m, "models", "sweep.models"); serr != nil {
-		return tightsched.Sweep{}, serr
-	} else if present {
-		sweep.Models = nil
-		for i, name := range v {
-			model, err := tightsched.ModelByName(name)
-			if err != nil {
-				return tightsched.Sweep{}, specErr(fmt.Sprintf("sweep.models[%d]", i),
-					"unknown availability model %q (see GET /v1/models)", name)
-			}
-			sweep.Models = append(sweep.Models, model)
-		}
-	}
-	if v, present, serr := boolField(m, "initialAllUp", "sweep.initialAllUp"); serr != nil {
-		return tightsched.Sweep{}, serr
-	} else if present {
-		sweep.InitialAllUp = v
-	}
-	return sweep, nil
+	serr := decodeBlock(m, "sweep.", preset != "",
+		field{key: "m", set: intTo(&sweep.M, 1, positiveInt),
+			need: "required (tasks per iteration; the paper uses 5 and 10)"},
+		field{key: "ncoms", set: positiveIntsTo(&sweep.Ncoms), preset: "[5, 10, 20]"},
+		field{key: "wmins", set: positiveIntsTo(&sweep.Wmins), preset: "[1, 2, 3]"},
+		field{key: "scenarios", set: intTo(&sweep.Scenarios, 1, positiveInt), preset: "2"},
+		field{key: "trials", set: intTo(&sweep.Trials, 1, positiveInt), preset: "2"},
+		field{key: "p", set: intTo(&sweep.P, 1, positiveInt)},
+		field{key: "iterations", set: intTo(&sweep.Iterations, 1, positiveInt)},
+		field{key: "cap", set: int64To(&sweep.Cap, 1, positiveSlots)},
+		field{key: "seed", set: uint64To(&sweep.Seed)},
+		field{key: "heuristics", set: namesTo(&sweep.Heuristics, tightsched.Heuristics(),
+			"heuristic", "see GET /v1/heuristics")},
+		field{key: "models", set: listOf(&sweep.Models, "a list of strings",
+			func(v any, path string) (tightsched.AvailabilityModel, *SpecError) {
+				name, serr := stringOf(v, path)
+				if serr != nil {
+					return nil, serr
+				}
+				model, err := tightsched.ModelByName(name)
+				if err != nil {
+					return nil, specErr(path, "unknown availability model %q (see GET /v1/models)", name)
+				}
+				return model, nil
+			})},
+		field{key: "initialAllUp", set: boolTo(&sweep.InitialAllUp)},
+	)
+	return sweep, serr
 }
 
 // runFromTree parses the runtime block: the knobs that change speed,
@@ -396,9 +351,6 @@ func sweepFromTree(m map[string]any, preset string) (tightsched.Sweep, *SpecErro
 // validated here, at submit time, and otherwise ignored: every campaign
 // runs the one production core.
 func runFromTree(m map[string]any, spec *Spec) (int, *SpecError) {
-	if serr := rejectUnknown(m, "run.", "advance", "maxLeap", "workers", "journal", "format", "shard", "cluster"); serr != nil {
-		return 0, serr
-	}
 	if spec.Grid != nil {
 		// The online engine has no core selector, shardable instance grid
 		// or cluster lease decomposition; refusing beats silently ignoring.
@@ -408,232 +360,304 @@ func runFromTree(m map[string]any, spec *Spec) (int, *SpecError) {
 			}
 		}
 	}
-	if v, present, serr := stringField(m, "advance", "run.advance"); serr != nil {
-		return 0, serr
-	} else if present && v != "leap" && v != "slot" && v != "batch" {
-		return 0, specErr("run.advance", "unknown time advance %q (choose leap, slot or batch)", v)
-	}
-	if v, present, serr := int64Field(m, "maxLeap", "run.maxLeap"); serr != nil {
-		return 0, serr
-	} else if present && v < 0 {
-		return 0, specErr("run.maxLeap", "must be >= 0, got %d", v)
-	}
 	workers := 0
-	if v, present, serr := intField(m, "workers", "run.workers"); serr != nil {
+	var clusterMap map[string]any
+	if serr := decodeBlock(m, "run.", false,
+		field{key: "advance", set: func(v any, path string) *SpecError {
+			advance, serr := stringOf(v, path)
+			if serr == nil && advance != "leap" && advance != "slot" && advance != "batch" {
+				serr = specErr(path, "unknown time advance %q (choose leap, slot or batch)", advance)
+			}
+			return serr
+		}},
+		field{key: "maxLeap", set: int64To(new(int64), 0, "must be >= 0, got %d")},
+		field{key: "workers", set: intTo(&workers, 0, "must be >= 0, got %d")},
+		field{key: "journal", set: boolTo(&spec.Journal)},
+		field{key: "format", set: func(v any, path string) *SpecError {
+			name, serr := stringOf(v, path)
+			if serr != nil {
+				return serr
+			}
+			format, err := tightsched.ParseJournalFormat(name)
+			if err != nil {
+				return specErr(path, "unknown journal format %q (choose jsonl or binary)", name)
+			}
+			if !spec.Journal {
+				return specErr(path, "requires run.journal: true (the format names the journal's encoding)")
+			}
+			spec.Format = format
+			return nil
+		}},
+		field{key: "shard", set: func(v any, path string) *SpecError {
+			s, serr := stringOf(v, path)
+			if serr != nil || s == "" {
+				return serr
+			}
+			shard, err := tightsched.ParseSweepShard(s)
+			if err != nil {
+				return specErr(path, "invalid shard %q (want 0-based \"i/n\" with i < n)", s)
+			}
+			spec.Shard = shard
+			return nil
+		}},
+		field{key: "cluster", set: mappingTo(&clusterMap)},
+	); serr != nil || clusterMap == nil {
+		return workers, serr
+	}
+	cs, serr := clusterFromTree(clusterMap)
+	if serr != nil {
 		return 0, serr
-	} else if present {
-		if v < 0 {
-			return 0, specErr("run.workers", "must be >= 0, got %d", v)
-		}
-		workers = v
 	}
-	if v, present, serr := boolField(m, "journal", "run.journal"); serr != nil {
-		return 0, serr
-	} else if present {
-		spec.Journal = v
+	// Cluster execution owns the whole grid (the coordinator shards it
+	// into lease units itself) and lives on its journal.
+	if spec.Shard.Count > 1 {
+		return 0, specErr("run.cluster", "incompatible with run.shard (the coordinator decomposes the grid itself)")
 	}
-	if v, present, serr := stringField(m, "format", "run.format"); serr != nil {
-		return 0, serr
-	} else if present {
-		format, err := tightsched.ParseJournalFormat(v)
-		if err != nil {
-			return 0, specErr("run.format", "unknown journal format %q (choose jsonl or binary)", v)
-		}
-		if !spec.Journal {
-			return 0, specErr("run.format", "requires run.journal: true (the format names the journal's encoding)")
-		}
-		spec.Format = format
+	if !spec.Journal {
+		return 0, specErr("run.cluster", "requires run.journal: true (the journal is the dedup and completion authority)")
 	}
-	if v, present, serr := stringField(m, "shard", "run.shard"); serr != nil {
-		return 0, serr
-	} else if present && v != "" {
-		shard, err := tightsched.ParseSweepShard(v)
-		if err != nil {
-			return 0, specErr("run.shard", "invalid shard %q (want 0-based \"i/n\" with i < n)", v)
-		}
-		spec.Shard = shard
-	}
-	if raw, ok := m["cluster"]; ok && raw != nil {
-		clusterMap, ok := raw.(map[string]any)
-		if !ok {
-			return 0, specErr("run.cluster", "must be a mapping")
-		}
-		cs, serr := clusterFromTree(clusterMap)
-		if serr != nil {
-			return 0, serr
-		}
-		// Cluster execution owns the whole grid (the coordinator shards
-		// it into lease units itself) and lives on its journal.
-		if spec.Shard.Count > 1 {
-			return 0, specErr("run.cluster", "incompatible with run.shard (the coordinator decomposes the grid itself)")
-		}
-		if !spec.Journal {
-			return 0, specErr("run.cluster", "requires run.journal: true (the journal is the dedup and completion authority)")
-		}
-		spec.Cluster = cs
-	}
+	spec.Cluster = cs
 	return workers, nil
 }
 
-// rejectUnknown fails on any key outside the schema — a typo'd or
-// unsupported field must never be silently dropped.
-func rejectUnknown(m map[string]any, prefix string, allowed ...string) *SpecError {
-	ok := map[string]bool{}
-	for _, k := range allowed {
-		ok[k] = true
+// setter types one present value of a block into its destination; path
+// names the value in error reports.
+type setter func(v any, path string) *SpecError
+
+// field is one key of a block's schema table. A missing key is refused
+// with need when it is set, or, without a preset profile, with the
+// example in preset when that is set; otherwise it keeps its default.
+type field struct {
+	key    string
+	set    setter
+	need   string
+	preset string
+}
+
+// decodeBlock walks one mapping against its schema table. It rejects the
+// lexically first unknown key (deterministic, not map order), listing
+// the allowed keys in table order — a typo'd or unsupported field must
+// never be silently dropped — then the first missing required key, and
+// finally calls set on every present key in table order. A nil block has
+// no keys.
+func decodeBlock(m map[string]any, prefix string, hasPreset bool, fields ...field) *SpecError {
+	allowed := make([]string, len(fields))
+	for i, f := range fields {
+		allowed[i] = f.key
 	}
-	// Deterministic reporting: complain about the lexically first
-	// offender, not a random map-order one.
-	var bad []string
+	unknown, found := "", false
 	for k := range m {
-		if !ok[k] {
-			bad = append(bad, k)
+		if !slices.Contains(allowed, k) && (!found || k < unknown) {
+			unknown, found = k, true
 		}
 	}
-	if len(bad) == 0 {
+	if found {
+		return specErr(prefix+unknown, "unknown field (allowed: %s)", strings.Join(allowed, ", "))
+	}
+	for _, f := range fields {
+		if _, ok := m[f.key]; ok {
+			continue
+		}
+		if f.need != "" {
+			return specErr(prefix+f.key, "%s", f.need)
+		}
+		if f.preset != "" && !hasPreset {
+			return specErr(prefix+f.key, "required without a preset (e.g. %s); or set preset: quick|full", f.preset)
+		}
+	}
+	for _, f := range fields {
+		if v, ok := m[f.key]; ok {
+			if serr := f.set(v, prefix+f.key); serr != nil {
+				return serr
+			}
+		}
+	}
+	return nil
+}
+
+// Bound messages shared by the integer setters.
+const (
+	positiveInt   = "must be a positive integer, got %d"
+	positiveSlots = "must be a positive slot count, got %d"
+)
+
+// Typed setters. Each refuses an ill-typed value with a path-specific
+// SpecError; only mappingTo reads null as absent.
+
+func int64Of(v any, path string) (int64, *SpecError) {
+	num, ok := v.(json.Number)
+	if !ok {
+		return 0, specErr(path, "must be an integer, got %s", describeValue(v))
+	}
+	n, err := num.Int64()
+	if err != nil {
+		return 0, specErr(path, "must be an integer, got %s", num)
+	}
+	return n, nil
+}
+
+// int64To types an integer; with a non-empty msg, values below min are
+// refused with msg (formatted with the value).
+func int64To(dst *int64, min int64, msg string) setter {
+	return func(v any, path string) *SpecError {
+		n, serr := int64Of(v, path)
+		if serr == nil && msg != "" && n < min {
+			serr = specErr(path, msg, n)
+		}
+		*dst = n
+		return serr
+	}
+}
+
+// intTo is int64To for an int destination, refusing overflow.
+func intTo(dst *int, min int, msg string) setter {
+	return func(v any, path string) *SpecError {
+		n, serr := int64Of(v, path)
+		switch {
+		case serr != nil:
+		case int64(int(n)) != n:
+			serr = specErr(path, "integer %d overflows", n)
+		case msg != "" && int(n) < min:
+			serr = specErr(path, msg, n)
+		}
+		*dst = int(n)
+		return serr
+	}
+}
+
+func uint64To(dst *uint64) setter {
+	return func(v any, path string) *SpecError {
+		num, ok := v.(json.Number)
+		if !ok {
+			return specErr(path, "must be a non-negative integer, got %s", describeValue(v))
+		}
+		n, err := strconv.ParseUint(num.String(), 10, 64)
+		if err != nil {
+			return specErr(path, "must be a non-negative integer, got %s", num)
+		}
+		*dst = n
 		return nil
 	}
-	first := bad[0]
-	for _, k := range bad[1:] {
-		if k < first {
-			first = k
-		}
-	}
-	return specErr(prefix+first, "unknown field (allowed: %s)", strings.Join(allowed, ", "))
 }
 
-// Field accessors: each returns (value, present, error), typing failures
-// as path-specific SpecErrors.
-
-func intField(m map[string]any, key, path string) (int, bool, *SpecError) {
-	v, present, serr := int64Field(m, key, path)
-	if serr != nil || !present {
-		return 0, present, serr
-	}
-	if int64(int(v)) != v {
-		return 0, true, specErr(path, "integer %d overflows", v)
-	}
-	return int(v), true, nil
-}
-
-func positiveIntField(m map[string]any, key, path string) (int, bool, *SpecError) {
-	v, present, serr := intField(m, key, path)
-	if serr != nil || !present {
-		return 0, present, serr
-	}
-	if v <= 0 {
-		return 0, true, specErr(path, "must be a positive integer, got %d", v)
-	}
-	return v, true, nil
-}
-
-func int64Field(m map[string]any, key, path string) (int64, bool, *SpecError) {
-	raw, ok := m[key]
-	if !ok {
-		return 0, false, nil
-	}
-	num, ok := raw.(json.Number)
-	if !ok {
-		return 0, true, specErr(path, "must be an integer, got %s", describeValue(raw))
-	}
-	v, err := num.Int64()
-	if err != nil {
-		return 0, true, specErr(path, "must be an integer, got %s", num.String())
-	}
-	return v, true, nil
-}
-
-func uint64Field(m map[string]any, key, path string) (uint64, bool, *SpecError) {
-	raw, ok := m[key]
-	if !ok {
-		return 0, false, nil
-	}
-	num, ok := raw.(json.Number)
-	if !ok {
-		return 0, true, specErr(path, "must be a non-negative integer, got %s", describeValue(raw))
-	}
-	v, err := strconv.ParseUint(num.String(), 10, 64)
-	if err != nil {
-		return 0, true, specErr(path, "must be a non-negative integer, got %s", num.String())
-	}
-	return v, true, nil
-}
-
-func stringField(m map[string]any, key, path string) (string, bool, *SpecError) {
-	raw, ok := m[key]
-	if !ok {
-		return "", false, nil
-	}
-	v, ok := raw.(string)
-	if !ok {
-		return "", true, specErr(path, "must be a string, got %s", describeValue(raw))
-	}
-	return v, true, nil
-}
-
-func boolField(m map[string]any, key, path string) (bool, bool, *SpecError) {
-	raw, ok := m[key]
-	if !ok {
-		return false, false, nil
-	}
-	v, ok := raw.(bool)
-	if !ok {
-		return false, true, specErr(path, "must be true or false, got %s", describeValue(raw))
-	}
-	return v, true, nil
-}
-
-func positiveIntListField(m map[string]any, key, path string) ([]int, bool, *SpecError) {
-	raw, ok := m[key]
-	if !ok {
-		return nil, false, nil
-	}
-	list, ok := raw.([]any)
-	if !ok {
-		return nil, true, specErr(path, "must be a list of positive integers, got %s", describeValue(raw))
-	}
-	if len(list) == 0 {
-		return nil, true, specErr(path, "must not be empty")
-	}
-	out := make([]int, len(list))
-	for i, item := range list {
-		num, ok := item.(json.Number)
+// floatTo types a number as float64 (integers accepted).
+func floatTo(dst *float64) setter {
+	return func(v any, path string) *SpecError {
+		num, ok := v.(json.Number)
 		if !ok {
-			return nil, true, specErr(fmt.Sprintf("%s[%d]", path, i),
-				"must be a positive integer, got %s", describeValue(item))
+			return specErr(path, "must be a number, got %s", describeValue(v))
 		}
-		v, err := num.Int64()
-		if err != nil || v <= 0 || int64(int(v)) != v {
-			return nil, true, specErr(fmt.Sprintf("%s[%d]", path, i),
-				"must be a positive integer, got %s", num.String())
+		f, err := num.Float64()
+		if err != nil {
+			return specErr(path, "must be a number, got %s", num)
 		}
-		out[i] = int(v)
+		*dst = f
+		return nil
 	}
-	return out, true, nil
 }
 
-func stringListField(m map[string]any, key, path string) ([]string, bool, *SpecError) {
-	raw, ok := m[key]
+func stringOf(v any, path string) (string, *SpecError) {
+	s, ok := v.(string)
 	if !ok {
-		return nil, false, nil
+		return "", specErr(path, "must be a string, got %s", describeValue(v))
 	}
-	list, ok := raw.([]any)
-	if !ok {
-		return nil, true, specErr(path, "must be a list of strings, got %s", describeValue(raw))
+	return s, nil
+}
+
+func stringTo(dst *string) setter {
+	return func(v any, path string) (serr *SpecError) {
+		*dst, serr = stringOf(v, path)
+		return serr
 	}
-	if len(list) == 0 {
-		return nil, true, specErr(path, "must not be empty")
-	}
-	out := make([]string, len(list))
-	for i, item := range list {
-		v, ok := item.(string)
+}
+
+func boolTo(dst *bool) setter {
+	return func(v any, path string) *SpecError {
+		b, ok := v.(bool)
 		if !ok {
-			return nil, true, specErr(fmt.Sprintf("%s[%d]", path, i),
-				"must be a string, got %s", describeValue(item))
+			return specErr(path, "must be true or false, got %s", describeValue(v))
 		}
-		out[i] = v
+		*dst = b
+		return nil
 	}
-	return out, true, nil
+}
+
+// mappingTo captures a nested block for its own table; null leaves dst
+// nil, so the block counts as absent.
+func mappingTo(dst *map[string]any) setter {
+	return func(v any, path string) *SpecError {
+		if v == nil {
+			return nil
+		}
+		m, ok := v.(map[string]any)
+		if !ok {
+			return specErr(path, "must be a mapping")
+		}
+		*dst = m
+		return nil
+	}
+}
+
+// listOf types a non-empty list (what names it in the type error),
+// decoding element i with item at path[i].
+func listOf[T any](dst *[]T, what string, item func(v any, path string) (T, *SpecError)) setter {
+	return func(v any, path string) *SpecError {
+		list, ok := v.([]any)
+		if !ok {
+			return specErr(path, "must be %s, got %s", what, describeValue(v))
+		}
+		if len(list) == 0 {
+			return specErr(path, "must not be empty")
+		}
+		out := make([]T, len(list))
+		for i, x := range list {
+			var serr *SpecError
+			if out[i], serr = item(x, fmt.Sprintf("%s[%d]", path, i)); serr != nil {
+				return serr
+			}
+		}
+		*dst = out
+		return nil
+	}
+}
+
+// itemOf decodes one mapping element of a list (what names it in the
+// type error) through the schema table fields returns for it.
+func itemOf[T any](what string, fields func(*T) []field) func(v any, path string) (T, *SpecError) {
+	return func(v any, path string) (T, *SpecError) {
+		var out T
+		m, ok := v.(map[string]any)
+		if !ok {
+			return out, specErr(path, "must be %s, got %s", what, describeValue(v))
+		}
+		return out, decodeBlock(m, path+".", false, fields(&out)...)
+	}
+}
+
+func positiveIntsTo(dst *[]int) setter {
+	return listOf(dst, "a list of positive integers", func(v any, path string) (int, *SpecError) {
+		num, ok := v.(json.Number)
+		if !ok {
+			return 0, specErr(path, "must be a positive integer, got %s", describeValue(v))
+		}
+		n, err := num.Int64()
+		if err != nil || n <= 0 || int64(int(n)) != n {
+			return 0, specErr(path, "must be a positive integer, got %s", num)
+		}
+		return int(n), nil
+	})
+}
+
+// namesTo types a list of registry names, refusing one outside known as
+// an unknown <what> with a hint where to look.
+func namesTo(dst *[]string, known []string, what, hint string) setter {
+	return listOf(dst, "a list of strings", func(v any, path string) (string, *SpecError) {
+		name, serr := stringOf(v, path)
+		if serr == nil && !slices.Contains(known, name) {
+			serr = specErr(path, "unknown %s %q (%s)", what, name, hint)
+		}
+		return name, serr
+	})
 }
 
 // describeValue names a tree value for error messages.

@@ -1,7 +1,11 @@
 package serve
 
 import (
+	"encoding/json"
 	"reflect"
+	"regexp"
+	"sort"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -216,6 +220,17 @@ sweep:
 		t.Errorf("block list = %v", got)
 	}
 
+	// Inside double quotes a backslash escapes the quote, as in JSON: the
+	// " #" after it is no comment and the ", " no flow-list separator.
+	escaped, err := parseYAML([]byte(`name: "a\" #b"` + "\n" + `heuristics: ["IE", "a\", b"]` + "\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]any{"name": `a" #b`, "heuristics": []any{"IE", `a", b`}}
+	if !reflect.DeepEqual(escaped, want) {
+		t.Errorf("escaped quotes parse to %#v, want %#v", escaped, want)
+	}
+
 	bad := []struct{ name, doc, want string }{
 		{"tab indent", "a: 1\n\tb: 2\n", "tab in indentation"},
 		{"duplicate key", "a: 1\na: 2\n", "duplicate key"},
@@ -248,10 +263,106 @@ func FuzzDecodeSpec(f *testing.F) {
 	for _, run := range []string{"advance: slot", "advance: leap", "advance: batch", "advance: warp", "maxLeap: 64", "maxLeap: -5"} {
 		f.Add([]byte("version: 1\npreset: quick\nsweep:\n  m: 5\nrun:\n  "+run+"\n"), "application/yaml")
 	}
+	f.Add([]byte(`{"version": 1, "name": "a\" #b", "preset": "quick", "sweep": {"m": 5}}`), "application/json")
+	f.Add([]byte(`{"version": 1, "preset": "quick", "sweep": {"m": 5, "heuristics": ["IE", "a\", b"]}}`), "application/json")
 	f.Fuzz(func(t *testing.T, doc []byte, contentType string) {
 		spec, serr := DecodeSpec(doc, contentType)
 		if (spec == nil) == (serr == nil) {
 			t.Fatalf("DecodeSpec returned spec %v and error %v; want exactly one", spec, serr)
 		}
+
+		// Format parity: a JSON spec the YAML subset can express must
+		// decode to the same outcome from its YAML rendering.
+		tree, err := decodeTree(doc, "application/json")
+		if err != nil {
+			return
+		}
+		root, ok := tree.(map[string]any)
+		var yml strings.Builder
+		if !ok || !renderYAML(&yml, root, "") {
+			return
+		}
+		fromJSON, jerr := DecodeSpec(doc, "application/json")
+		fromYAML, yerr := DecodeSpec([]byte(yml.String()), "application/yaml")
+		if jerr != nil || yerr != nil {
+			if jerr == nil || yerr == nil || *jerr != *yerr {
+				t.Fatalf("JSON and YAML outcomes diverge: %v vs %v\nYAML rendering:\n%s", jerr, yerr, yml.String())
+			}
+			return
+		}
+		if j, y := specOutcome(fromJSON), specOutcome(fromYAML); !reflect.DeepEqual(j, y) {
+			t.Fatalf("JSON and YAML decode differently:\njson: %+v\nyaml: %+v\nYAML rendering:\n%s", j, y, yml.String())
+		}
 	})
+}
+
+// renderYAML writes a JSON spec tree in the YAML subset — keys sorted,
+// strings JSON-quoted, numbers verbatim — and reports false when the
+// subset cannot express it: an empty mapping, a list holding a
+// collection, or a key that is not a plain identifier.
+func renderYAML(b *strings.Builder, m map[string]any, indent string) bool {
+	if len(m) == 0 {
+		return false
+	}
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		if !plainKey.MatchString(k) {
+			return false
+		}
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	for _, k := range keys {
+		b.WriteString(indent + k + ":")
+		switch v := m[k].(type) {
+		case map[string]any:
+			b.WriteString("\n")
+			if !renderYAML(b, v, indent+"  ") {
+				return false
+			}
+			continue
+		case []any:
+			items := make([]string, len(v))
+			for i, item := range v {
+				var ok bool
+				if items[i], ok = yamlScalar(item); !ok {
+					return false
+				}
+			}
+			b.WriteString(" [" + strings.Join(items, ", ") + "]")
+		default:
+			s, _ := yamlScalar(v)
+			b.WriteString(" " + s)
+		}
+		b.WriteString("\n")
+	}
+	return true
+}
+
+var plainKey = regexp.MustCompile(`^[A-Za-z_][A-Za-z0-9_]*$`)
+
+// yamlScalar renders one scalar tree value, or reports a collection.
+func yamlScalar(v any) (string, bool) {
+	switch v := v.(type) {
+	case nil:
+		return "null", true
+	case bool:
+		return strconv.FormatBool(v), true
+	case json.Number:
+		return v.String(), true
+	case string:
+		quoted, err := json.Marshal(v)
+		return string(quoted), err == nil
+	}
+	return "", false
+}
+
+// specOutcome is the part of a decoded spec that the two formats must
+// agree on.
+func specOutcome(s *Spec) any {
+	workers := s.Sweep.Workers
+	if s.Grid != nil {
+		workers = s.Grid.Workers
+	}
+	return []any{s.Stamped, s.GridStamped, s.Name, s.Shard, s.Journal, s.Format, s.Cluster, workers}
 }

@@ -64,7 +64,12 @@ func lexYAMLLine(raw string, num int) (yamlLine, error) {
 	if indent < len(raw) && raw[indent] == '\t' {
 		return yamlLine{}, fmt.Errorf("line %d: tab in indentation (use spaces)", num)
 	}
-	text := stripYAMLComment(raw[indent:])
+	// A "#" starts a comment at the line start or after a blank, outside
+	// quotes.
+	text := raw[indent:]
+	text = text[:scanUnquoted(text, func(i int) bool {
+		return text[i] == '#' && (i == 0 || text[i-1] == ' ' || text[i-1] == '\t')
+	})]
 	text = strings.TrimRight(text, " \t")
 	if strings.HasPrefix(text, "---") && strings.TrimSpace(text[3:]) == "" {
 		text = "" // document marker: ignore
@@ -72,26 +77,24 @@ func lexYAMLLine(raw string, num int) (yamlLine, error) {
 	return yamlLine{indent: indent, text: text, num: num}, nil
 }
 
-// stripYAMLComment removes a trailing "#" comment, respecting quotes.
-func stripYAMLComment(s string) string {
+// scanUnquoted returns the index of the first byte outside quotes at
+// which stop holds, or len(s). Inside double quotes a backslash escapes
+// the next byte, as in JSON; single quotes have no escapes.
+func scanUnquoted(s string, stop func(i int) bool) int {
 	inSingle, inDouble := false, false
 	for i := 0; i < len(s); i++ {
-		switch s[i] {
-		case '\'':
-			if !inDouble {
-				inSingle = !inSingle
-			}
-		case '"':
-			if !inSingle {
-				inDouble = !inDouble
-			}
-		case '#':
-			if !inSingle && !inDouble && (i == 0 || s[i-1] == ' ' || s[i-1] == '\t') {
-				return s[:i]
-			}
+		switch c := s[i]; {
+		case inDouble && c == '\\':
+			i++
+		case c == '\'' && !inDouble:
+			inSingle = !inSingle
+		case c == '"' && !inSingle:
+			inDouble = !inDouble
+		case !inSingle && !inDouble && stop(i):
+			return i
 		}
 	}
-	return s
+	return len(s)
 }
 
 type yamlParser struct {
@@ -245,25 +248,13 @@ func parseYAMLScalar(s string, num int) (any, error) {
 // respected; flow lists of scalars only, so no bracket nesting).
 func splitFlowList(s string) []string {
 	var parts []string
-	start, inSingle, inDouble := 0, false, false
-	for i := 0; i < len(s); i++ {
-		switch s[i] {
-		case '\'':
-			if !inDouble {
-				inSingle = !inSingle
-			}
-		case '"':
-			if !inSingle {
-				inDouble = !inDouble
-			}
-		case ',':
-			if !inSingle && !inDouble {
-				parts = append(parts, s[start:i])
-				start = i + 1
-			}
+	for {
+		i := scanUnquoted(s, func(i int) bool { return s[i] == ',' })
+		if i == len(s) {
+			return append(parts, s)
 		}
+		parts, s = append(parts, s[:i]), s[i+1:]
 	}
-	return append(parts, s[start:])
 }
 
 // isJSONNumber reports whether s is a valid JSON number literal, so YAML
