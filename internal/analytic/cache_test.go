@@ -183,3 +183,57 @@ func TestSetKeyHighProcessors(t *testing.T) {
 		t.Fatal("distinct sets share a key")
 	}
 }
+
+// TestMemoTableAgainstMap drives the memo's lookup and store with keys
+// from a small pseudo-random space — 0 (the empty set) and keys beyond
+// the 64-processor word among them — against a map oracle with the same
+// clear-on-overflow rule. Entries, values and MemoStats must agree after
+// every step, through several slot-array doublings and, past memoLimit,
+// the overflow clear.
+func TestMemoTableAgainstMap(t *testing.T) {
+	pl := NewPlatform([]markov.Matrix{markov.PerState(0.9, 0.9, 0.9)}, DefaultEps)
+	oracle := make(map[SetKey]float64)
+	var hits, misses uint64
+	s := rng.New(106)
+	clears := 0
+	for step := 0; step < 3*memoLimit; step++ {
+		var k SetKey
+		switch r := s.Uint64() % 64; {
+		case r == 0:
+			// The empty set's word, 0, is a key like any other.
+		case r == 1:
+			k = keyOfMembers([]int{int(s.Uint64() % 4), 64 + int(s.Uint64()%4)})
+		default:
+			// A space of about 1.5 memoLimit keys, so the table both
+			// hits and overflows.
+			k.lo = (s.Uint64() % (memoLimit * 3 / 2)) * 0x9e3779b97f4a7c15
+		}
+		want, wok := oracle[k]
+		e := pl.memoLookup(k)
+		if wok {
+			hits++
+		} else {
+			misses++
+		}
+		if (e != nil) != wok || (wok && e.stats.Eu != want) {
+			t.Fatalf("step %d key %v: entry %v, oracle (%v, %v)", step, k, e, want, wok)
+		}
+		if !wok {
+			if len(oracle) >= memoLimit {
+				clear(oracle)
+				clears++
+			}
+			v := float64(step)
+			oracle[k] = v
+			if got := pl.memoStore(k, SetStats{Eu: v}); got.stats.Eu != v {
+				t.Fatalf("step %d: store returned %v", step, got.stats)
+			}
+		}
+		if st := pl.MemoStats(); st != (MemoStats{Hits: hits, Misses: misses, Entries: len(oracle)}) {
+			t.Fatalf("step %d: MemoStats %+v, oracle hits %d misses %d entries %d", step, st, hits, misses, len(oracle))
+		}
+	}
+	if clears == 0 {
+		t.Fatal("the run never overflowed memoLimit")
+	}
+}

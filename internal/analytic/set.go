@@ -22,15 +22,16 @@ type Platform struct {
 	// evaluations, so a plain map hits almost always.
 	horizons map[float64]int
 
-	// memoLo/memoHi map set membership to its canonical memo entry (nil
-	// when Options.DisableMemo). Repeated scorings of the same set —
-	// across candidate loops, decision epochs and cache-shared runs —
+	// memoLo/memoHi map set membership to its canonical memo entry (both
+	// empty when Options.DisableMemo). Repeated scorings of the same set
+	// — across candidate loops, decision epochs and cache-shared runs —
 	// return the stored floats instead of re-summing series. Sets
 	// confined to processors 0..63 (every platform at the paper's scale)
-	// use the plain-uint64 table, whose hash is markedly cheaper than the
-	// general SetKey's; see computeStats for the miss path.
+	// live in the flat memoTable keyed by the membership word, whose
+	// probe is markedly cheaper than a map's; the rest use a map on the
+	// general SetKey. See computeStats for the miss path.
 	memoOn bool
-	memoLo map[uint64]*memoEntry
+	memoLo memoTable
 	memoHi map[SetKey]*memoEntry
 	// memoHits/memoMisses count memoLookup outcomes (see MemoStats):
 	// cross-trial sharing in the batch engine is observable through them.
@@ -107,7 +108,6 @@ func NewPlatformWith(ms []markov.Matrix, eps float64, opts Options) *Platform {
 	}
 	if !opts.DisableMemo {
 		pl.memoOn = true
-		pl.memoLo = make(map[uint64]*memoEntry)
 		pl.memoHi = make(map[SetKey]*memoEntry)
 	}
 	for i, m := range ms {

@@ -1,7 +1,9 @@
 package sched
 
 import (
+	"bytes"
 	"encoding/binary"
+	"hash/maphash"
 
 	"tightsched/internal/app"
 	"tightsched/internal/markov"
@@ -41,8 +43,26 @@ import (
 // is created per batch, and like the heuristics it serves it is confined
 // to a single goroutine.
 type DecisionCache struct {
-	entries map[string]app.Assignment
-	key     []byte
+	// The table is a flat open-addressing index with linear probing.
+	// slots has a power-of-two length, at least twice the entries held;
+	// 0 marks an empty slot and i > 0 entry i-1. The table is exact-match
+	// and never read in slot order, so its random hash seed cannot reach
+	// any output.
+	seed  maphash.Seed
+	slots []uint32
+	// chunks hold the n entries in order, dcChunkSize to a chunk, so that
+	// growth never copies an entry.
+	chunks []*[dcChunkSize]dcEntry
+	n      int
+	// pages is the key arena: pages of keyPageSize bytes (a longer key
+	// gets a page of its own), filled in order from pages[page]. Storing
+	// a key copies it into the arena, and growth never moves a key.
+	pages [][]byte
+	page  int
+
+	// key is the key the last lookup composed, and hash its hash.
+	key  []byte
+	hash uint64
 
 	hits    uint64
 	misses  uint64
@@ -51,21 +71,45 @@ type DecisionCache struct {
 	reused  uint64
 }
 
+// dcEntry is one stored build: its key's full hash, kept so that growth
+// re-inserts without rehashing keys, where the key's bytes sit in the key
+// arena, and the assignment.
+type dcEntry struct {
+	hash           uint64
+	page, off, len uint32
+	asg            app.Assignment
+}
+
 // decisionCacheLimit bounds the table; on overflow it is cleared, which
 // is semantically invisible because entries are pure functions of their
 // keys. A quick paper cell peaks around 245k classes (the CritY family
 // keys on elapsed time, so its classes accumulate with simulated time),
 // so the limit is set just above that knee, and larger cells pay an
 // invisible rebuild instead of more memory. A full table of p = 20 keys
-// measures about 77 MB when every entry holds its own assignment, and
-// about 44 MB when four entries in five share one: a heuristic instance
-// returns the same slice for equal consecutive builds, and quick Table I
-// replays 81% of its builds.
+// measures about 70 MB of heap when every entry holds its own
+// assignment, and about 36 MB when four entries in five share one: a
+// heuristic instance returns the same slice for equal consecutive
+// builds, and quick Table I replays 81% of its builds. Of that, the
+// table itself (slots, entries and key pages) is about 28 MB.
 const decisionCacheLimit = 1 << 18
+
+// keyPageSize is the size of one key arena page. A p = 20 key is 21 to
+// 49 bytes.
+const keyPageSize = 16 << 10
+
+// dcChunkSize is the number of entries in one chunk: 24 KiB of 48-byte
+// entries, a small-object size class.
+const dcChunkSize = 512
+
+// decisionSlotsMin is a fresh table's slot count.
+const decisionSlotsMin = 64
 
 // NewDecisionCache returns an empty single-goroutine decision cache.
 func NewDecisionCache() *DecisionCache {
-	return &DecisionCache{entries: make(map[string]app.Assignment)}
+	return &DecisionCache{
+		seed:  maphash.MakeSeed(),
+		slots: make([]uint32, decisionSlotsMin),
+	}
 }
 
 // DecisionStats summarizes a cache's traffic. Every miss is one fresh
@@ -93,7 +137,7 @@ func (dc *DecisionCache) Stats() DecisionStats {
 	return DecisionStats{
 		Hits:             dc.hits,
 		Misses:           dc.misses,
-		Classes:          len(dc.entries),
+		Classes:          dc.n,
 		Replays:          dc.replays,
 		CandidatesScored: dc.scored,
 		CandidatesReused: dc.reused,
@@ -141,19 +185,86 @@ func (dc *DecisionCache) lookup(env *Env, crit Criterion, v *View) (app.Assignme
 		buf = binary.AppendUvarint(buf, uint64(w.DataHeld))
 	}
 	dc.key = buf
-	asg, ok := dc.entries[string(buf)]
-	if ok {
-		dc.hits++
-	} else {
-		dc.misses++
+	dc.hash = maphash.Bytes(dc.seed, buf)
+	mask := len(dc.slots) - 1
+	for i := int(dc.hash) & mask; dc.slots[i] != 0; i = (i + 1) & mask {
+		id := int(dc.slots[i]) - 1
+		e := dc.entry(id)
+		if e.hash == dc.hash && bytes.Equal(dc.pages[e.page][e.off:e.off+e.len], buf) {
+			dc.hits++
+			return e.asg, true
+		}
 	}
-	return asg, ok
+	dc.misses++
+	return nil, false
 }
 
-// store records the build for the key composed by the preceding lookup.
+// store records the build for the key composed by the preceding lookup,
+// which must have missed.
 func (dc *DecisionCache) store(asg app.Assignment) {
-	if len(dc.entries) >= decisionCacheLimit {
-		clear(dc.entries)
+	if dc.n >= decisionCacheLimit {
+		dc.reset()
 	}
-	dc.entries[string(dc.key)] = asg
+	if 2*(dc.n+1) > len(dc.slots) {
+		dc.grow()
+	}
+	if dc.n == len(dc.chunks)*dcChunkSize {
+		dc.chunks = append(dc.chunks, new([dcChunkSize]dcEntry))
+	}
+	page, off := dc.keep(dc.key)
+	*dc.entry(dc.n) = dcEntry{hash: dc.hash, page: page, off: off, len: uint32(len(dc.key)), asg: asg}
+	dc.n++
+	dc.slots[dc.emptySlot(dc.hash)] = uint32(dc.n)
+}
+
+// entry returns the entry with the given id.
+func (dc *DecisionCache) entry(id int) *dcEntry {
+	return &dc.chunks[id/dcChunkSize][id%dcChunkSize]
+}
+
+// emptySlot returns the first empty slot of h's probe sequence.
+func (dc *DecisionCache) emptySlot(h uint64) int {
+	mask := len(dc.slots) - 1
+	i := int(h) & mask
+	for dc.slots[i] != 0 {
+		i = (i + 1) & mask
+	}
+	return i
+}
+
+// keep copies key into the arena and returns where it went. A page too
+// full for the key is left behind, and a page kept from before a reset
+// is reused when the key fits it.
+func (dc *DecisionCache) keep(key []byte) (page, off uint32) {
+	for dc.page < len(dc.pages) && cap(dc.pages[dc.page])-len(dc.pages[dc.page]) < len(key) {
+		dc.page++
+	}
+	if dc.page == len(dc.pages) {
+		dc.pages = append(dc.pages, make([]byte, 0, max(keyPageSize, len(key))))
+	}
+	p := dc.pages[dc.page]
+	dc.pages[dc.page] = append(p, key...)
+	return uint32(dc.page), uint32(len(p))
+}
+
+// grow doubles the slot array and re-inserts every entry by its stored
+// hash.
+func (dc *DecisionCache) grow() {
+	dc.slots = make([]uint32, 2*len(dc.slots))
+	for id := 0; id < dc.n; id++ {
+		dc.slots[dc.emptySlot(dc.entry(id).hash)] = uint32(id + 1)
+	}
+}
+
+// reset empties the table, keeping its slot array, entry chunks and key
+// pages.
+func (dc *DecisionCache) reset() {
+	clear(dc.slots)
+	for _, c := range dc.chunks {
+		clear(c[:])
+	}
+	for i := range dc.pages {
+		dc.pages[i] = dc.pages[i][:0]
+	}
+	dc.n, dc.page = 0, 0
 }

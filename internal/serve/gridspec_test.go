@@ -71,6 +71,18 @@ var gridSpecValidationCases = []struct {
 	{"repeated nested JSON key",
 		`{"version": 1, "preset": "quick", "grid": {"trials": 1, "trials": 2}}`,
 		"application/json", "", `invalid JSON: duplicate key "trials"`},
+	{"trailing unfinished object",
+		`{"version": 1, "preset": "quick", "grid": {}} {`,
+		"application/json", "", "invalid JSON: trailing content"},
+	{"trailing unfinished string",
+		`{"version": 1, "preset": "quick", "grid": {}} "abc`,
+		"application/json", "", "invalid JSON: trailing content"},
+	{"trailing unfinished array",
+		`{"version": 1, "preset": "quick", "grid": {}} [1,`,
+		"application/json", "", "invalid JSON: trailing content"},
+	{"trailing bare word",
+		`{"version": 1, "preset": "quick", "grid": {}} x`,
+		"application/json", "", "invalid JSON: trailing content"},
 }
 
 // TestDecodeGridSpecValidationPaths: every malformed grid spec must be

@@ -155,8 +155,7 @@ func decodeTree(data []byte, contentType string) (any, error) {
 		if err != nil {
 			return nil, fmt.Errorf("invalid JSON: %v", err)
 		}
-		var trailing any
-		if err := dec.Decode(&trailing); err == nil || !strings.Contains(err.Error(), "EOF") {
+		if len(bytes.TrimLeft(data[dec.InputOffset():], " \t\r\n")) > 0 {
 			return nil, fmt.Errorf("invalid JSON: trailing content after the spec document")
 		}
 		return tree, nil

@@ -191,6 +191,7 @@ name: "quoted: name"   # trailing comment
 label: 'it''s quick'
 flag: true
 nothing: ~
+host: a:b
 sweep:
   m: 5
   ncoms: [5, 10, 20]
@@ -208,6 +209,9 @@ sweep:
 	}
 	if root["label"] != "it's quick" {
 		t.Errorf("single-quoted scalar = %q", root["label"])
+	}
+	if root["host"] != "a:b" {
+		t.Errorf("scalar with an inner colon = %q", root["host"])
 	}
 	if root["flag"] != true || root["nothing"] != nil {
 		t.Errorf("bool/null scalars = %v / %v", root["flag"], root["nothing"])
@@ -237,6 +241,9 @@ sweep:
 		{"anchor", "a: &x 1\n", "outside the supported YAML subset"},
 		{"nested block list", "a:\n  -\n", "nested block list"},
 		{"bare text", "not a mapping\n", "key: value"},
+		{"colon without blank", "version:1\n", "key: value"},
+		{"nested colon without blank", "sweep:\n  m:5\n", "key: value"},
+		{"colon only in quotes", "name\"a: b\"\n", "key: value"},
 	}
 	for _, tc := range bad {
 		t.Run(tc.name, func(t *testing.T) {

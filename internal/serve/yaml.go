@@ -183,12 +183,15 @@ func (p *yamlParser) parseMap(indent int) (any, error) {
 	return m, nil
 }
 
-// splitYAMLKey splits "key: value" (or "key:") on the first colon.
-// Campaign-spec keys are plain identifiers, so quoted keys are out of
-// subset.
+// splitYAMLKey splits "key: value" (or "key:") on the first colon,
+// outside quotes, followed by a blank or the end of the line: as in YAML,
+// "m:5" is one plain scalar, not a key and a value. Campaign-spec keys
+// are plain identifiers, so quoted keys are out of subset.
 func splitYAMLKey(text string, num int) (key, rest string, err error) {
-	i := strings.Index(text, ":")
-	if i <= 0 {
+	i := scanUnquoted(text, func(i int) bool {
+		return text[i] == ':' && (i+1 == len(text) || text[i+1] == ' ' || text[i+1] == '\t')
+	})
+	if i <= 0 || i == len(text) {
 		return "", "", fmt.Errorf("line %d: expected \"key: value\", got %q", num, text)
 	}
 	key = strings.TrimSpace(text[:i])
