@@ -89,10 +89,14 @@ func (as Assignment) Workload(speeds []int) int {
 }
 
 // Equal reports whether two assignments give every processor the same
-// number of tasks.
+// number of tasks. Two views of one slice are equal at once: the engine
+// compares its configuration with itself whenever a heuristic keeps it.
 func (as Assignment) Equal(other Assignment) bool {
 	if len(as) != len(other) {
 		return false
+	}
+	if len(as) == 0 || &as[0] == &other[0] {
+		return true
 	}
 	for q := range as {
 		if as[q] != other[q] {

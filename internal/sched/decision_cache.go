@@ -6,7 +6,6 @@ import (
 	"hash/maphash"
 
 	"tightsched/internal/app"
-	"tightsched/internal/markov"
 )
 
 // DecisionCache shares greedy configuration builds across the simulation
@@ -63,6 +62,8 @@ type DecisionCache struct {
 	// key is the key the last lookup composed, and hash its hash.
 	key  []byte
 	hash uint64
+	// codes is the scratch a view without attached codes is encoded in.
+	codes Codes
 
 	hits    uint64
 	misses  uint64
@@ -85,16 +86,16 @@ type dcEntry struct {
 // keys. A quick paper cell peaks around 245k classes (the CritY family
 // keys on elapsed time, so its classes accumulate with simulated time),
 // so the limit is set just above that knee, and larger cells pay an
-// invisible rebuild instead of more memory. A full table of p = 20 keys
-// measures about 70 MB of heap when every entry holds its own
-// assignment, and about 36 MB when four entries in five share one: a
-// heuristic instance returns the same slice for equal consecutive
-// builds, and quick Table I replays 81% of its builds. Of that, the
-// table itself (slots, entries and key pages) is about 28 MB.
+// invisible rebuild instead of more memory. A full table of random
+// p = 20 keys (m < 64) measures about 61 MB of heap when every entry
+// holds its own assignment, and about 29 MB when four entries in five
+// share one: a heuristic instance returns the same slice for equal
+// consecutive builds, and quick Table I replays 81% of its builds. Of
+// that, the table itself (slots, entries and key pages) is about 21 MB.
 const decisionCacheLimit = 1 << 18
 
-// keyPageSize is the size of one key arena page. A p = 20 key is 21 to
-// 49 bytes.
+// keyPageSize is the size of one key arena page. A p = 20 key of an
+// application under 64 tasks is 21 bytes, or 29 under CritY.
 const keyPageSize = 16 << 10
 
 // dcChunkSize is the number of entries in one chunk: 24 KiB of 48-byte
@@ -157,8 +158,11 @@ func (dc *DecisionCache) noteBuild(scored, reused int, replayed bool) {
 	}
 }
 
-// lookup returns the memoized build for the view under crit. The
-// composed key stays in dc.key so that a following store pays no second
+// lookup returns the memoized build for the view under crit. The key is
+// the criterion, the elapsed time under CritY, then one copy of the
+// view's decision codes (see Codes): within one environment the code
+// width is fixed, so keys are fixed-length per criterion. The composed
+// key stays in dc.key so that a following store pays no second
 // serialization. The boolean reports a hit (a stored nil assignment is a
 // hit with a nil value).
 func (dc *DecisionCache) lookup(env *Env, crit Criterion, v *View) (app.Assignment, bool) {
@@ -169,21 +173,7 @@ func (dc *DecisionCache) lookup(env *Env, crit Criterion, v *View) (app.Assignme
 		// criteria share builds across elapsed times.
 		buf = binary.LittleEndian.AppendUint64(buf, uint64(v.Elapsed))
 	}
-	for q, s := range v.States {
-		if s != markov.Up {
-			// DOWN and RECLAIMED are both non-candidates for a fresh
-			// build; their retention is unread.
-			buf = append(buf, 0)
-			continue
-		}
-		w := v.Workers[q]
-		b := byte(1)
-		if w.HasProgram {
-			b |= 2
-		}
-		buf = append(buf, b)
-		buf = binary.AppendUvarint(buf, uint64(w.DataHeld))
-	}
+	buf = append(buf, v.decisionCodes(env, &dc.codes).b...)
 	dc.key = buf
 	dc.hash = maphash.Bytes(dc.seed, buf)
 	mask := len(dc.slots) - 1

@@ -5,7 +5,6 @@ import (
 
 	"tightsched/internal/analytic"
 	"tightsched/internal/app"
-	"tightsched/internal/markov"
 )
 
 // incremental is a passive heuristic of Section VI.A: it keeps the current
@@ -29,6 +28,8 @@ type incremental struct {
 	se      *analytic.SetEval
 
 	tr buildTrace
+	// codes is the scratch a view without attached codes is encoded in.
+	codes Codes
 	// asg is the build's scratch assignment; last is the assignment the
 	// previous non-nil build returned. A build Equal to last returns
 	// last itself, so an instance replaying its previous build allocates
@@ -118,7 +119,7 @@ func (h *incremental) buildFresh(v *View) app.Assignment {
 	}
 	se := h.se
 	tr := &h.tr
-	tr.observe(v)
+	tr.observe(v.decisionCodes(env, &h.codes))
 	procs := env.Platform.Procs
 	elapsed := float64(v.Elapsed)
 	asg := h.asg
@@ -139,7 +140,7 @@ func (h *incremental) buildFresh(v *View) app.Assignment {
 		row := tr.vals[task*p : (task+1)*p]
 		bestQ := -1
 		bestScore := math.Inf(-1)
-		if live && h.crit != CritY && tr.seen[tr.winners[task]].kept {
+		if live && h.crit != CritY && tr.kept[tr.winners[task]] {
 			// The traced winner was the first argmax over a superset of
 			// the kept candidates, whose scores are unchanged (only
 			// CritY reads Elapsed), so it is still their first argmax.
@@ -167,7 +168,7 @@ func (h *incremental) buildFresh(v *View) app.Assignment {
 					continue
 				}
 				var val Value
-				if live && tr.seen[q].kept {
+				if live && tr.kept[q] {
 					val = row[q]
 					reused++
 				} else {
@@ -189,7 +190,7 @@ func (h *incremental) buildFresh(v *View) app.Assignment {
 			return nil
 		}
 		if live && bestQ == tr.winners[task] {
-			live = tr.seen[bestQ].kept
+			live = tr.kept[bestQ]
 		} else {
 			live, replayed = false, false
 			if task < len(tr.winners) {
@@ -202,7 +203,7 @@ func (h *incremental) buildFresh(v *View) app.Assignment {
 			se.Add(bestQ)
 		}
 		asg[bestQ]++
-		if asg[bestQ] == procs[bestQ].Capacity && tr.seen[bestQ].kept {
+		if asg[bestQ] == procs[bestQ].Capacity && tr.kept[bestQ] {
 			keptFull++
 		}
 		totalNeed -= needs[bestQ]
@@ -230,8 +231,14 @@ func (h *incremental) buildFresh(v *View) app.Assignment {
 // of being scored; the first step whose winner differs falls back to full
 // scoring. Memory: m·p Values per instance.
 type buildTrace struct {
-	// seen holds, per processor, the view fields the traced build read.
-	seen []seenProc
+	// codes are the decision codes of the traced build's view (see
+	// Codes), width bytes per processor: its UP set and the retention
+	// commNeedFresh reads.
+	codes []byte
+	width int
+	// kept[q] reports whether the current build sees processor q UP in
+	// both builds with the same retention.
+	kept []bool
 	// fresh lists the current build's UP processors that are not kept.
 	fresh []int
 	// winners[k] is the traced build's step-k winner; a failed build
@@ -242,41 +249,47 @@ type buildTrace struct {
 	vals []Value
 }
 
-// seenProc is one processor's view in the traced build: UP state and the
-// message-granularity retention commNeedFresh reads.
-type seenProc struct {
-	up   bool
-	prog bool
-	data int
-	// kept reports whether the current build sees the processor UP in
-	// both builds with the same retention.
-	kept bool
-}
-
 func (tr *buildTrace) init(p, m int) {
-	tr.seen = make([]seenProc, p)
+	tr.kept = make([]bool, p)
 	tr.fresh = make([]int, 0, p)
 	tr.winners = make([]int, 0, m)
 	tr.vals = make([]Value, m*p)
 }
 
-// observe diffs the view against the traced one, marking kept processors
-// and listing the fresh UP ones, and records the view as the trace's.
-func (tr *buildTrace) observe(v *View) {
+// observe diffs the view's codes against the traced ones, marking kept
+// processors and listing the fresh UP ones, and records the codes as the
+// trace's. A code is nonzero exactly when its processor is UP, and its
+// first byte carries that bit.
+func (tr *buildTrace) observe(c *Codes) {
 	tr.fresh = tr.fresh[:0]
-	for q, st := range v.States {
-		s := &tr.seen[q]
-		if st != markov.Up {
-			s.up, s.kept = false, false
-			continue
+	w := c.width
+	if w != tr.width {
+		// Codes of another width share nothing: the trace is treated as
+		// seeing every processor not UP.
+		tr.codes = make([]byte, len(c.b))
+		tr.width = w
+	}
+	if w == 1 {
+		// Under 64 tasks: one byte per processor.
+		prev, kept := tr.codes[:len(c.b)], tr.kept[:len(c.b)]
+		for q, x := range c.b {
+			k := x != 0 && x == prev[q]
+			kept[q] = k
+			if x != 0 && !k {
+				tr.fresh = append(tr.fresh, q)
+			}
 		}
-		w := &v.Workers[q]
-		s.kept = s.up && s.prog == w.HasProgram && s.data == w.DataHeld
-		if !s.kept {
-			s.up, s.prog, s.data = true, w.HasProgram, w.DataHeld
-			tr.fresh = append(tr.fresh, q)
+	} else {
+		for q := range tr.kept {
+			cur, prev := c.b[q*w:(q+1)*w], tr.codes[q*w:(q+1)*w]
+			k := cur[0] != 0 && string(cur) == string(prev)
+			tr.kept[q] = k
+			if cur[0] != 0 && !k {
+				tr.fresh = append(tr.fresh, q)
+			}
 		}
 	}
+	copy(tr.codes, c.b)
 }
 
 // capacityOf returns the total task capacity of the given workers, capped

@@ -71,6 +71,11 @@ type View struct {
 	// completes, a worker goes DOWN, an iteration ends). Heuristics may
 	// use it to cache work that only depends on retention and UP states.
 	RetentionEpoch int64
+
+	// codes, when non-nil, are States and Workers already encoded for
+	// fresh builds and kept current by the engine (see Codes); a view
+	// without them is encoded on demand.
+	codes *Codes
 }
 
 // Heuristic decides, every slot, which configuration to run.

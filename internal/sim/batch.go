@@ -75,11 +75,42 @@ type BatchStats struct {
 type batchGroup struct {
 	rp     avail.RunProvider
 	states []markov.State
-	// downs is the per-run scratch list of DOWN processors, scanned once
-	// from the shared state vector and handed to every instance.
-	downs []int
-	insts []*engine
-	live  int
+	// prev is the previous run's state vector (unseenStates before the
+	// first run). Each run diffs states against it once into changed,
+	// the processors whose state changed, and downs, those of them now
+	// DOWN, and hands both to every instance: an instance's DOWN
+	// handling and decision codes move only where the states moved.
+	prev    []markov.State
+	changed []int
+	downs   []int
+	insts   []*engine
+	live    int
+}
+
+// unseenStates fills prev with a value no processor state takes, so the
+// first run's diff counts every processor as changed, and returns it.
+func unseenStates(prev []markov.State) []markov.State {
+	for q := range prev {
+		prev[q] = markov.NumStates
+	}
+	return prev
+}
+
+// diff lists the processors whose state changed since the previous run,
+// and the newly DOWN ones among them, and records the states as the
+// previous run's.
+func (g *batchGroup) diff() {
+	g.changed, g.downs = g.changed[:0], g.downs[:0]
+	for q, s := range g.states {
+		if s == g.prev[q] {
+			continue
+		}
+		g.prev[q] = s
+		g.changed = append(g.changed, q)
+		if s == markov.Down {
+			g.downs = append(g.downs, q)
+		}
+	}
 }
 
 // RunBatch executes all instances in lockstep under the production core.
@@ -120,24 +151,13 @@ func RunBatch(ctx context.Context, base Config, insts []BatchInstance) ([]Result
 	if !solo {
 		dc = sched.NewDecisionCache()
 	}
-	engines := make([]*engine, len(insts))
-	for i, inst := range insts {
-		cfg := base
-		cfg.Heuristic = inst.Heuristic
-		cfg.Custom = inst.Custom
-		cfg.Seed = inst.Seed
-		cfg.Recorder = inst.Recorder
-		e, err := newEngine(cfg, solo)
-		if err != nil {
-			return nil, BatchStats{}, err
-		}
-		e.env.Decisions = dc
-		engines[i] = e
+	engines, err := newBatchEngines(base, insts, solo, dc)
+	if err != nil {
+		return nil, BatchStats{}, err
 	}
 	apl := engines[0].env.Analytic
 	memoBefore := apl.MemoStats()
 
-	var err error
 	switch {
 	case slot:
 		for _, e := range engines {
@@ -161,6 +181,26 @@ func RunBatch(ctx context.Context, base Config, insts []BatchInstance) ([]Result
 	return results, stats, err
 }
 
+// newBatchEngines builds one engine per instance over base, each with
+// its own provider when solo, all sharing the decision cache dc.
+func newBatchEngines(base Config, insts []BatchInstance, solo bool, dc *sched.DecisionCache) ([]*engine, error) {
+	engines := make([]*engine, len(insts))
+	for i, inst := range insts {
+		cfg := base
+		cfg.Heuristic = inst.Heuristic
+		cfg.Custom = inst.Custom
+		cfg.Seed = inst.Seed
+		cfg.Recorder = inst.Recorder
+		e, err := newEngine(cfg, solo)
+		if err != nil {
+			return nil, err
+		}
+		e.env.Decisions = dc
+		engines[i] = e
+	}
+	return engines, nil
+}
+
 // trialGroups groups a batch's instances by trial: equal seeds share one
 // availability walk. With an explicit provider the realization is
 // scheduling- and seed-independent, so the whole batch forms a single
@@ -173,21 +213,27 @@ func trialGroups(base Config, insts []BatchInstance, engines []*engine) []*batch
 	mats := base.Platform.Matrices()
 	var groups []*batchGroup
 	p := base.Platform.Size()
+	newGroup := func(prov StateProvider) *batchGroup {
+		states := make([]markov.State, 2*p)
+		lists := make([]int, 2*p)
+		return &batchGroup{
+			rp:      avail.AsRunProvider(prov),
+			states:  states[:p:p],
+			prev:    unseenStates(states[p:]),
+			changed: lists[:0:p],
+			downs:   lists[p:p],
+		}
+	}
 	if base.Provider != nil {
-		groups = []*batchGroup{{
-			rp:     avail.AsRunProvider(base.Provider),
-			states: make([]markov.State, p),
-			insts:  engines,
-		}}
+		g := newGroup(base.Provider)
+		g.insts = engines
+		groups = []*batchGroup{g}
 	} else {
 		bySeed := make(map[uint64]*batchGroup, len(insts))
 		for i, e := range engines {
 			g := bySeed[insts[i].Seed]
 			if g == nil {
-				g = &batchGroup{
-					rp:     avail.AsRunProvider(model.Provider(mats, insts[i].Seed, base.InitialAllUp)),
-					states: make([]markov.State, p),
-				}
+				g = newGroup(model.Provider(mats, insts[i].Seed, base.InitialAllUp))
 				bySeed[insts[i].Seed] = g
 				groups = append(groups, g)
 			}
@@ -261,17 +307,20 @@ func runGroup(ctx context.Context, g *batchGroup) error {
 		} else if run > limit {
 			run = limit
 		}
-		g.downs = downList(g.downs, g.states)
+		g.diff()
 		for _, e := range g.insts {
 			if e.done {
 				continue
 			}
 			downEvent := ""
 			if len(g.downs) > 0 {
-				// New DOWNs appear only at a run's first slot (states are
-				// constant afterwards, and enrollment requires UP
-				// workers), and handleDowns is idempotent across the rest.
+				// New DOWNs appear only at a run's first slot: states are
+				// constant afterwards, and a processor DOWN since an
+				// earlier run has nothing left to wipe (see handleDowns).
 				downEvent = e.handleDowns(g.downs)
+			}
+			for _, q := range g.changed {
+				e.codes.Set(q, g.states[q], &e.workers[q])
 			}
 			for off := int64(0); off < run; {
 				t := slot + off

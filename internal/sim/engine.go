@@ -173,11 +173,24 @@ type engine struct {
 	states  []markov.State
 	workers []sched.WorkerInfo
 	acts    []trace.Activity
+	// codes are the decision codes of states and workers (see
+	// sched.Codes), attached to viewBuf. The production core rewrites a
+	// code only where its processor's state or retention can have
+	// changed: the run's changed processors, a message completion, a
+	// zero-cost adoption and an iteration end; the slot core rewrites
+	// them all every slot.
+	codes sched.Codes
+	// caps holds every processor's capacity, for validateNew.
+	caps []int
 	// commServed is the scratch for the serviced worker set of one
-	// communication sub-step, downs the DOWN list of the slot loop and
-	// of the engine's own group; both share one allocation of 2p ints.
+	// communication sub-step; downs is the DOWN list of the slot loop
+	// and, with changed and prev, the run diff of the engine's own group
+	// (see batchGroup). speeds, caps and these share one allocation of
+	// 5p ints.
 	commServed []int
 	downs      []int
+	changed    []int
+	prev       []markov.State
 
 	current     app.Assignment
 	enrolled    []int
@@ -233,11 +246,13 @@ func RunContext(ctx context.Context, cfg Config) (Result, error) {
 func (e *engine) ownGroup() *batchGroup {
 	e.self[0] = e
 	e.group = batchGroup{
-		rp:     avail.AsRunProvider(e.prov),
-		states: e.states,
-		downs:  e.downs,
-		insts:  e.self[:],
-		live:   1,
+		rp:      avail.AsRunProvider(e.prov),
+		states:  e.states,
+		prev:    e.prev,
+		changed: e.changed,
+		downs:   e.downs,
+		insts:   e.self[:],
+		live:    1,
 	}
 	return &e.group
 }
@@ -318,16 +333,25 @@ func newEngine(cfg Config, needProv bool) (*engine, error) {
 	}
 
 	p := cfg.Platform.Size()
-	scratch := make([]int, 2*p)
+	scratch := make([]int, 5*p)
+	states := make([]markov.State, 2*p)
 	e.h = h
 	e.prov = prov
 	e.cap = capSlots
-	e.speeds = cfg.Platform.Speeds()
-	e.states = make([]markov.State, p)
+	e.speeds, e.caps = scratch[:p:p], scratch[p:2*p:2*p]
+	for q := range cfg.Platform.Procs {
+		proc := &cfg.Platform.Procs[q]
+		e.speeds[q], e.caps[q] = proc.Speed, proc.Capacity
+	}
+	e.states = states[:p:p]
+	e.prev = unseenStates(states[p:])
 	e.workers = make([]sched.WorkerInfo, p)
 	e.acts = make([]trace.Activity, p)
-	e.commServed = scratch[:0:p]
-	e.downs = scratch[p:p]
+	e.commServed = scratch[2*p : 2*p : 3*p]
+	e.downs = scratch[3*p : 3*p : 4*p]
+	e.changed = scratch[4*p : 4*p]
+	e.codes.Init(p, cfg.App.Tasks)
+	e.codes.Attach(&e.viewBuf)
 	e.res = Result{Heuristic: h.Name()}
 	return e, nil
 }
@@ -352,6 +376,7 @@ func (e *engine) runSlot(ctx context.Context) (Result, error) {
 		e.prov.States(slot, e.states)
 		e.downs = downList(e.downs, e.states)
 		event := e.handleDowns(e.downs)
+		e.codes.SetAll(e.states, e.workers)
 
 		if err := e.decide(slot); err != nil {
 			return e.res, err
@@ -385,8 +410,13 @@ func downList(buf []int, states []markov.State) []int {
 // processors listed in downs (ascending): a DOWN worker loses the
 // program, its data and any partial communication; if it was enrolled,
 // the iteration restarts from scratch. It is idempotent while the states
-// stand still. The returned restart event names the first enrolled DOWN
-// processor; it is built only when a Recorder will read it.
+// stand still, so the production core passes only the processors that
+// went DOWN at the run's start: one already DOWN had its retention wiped
+// then, gains none while DOWN, and cannot be enrolled (adoption requires
+// UP). The slot core passes every DOWN processor each slot. The returned
+// restart event names the first enrolled DOWN processor; it is built
+// only when a Recorder will read it. A DOWN processor's decision code is
+// 0 whatever its retention, so the wipe leaves the codes as they are.
 func (e *engine) handleDowns(downs []int) string {
 	broke := -1
 	for _, q := range downs {
@@ -427,16 +457,17 @@ func (e *engine) dropConfiguration() {
 // view refreshes the heuristic's per-slot snapshot in the engine's
 // reusable buffer (see viewBuf).
 func (e *engine) view(slot int64) *sched.View {
-	e.viewBuf = sched.View{
-		Slot:           slot,
-		States:         e.states,
-		Workers:        e.workers,
-		Current:        e.current,
-		RemainingWork:  e.workload - e.computeDone,
-		Elapsed:        slot - e.iterStart,
-		RetentionEpoch: e.retEpoch,
-	}
-	return &e.viewBuf
+	// Field by field: the buffer keeps its attached codes, and no View
+	// is built to be copied in.
+	v := &e.viewBuf
+	v.Slot = slot
+	v.States = e.states
+	v.Workers = e.workers
+	v.Current = e.current
+	v.RemainingWork = e.workload - e.computeDone
+	v.Elapsed = slot - e.iterStart
+	v.RetentionEpoch = e.retEpoch
+	return v
 }
 
 // decide asks the heuristic for this slot's configuration and adopts it.
@@ -476,13 +507,16 @@ func (e *engine) apply(next app.Assignment, slot int64) error {
 	e.workload = e.current.Workload(e.speeds)
 	e.computeDone = 0
 	// Zero-cost communication items complete instantly.
-	for _, q := range e.enrolled {
-		w := &e.workers[q]
-		if e.cfg.App.Tprog == 0 {
-			w.HasProgram = true
-		}
-		if e.cfg.App.Tdata == 0 && w.DataHeld < e.current[q] {
-			w.DataHeld = e.current[q]
+	if e.cfg.App.Tprog == 0 || e.cfg.App.Tdata == 0 {
+		for _, q := range e.enrolled {
+			w := &e.workers[q]
+			if e.cfg.App.Tprog == 0 {
+				w.HasProgram = true
+			}
+			if e.cfg.App.Tdata == 0 && w.DataHeld < e.current[q] {
+				w.DataHeld = e.current[q]
+			}
+			e.codes.Set(q, e.states[q], w)
 		}
 	}
 	return nil
@@ -492,11 +526,7 @@ func (e *engine) apply(next app.Assignment, slot int64) error {
 // returned by a heuristic: exactly m tasks, capacities respected, and all
 // enrolled workers UP at adoption time.
 func (e *engine) validateNew(asg app.Assignment) error {
-	caps := make([]int, e.cfg.Platform.Size())
-	for q, proc := range e.cfg.Platform.Procs {
-		caps[q] = proc.Capacity
-	}
-	if err := asg.Validate(e.cfg.App.Tasks, caps); err != nil {
+	if err := asg.Validate(e.cfg.App.Tasks, e.caps); err != nil {
 		return err
 	}
 	for q, x := range asg {
@@ -607,6 +637,7 @@ func (e *engine) finishIteration(slot int64, event *string) {
 		e.workers[q].DataHeld = 0
 		e.workers[q].DataProgress = 0
 	}
+	e.codes.SetAll(e.states, e.workers)
 	e.current = nil
 	e.enrolled = nil
 	e.workload = 0

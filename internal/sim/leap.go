@@ -142,6 +142,7 @@ func (e *engine) communicateSpan(k int64) int64 {
 				w.HasProgram = true
 				w.ProgProgress = 0
 				e.retEpoch++
+				e.codes.Set(q, markov.Up, w)
 			}
 		} else {
 			e.acts[q] = trace.Data
@@ -150,6 +151,7 @@ func (e *engine) communicateSpan(k int64) int64 {
 				w.DataHeld++
 				w.DataProgress = 0
 				e.retEpoch++
+				e.codes.Set(q, markov.Up, w)
 			}
 		}
 		e.res.CommSlots += j
