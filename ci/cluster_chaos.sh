@@ -27,13 +27,21 @@ echo "cluster-chaos: working in $E2E_DIR"
 
 DAEMON_PID=""
 WORKER_PIDS=()
+# cleanup stops the workers and the daemon, waits for every process it
+# signalled, and kill -9s any still running after a 10 s grace period,
+# so that nothing the script started outlives it.
 cleanup() {
-    for pid in "${WORKER_PIDS[@]:-}"; do
-        [ -n "$pid" ] && kill "$pid" 2>/dev/null || true
+    local pids=() pid deadline
+    for pid in "${WORKER_PIDS[@]:-}" "$DAEMON_PID"; do
+        if [ -n "$pid" ] && kill "$pid" 2>/dev/null; then pids+=("$pid"); fi
     done
-    if [ -n "$DAEMON_PID" ] && kill -0 "$DAEMON_PID" 2>/dev/null; then
-        kill "$DAEMON_PID" 2>/dev/null || true
-    fi
+    deadline=$((SECONDS + 10))
+    for pid in "${pids[@]:-}"; do
+        [ -n "$pid" ] || continue
+        while kill -0 "$pid" 2>/dev/null && [ "$SECONDS" -lt "$deadline" ]; do sleep 0.1; done
+        kill -9 "$pid" 2>/dev/null || true
+        wait "$pid" 2>/dev/null || true
+    done
 }
 trap cleanup EXIT
 

@@ -5,7 +5,7 @@ import (
 	"fmt"
 	"os"
 	"reflect"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -102,24 +102,24 @@ type Stats struct {
 	Total int `json:"total"`
 }
 
-// Coordinator owns one campaign's lease table. All state transitions
-// are serialized under mu and persisted to the lease log before they
-// are acknowledged, so a kill -9 at any point loses at most an
-// unacknowledged transition — which the affected worker re-drives.
+// Coordinator owns one campaign's lease table: the units, the leases,
+// the claim queue, the lease sequence and the terminal state. All
+// transitions are serialized under mu, persisted to the lease log before
+// they are acknowledged, and applied by apply, the one function that
+// changes the table — live and on lease-log replay alike. A kill -9 at
+// any point loses at most an unacknowledged transition, which the
+// affected worker re-drives.
 type Coordinator struct {
 	cfg        Config
 	spec       exp.SweepSpec
 	coords     []exp.Coord
 	heuristics []string
 	total      int
-	// validators for ingested coordinates
-	validModel, validHeuristic map[string]bool
-	validNcom, validWmin       map[int]bool
 
 	mu     sync.Mutex
 	log    *exp.RecordLog
 	units  map[exp.Shard]*unit
-	avail  []exp.Shard // claim queue, FIFO
+	avail  []exp.Shard // claim queue, FIFO; every entry an available unit
 	leases map[string]*lease
 	seq    int
 	ended  string // terminal state once written ("" while live)
@@ -166,32 +166,16 @@ func Start(cfg Config) (*Coordinator, error) {
 	}
 
 	co := &Coordinator{
-		cfg:        cfg,
-		spec:       cfg.Sweep.Spec(),
-		coords:     cfg.Sweep.Coords(),
-		units:      map[exp.Shard]*unit{},
-		leases:     map[string]*lease{},
-		doneCh:     make(chan struct{}),
-		validModel: map[string]bool{}, validHeuristic: map[string]bool{},
-		validNcom: map[int]bool{}, validWmin: map[int]bool{},
+		cfg:    cfg,
+		spec:   cfg.Sweep.Spec(),
+		coords: cfg.Sweep.Coords(),
+		doneCh: make(chan struct{}),
 	}
 	co.heuristics = co.spec.Heuristics
 	co.total = len(co.coords) * len(co.heuristics)
 	if cfg.Units > len(co.coords) {
 		cfg.Units = len(co.coords)
 		co.cfg.Units = cfg.Units
-	}
-	for _, m := range co.spec.Models {
-		co.validModel[m] = true
-	}
-	for _, h := range co.heuristics {
-		co.validHeuristic[h] = true
-	}
-	for _, n := range co.spec.Ncoms {
-		co.validNcom[n] = true
-	}
-	for _, w := range co.spec.Wmins {
-		co.validWmin[w] = true
 	}
 
 	if _, err := os.Stat(cfg.StatePath); err == nil {
@@ -215,11 +199,7 @@ func Start(cfg Config) (*Coordinator, error) {
 			return nil, fmt.Errorf("cluster: create lease log: %w", err)
 		}
 		co.log = w
-		for i := 0; i < cfg.Units; i++ {
-			sh := exp.Shard{Index: i, Count: cfg.Units}
-			co.units[sh] = &unit{shard: sh}
-			co.avail = append(co.avail, sh)
-		}
+		co.initUnits(cfg.Units)
 	}
 
 	// Units whose instances are already fully journaled (a restart
@@ -227,9 +207,9 @@ func Start(cfg Config) (*Coordinator, error) {
 	// over a finished journal) complete without ever being leased.
 	co.mu.Lock()
 	defer co.mu.Unlock()
-	for _, sh := range append([]exp.Shard(nil), co.avail...) {
+	for _, sh := range slices.Clone(co.avail) {
 		if co.unitCovered(sh) {
-			if err := co.markUnitDone(sh, ""); err != nil {
+			if err := co.transition(stateEvent{Ev: "done", Unit: sh.String()}); err != nil {
 				return nil, err
 			}
 		}
@@ -240,7 +220,12 @@ func Start(cfg Config) (*Coordinator, error) {
 	return co, nil
 }
 
-// resume rebuilds the unit and lease tables by replaying the lease log.
+// resume rebuilds the lease table by replaying the lease log through
+// apply: the same transitions, in the same order, as the coordinator
+// that wrote it, so the units, leases, claim queue and lease sequence
+// come back exactly. Deadlines are volatile: every live lease is
+// re-armed with one fresh TTL, so a surviving worker reconnects before
+// GC claims expiry.
 func (co *Coordinator) resume() error {
 	st, err := ReadState(co.cfg.StatePath)
 	if err != nil {
@@ -254,75 +239,13 @@ func (co *Coordinator) resume() error {
 		return fmt.Errorf("cluster: lease log %s records a different campaign (spec %+v, want %+v)",
 			co.cfg.StatePath, header.Spec, co.spec)
 	}
-	for i := 0; i < header.Units; i++ {
-		sh := exp.Shard{Index: i, Count: header.Units}
-		co.units[sh] = &unit{shard: sh}
-	}
+	co.initUnits(header.Units)
 	now := co.cfg.Now()
 	for _, ev := range st.Events {
-		sh, perr := exp.ParseShard(ev.Unit)
-		if ev.Ev != "end" && perr != nil {
-			return fmt.Errorf("cluster: lease log %s: bad unit %q in %q event", co.cfg.StatePath, ev.Unit, ev.Ev)
-		}
-		u := co.units[sh]
-		switch ev.Ev {
-		case "grant":
-			if u == nil || u.state != unitAvailable {
-				return fmt.Errorf("cluster: lease log %s: grant of %s in state %v", co.cfg.StatePath, ev.Unit, u)
-			}
-			u.state = unitLeased
-			u.leaseID = ev.Lease
-			// Deadlines are volatile: re-arm with one fresh TTL so a
-			// surviving worker reconnects before GC claims expiry.
-			co.leases[ev.Lease] = &lease{id: ev.Lease, unit: sh, worker: ev.Worker,
-				deadline: now.Add(co.cfg.LeaseTTL), offset: ev.Offset}
-			var n int
-			if _, err := fmt.Sscanf(ev.Lease, "l%d", &n); err == nil && n > co.seq {
-				co.seq = n
-			}
-		case "requeue":
-			if u == nil || u.state != unitLeased {
-				return fmt.Errorf("cluster: lease log %s: requeue of %s not leased", co.cfg.StatePath, ev.Unit)
-			}
-			delete(co.leases, u.leaseID)
-			if ev.Split {
-				delete(co.units, sh)
-				for _, child := range splitShard(sh) {
-					co.units[child] = &unit{shard: child, requeues: u.requeues + 1}
-				}
-			} else {
-				u.state = unitAvailable
-				u.leaseID = ""
-				u.requeues++
-			}
-		case "done":
-			if u == nil {
-				return fmt.Errorf("cluster: lease log %s: done for unknown unit %s", co.cfg.StatePath, ev.Unit)
-			}
-			delete(co.leases, u.leaseID)
-			u.state = unitDone
-			u.leaseID = ""
-		case "end":
-			// handled by ReadState; unreachable while terminal == ""
-		default:
-			return fmt.Errorf("cluster: lease log %s: unknown event %q", co.cfg.StatePath, ev.Ev)
+		if err := co.apply(ev, now); err != nil {
+			return fmt.Errorf("cluster: lease log %s: %w", co.cfg.StatePath, err)
 		}
 	}
-	// Rebuild the claim queue in deterministic (count, index) order.
-	var avail []exp.Shard
-	for sh, u := range co.units {
-		if u.state == unitAvailable {
-			avail = append(avail, sh)
-		}
-	}
-	sort.Slice(avail, func(i, j int) bool {
-		if avail[i].Count != avail[j].Count {
-			return avail[i].Count < avail[j].Count
-		}
-		return avail[i].Index < avail[j].Index
-	})
-	co.avail = avail
-
 	w, err := exp.OpenRecordLog(co.cfg.StatePath, st.Format, st.ValidLen)
 	if err != nil {
 		return fmt.Errorf("cluster: reopen lease log: %w", err)
@@ -330,6 +253,88 @@ func (co *Coordinator) resume() error {
 	co.log = w
 	co.cfg.Logf("cluster: resumed campaign %s: %d units (%d leased, %d available), %d/%d instances journaled",
 		co.cfg.Campaign, len(co.units), len(co.leases), len(co.avail), co.cfg.Journal.DoneCount(), co.total)
+	return nil
+}
+
+// initUnits sets up the campaign's initial decomposition: n available
+// units, queued in index order, and no leases.
+func (co *Coordinator) initUnits(n int) {
+	co.units, co.leases = map[exp.Shard]*unit{}, map[string]*lease{}
+	for i := range n {
+		sh := exp.Shard{Index: i, Count: n}
+		co.units[sh] = &unit{shard: sh}
+		co.avail = append(co.avail, sh)
+	}
+}
+
+// transition persists one lease-table transition, then applies it.
+// Caller holds mu.
+func (co *Coordinator) transition(ev stateEvent) error {
+	b, err := json.Marshal(ev)
+	if err == nil {
+		err = co.log.Append(b)
+	}
+	if err != nil {
+		return fmt.Errorf("cluster: persist %s: %w", ev.Ev, err)
+	}
+	if err := co.apply(ev, co.cfg.Now()); err != nil {
+		return fmt.Errorf("cluster: %w", err)
+	}
+	return nil
+}
+
+// apply is the lease table's transition function, the only code that
+// changes the units, the leases, the claim queue, seq and ended. A grant
+// arms its lease's deadline at now plus the lease TTL. It refuses an
+// event the table cannot take (a grant of a unit that is not available
+// or under a lease id that is live, a requeue of a unit that is not
+// leased), leaving the table as it was.
+func (co *Coordinator) apply(ev stateEvent, now time.Time) error {
+	if ev.Ev == "end" {
+		co.ended = ev.State
+		return nil
+	}
+	sh, err := exp.ParseShard(ev.Unit)
+	u := co.units[sh]
+	if err != nil || u == nil {
+		return fmt.Errorf("%s of unknown unit %q", ev.Ev, ev.Unit)
+	}
+	switch ev.Ev {
+	case "grant":
+		if u.state != unitAvailable || ev.Lease == "" || co.leases[ev.Lease] != nil {
+			return fmt.Errorf("grant of %s under lease %q: unit not available, or lease id empty or live", sh, ev.Lease)
+		}
+		u.state, u.leaseID = unitLeased, ev.Lease
+		co.leases[ev.Lease] = &lease{id: ev.Lease, unit: sh, worker: ev.Worker,
+			deadline: now.Add(co.cfg.LeaseTTL), offset: ev.Offset}
+		co.avail = slices.DeleteFunc(co.avail, func(q exp.Shard) bool { return q == sh })
+		var n int
+		if _, err := fmt.Sscanf(ev.Lease, "l%d", &n); err == nil {
+			co.seq = max(co.seq, n)
+		}
+	case "requeue":
+		if u.state != unitLeased || (ev.Split && !splittable(sh, len(co.coords))) {
+			return fmt.Errorf("requeue of %s (split %v): unit not leased, or too narrow to split", sh, ev.Split)
+		}
+		delete(co.leases, u.leaseID)
+		if ev.Split {
+			delete(co.units, sh)
+			for _, child := range splitShard(sh) {
+				co.units[child] = &unit{shard: child, requeues: u.requeues + 1}
+				co.avail = append(co.avail, child)
+			}
+		} else {
+			u.state, u.leaseID = unitAvailable, ""
+			u.requeues++
+			co.avail = append(co.avail, sh)
+		}
+	case "done":
+		delete(co.leases, u.leaseID)
+		u.state, u.leaseID = unitDone, ""
+		co.avail = slices.DeleteFunc(co.avail, func(q exp.Shard) bool { return q == sh })
+	default:
+		return fmt.Errorf("unknown event %q", ev.Ev)
+	}
 	return nil
 }
 
@@ -381,16 +386,11 @@ func (co *Coordinator) Claim(worker string) (*LeaseGrant, error) {
 	}
 	for len(co.avail) > 0 {
 		sh := co.avail[0]
-		co.avail = co.avail[1:]
-		u := co.units[sh]
-		if u == nil || u.state != unitAvailable {
-			continue
-		}
 		// A unit already fully covered by the journal (duplicates from
 		// an earlier incarnation of this unit's lease) completes
 		// without a new lease.
 		if co.unitCovered(sh) {
-			if err := co.markUnitDone(sh, ""); err != nil {
+			if err := co.transition(stateEvent{Ev: "done", Unit: sh.String()}); err != nil {
 				return nil, err
 			}
 			if err := co.checkCampaignDone(); err != nil {
@@ -401,21 +401,12 @@ func (co *Coordinator) Claim(worker string) (*LeaseGrant, error) {
 			}
 			continue
 		}
-		co.seq++
-		l := &lease{
-			id:       fmt.Sprintf("l%d", co.seq),
-			unit:     sh,
-			worker:   worker,
-			deadline: co.cfg.Now().Add(co.cfg.LeaseTTL),
-			offset:   co.cfg.Journal.DoneCount(),
+		id := fmt.Sprintf("l%d", co.seq+1)
+		if err := co.transition(stateEvent{Ev: "grant", Unit: sh.String(), Lease: id,
+			Worker: worker, Offset: co.cfg.Journal.DoneCount()}); err != nil {
+			return nil, err
 		}
-		if err := co.logEvent(stateEvent{Ev: "grant", Unit: sh.String(), Lease: l.id,
-			Worker: worker, Offset: l.offset}); err != nil {
-			return nil, fmt.Errorf("cluster: persist grant: %w", err)
-		}
-		u.state = unitLeased
-		u.leaseID = l.id
-		co.leases[l.id] = l
+		l := co.leases[id]
 		co.granted++
 		co.cfg.Logf("cluster: %s leased unit %s to %s (deadline %s)",
 			co.cfg.Campaign, sh, worker, l.deadline.Format(time.RFC3339))
@@ -518,8 +509,8 @@ func (co *Coordinator) Ingest(leaseID string, recs []Record) (UploadResponse, er
 // validCoordinate checks that the instance is a point of this
 // campaign's grid (a malformed upload must not poison the journal).
 func (co *Coordinator) validCoordinate(inst exp.InstanceResult) bool {
-	return co.validModel[inst.Model] && co.validHeuristic[inst.Heuristic] &&
-		co.validNcom[inst.Point.Ncom] && co.validWmin[inst.Point.Wmin] &&
+	return slices.Contains(co.spec.Models, inst.Model) && slices.Contains(co.heuristics, inst.Heuristic) &&
+		slices.Contains(co.spec.Ncoms, inst.Point.Ncom) && slices.Contains(co.spec.Wmins, inst.Point.Wmin) &&
 		inst.Point.Scenario >= 0 && inst.Point.Scenario < co.spec.Scenarios &&
 		inst.Trial >= 0 && inst.Trial < co.spec.Trials
 }
@@ -553,7 +544,7 @@ func (co *Coordinator) Complete(leaseID string) error {
 		}
 		return ErrUnitIncomplete
 	}
-	if err := co.markUnitDone(l.unit, leaseID); err != nil {
+	if err := co.transition(stateEvent{Ev: "done", Unit: l.unit.String(), Lease: leaseID}); err != nil {
 		return err
 	}
 	return co.checkCampaignDone()
@@ -580,7 +571,7 @@ func (co *Coordinator) GC() (int, error) {
 		co.expired++
 		co.cfg.Logf("cluster: %s: lease %s (unit %s, worker %s) expired", co.cfg.Campaign, l.id, l.unit, l.worker)
 		if co.unitCovered(l.unit) {
-			if err := co.markUnitDone(l.unit, l.id); err != nil {
+			if err := co.transition(stateEvent{Ev: "done", Unit: l.unit.String(), Lease: l.id}); err != nil {
 				return expired, err
 			}
 			continue
@@ -598,45 +589,17 @@ func (co *Coordinator) GC() (int, error) {
 }
 
 // requeueLocked returns a leased unit to the claim queue (or replaces
-// it with its split children), persisting the transition. Caller holds
-// mu.
+// it with its split children). Caller holds mu.
 func (co *Coordinator) requeueLocked(l *lease) error {
-	u := co.units[l.unit]
 	split := co.cfg.Reshard && splittable(l.unit, len(co.coords))
-	if err := co.logEvent(stateEvent{Ev: "requeue", Unit: l.unit.String(), Lease: l.id, Split: split}); err != nil {
-		return fmt.Errorf("cluster: persist requeue: %w", err)
+	if err := co.transition(stateEvent{Ev: "requeue", Unit: l.unit.String(), Lease: l.id, Split: split}); err != nil {
+		return err
 	}
-	delete(co.leases, l.id)
 	co.requeued++
 	if split {
 		co.resharded++
-		delete(co.units, l.unit)
-		for _, child := range splitShard(l.unit) {
-			co.units[child] = &unit{shard: child, requeues: u.requeues + 1}
-			co.avail = append(co.avail, child)
-		}
 		co.cfg.Logf("cluster: %s: unit %s requeued as %s + %s", co.cfg.Campaign, l.unit,
 			splitShard(l.unit)[0], splitShard(l.unit)[1])
-		return nil
-	}
-	u.state = unitAvailable
-	u.leaseID = ""
-	u.requeues++
-	co.avail = append(co.avail, l.unit)
-	return nil
-}
-
-// markUnitDone persists and applies a unit's completion. Caller holds
-// mu.
-func (co *Coordinator) markUnitDone(sh exp.Shard, leaseID string) error {
-	if err := co.logEvent(stateEvent{Ev: "done", Unit: sh.String(), Lease: leaseID}); err != nil {
-		return fmt.Errorf("cluster: persist done: %w", err)
-	}
-	u := co.units[sh]
-	u.state = unitDone
-	if u.leaseID != "" {
-		delete(co.leases, u.leaseID)
-		u.leaseID = ""
 	}
 	return nil
 }
@@ -670,7 +633,7 @@ func (co *Coordinator) checkCampaignDone() error {
 	// so the terminal stats and /metrics read done, not leased.
 	for sh, u := range co.units {
 		if u.state != unitDone {
-			if err := co.markUnitDone(sh, u.leaseID); err != nil {
+			if err := co.transition(stateEvent{Ev: "done", Unit: sh.String(), Lease: u.leaseID}); err != nil {
 				return err
 			}
 		}
@@ -696,10 +659,9 @@ func (co *Coordinator) endLocked(state string) error {
 	if co.ended != "" {
 		return nil
 	}
-	if err := co.logEvent(stateEvent{Ev: "end", State: state}); err != nil {
-		return fmt.Errorf("cluster: persist end: %w", err)
+	if err := co.transition(stateEvent{Ev: "end", State: state}); err != nil {
+		return err
 	}
-	co.ended = state
 	co.cfg.Logf("cluster: campaign %s ended %s (%d/%d instances)", co.cfg.Campaign, state,
 		co.cfg.Journal.DoneCount(), co.total)
 	return nil

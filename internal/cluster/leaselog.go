@@ -14,11 +14,11 @@ import (
 // lease-lifecycle transition. Heartbeats are deliberately
 // NOT logged: deadlines are volatile state, recomputed on restart, so
 // the log grows with decisions (grants, requeues, completions), not
-// with time. Replaying the log over the campaign journal reconstructs
-// the exact unit/lease state a killed coordinator held, modulo
-// deadlines — which is all a correct restart needs, because expired
-// leases requeue through the normal GC path and duplicate uploads
-// dedupe by coordinate key.
+// with time. Replaying the log through the coordinator's one transition
+// function (apply) reconstructs the exact lease table a killed
+// coordinator held, claim-queue order included, modulo deadlines — which
+// is all a correct restart needs, because expired leases requeue through
+// the normal GC path and duplicate uploads dedupe by coordinate key.
 
 // StateHeader is the lease log's first line: everything needed to
 // re-register and resume the campaign after a daemon restart, without
@@ -64,16 +64,6 @@ type stateEvent struct {
 	Split bool `json:"split,omitempty"`
 	// State is the terminal campaign state of an "end" event.
 	State string `json:"state,omitempty"`
-}
-
-// logEvent persists one transition as a lease-log record. Caller holds
-// mu.
-func (co *Coordinator) logEvent(ev stateEvent) error {
-	b, err := json.Marshal(ev)
-	if err != nil {
-		return err
-	}
-	return co.log.Append(b)
 }
 
 // State is a lease log read back: the header, the decoded events of the

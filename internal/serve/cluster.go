@@ -212,21 +212,7 @@ func (s *Server) RecoverClusters() ([]string, error) {
 			s.mu.Unlock()
 			continue
 		}
-		ctx, cancel := context.WithCancel(s.baseCtx)
-		c := &Campaign{
-			ID:        header.Campaign,
-			Name:      header.Name,
-			Spec:      spec,
-			Submitted: header.Submitted,
-			cancel:    cancel,
-			events:    tightsched.NewSweepBroadcaster(0),
-			done:      make(chan struct{}),
-			state:     StatePending,
-		}
-		c.journalPath = strings.TrimSuffix(p, ".leases") + ".journal"
-		s.campaigns[c.ID] = c
-		s.order = append(s.order, c.ID)
-		s.wg.Add(1)
+		c, ctx := s.addCampaign(header.Campaign, spec, header.Submitted, strings.TrimSuffix(p, ".leases")+".journal")
 		s.mu.Unlock()
 		go s.runClusterCampaign(ctx, c)
 		resumed = append(resumed, c.ID)

@@ -213,24 +213,12 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	s.seq++
 	id := fmt.Sprintf("c%s-%04d", now.Format("20060102-150405"), s.seq)
-	ctx, cancel := context.WithCancel(s.baseCtx)
-	c := &Campaign{
-		ID:        id,
-		Name:      spec.Name,
-		Spec:      spec,
-		Submitted: now,
-		cancel:    cancel,
-		events:    tightsched.NewSweepBroadcaster(0),
-		done:      make(chan struct{}),
-		state:     StatePending,
-	}
+	journalPath := ""
 	if spec.Journal && s.cfg.DataDir != "" {
-		c.journalPath = filepath.Join(s.cfg.DataDir, id+".journal")
+		journalPath = filepath.Join(s.cfg.DataDir, id+".journal")
 	}
-	s.campaigns[id] = c
-	s.order = append(s.order, id)
+	c, ctx := s.addCampaign(id, spec, now, journalPath)
 	s.metrics.campaignsSubmitted.Add(1)
-	s.wg.Add(1)
 	s.mu.Unlock()
 
 	switch {
@@ -256,6 +244,28 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		})
 	}
 	writeJSON(w, http.StatusAccepted, c.Status(time.Now().UTC()))
+}
+
+// addCampaign registers a pending campaign and returns it with the
+// context its runner runs under; the caller starts the runner. Caller
+// holds s.mu.
+func (s *Server) addCampaign(id string, spec *Spec, submitted time.Time, journalPath string) (*Campaign, context.Context) {
+	ctx, cancel := context.WithCancel(s.baseCtx)
+	c := &Campaign{
+		ID:          id,
+		Name:        spec.Name,
+		Spec:        spec,
+		Submitted:   submitted,
+		cancel:      cancel,
+		events:      tightsched.NewSweepBroadcaster(0),
+		done:        make(chan struct{}),
+		state:       StatePending,
+		journalPath: journalPath,
+	}
+	s.campaigns[id] = c
+	s.order = append(s.order, id)
+	s.wg.Add(1)
+	return c, ctx
 }
 
 // runCampaign executes one in-process campaign — a sweep or an online

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 	"unsafe"
 
@@ -137,7 +138,14 @@ type codeScenario struct {
 	app     app.Application
 	script  [][]markov.State
 	maxLeap int64
+	// extra heuristics run beside codeHeuristics.
+	extra []string
 }
+
+// zeroCostHeuristics ride along in the zero-cost scenarios: their
+// candidate caches key on the retention epoch that zero-cost adoptions
+// move.
+var zeroCostHeuristics = []string{"P-IY", "Y-IY"}
 
 func (sc codeScenario) base() Config {
 	return Config{
@@ -185,18 +193,21 @@ func codeScenarios() []codeScenario {
 			p:      5,
 			app:    app.Application{Tasks: 3, Tprog: 0, Tdata: 0, Iterations: 4},
 			script: randomScript(stream, 5, 300, 0.85),
+			extra:  zeroCostHeuristics,
 		},
 		{
 			name:   "zero-cost program",
 			p:      5,
 			app:    app.Application{Tasks: 4, Tprog: 0, Tdata: 2, Iterations: 3},
 			script: randomScript(stream, 5, 300, 0.85),
+			extra:  zeroCostHeuristics,
 		},
 		{
 			name:   "zero-cost data, wide codes",
 			p:      3,
 			app:    app.Application{Tasks: 64, Tprog: 3, Tdata: 0, Iterations: 2},
 			script: randomScript(stream, 3, 300, 0.9),
+			extra:  zeroCostHeuristics,
 		},
 		{
 			name:   "stays DOWN across runs",
@@ -218,7 +229,7 @@ func codeScenarios() []codeScenario {
 // both cores.
 func TestDecisionCodesScenarios(t *testing.T) {
 	for _, sc := range codeScenarios() {
-		checkDecisionCodes(t, sc.name, sc.base(), cell(codeHeuristics, []uint64{1, 2}))
+		checkDecisionCodes(t, sc.name, sc.base(), cell(append(slices.Clip(codeHeuristics), sc.extra...), []uint64{1, 2}))
 	}
 }
 
@@ -226,7 +237,7 @@ func TestDecisionCodesScenarios(t *testing.T) {
 // differential over the same scenarios, through RunBatch itself.
 func TestBatchVsSlotDecisionCodeScenarios(t *testing.T) {
 	for _, sc := range codeScenarios() {
-		runBatchAgainstSlot(t, sc.name, sc.base(), cell(codeHeuristics, []uint64{1, 2}))
+		runBatchAgainstSlot(t, sc.name, sc.base(), cell(append(slices.Clip(codeHeuristics), sc.extra...), []uint64{1, 2}))
 	}
 }
 

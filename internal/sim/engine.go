@@ -506,15 +506,18 @@ func (e *engine) apply(next app.Assignment, slot int64) error {
 	e.enrolled = e.current.Enrolled()
 	e.workload = e.current.Workload(e.speeds)
 	e.computeDone = 0
-	// Zero-cost communication items complete instantly.
+	// Zero-cost communication items complete instantly, a retention
+	// change like any message completion.
 	if e.cfg.App.Tprog == 0 || e.cfg.App.Tdata == 0 {
 		for _, q := range e.enrolled {
 			w := &e.workers[q]
-			if e.cfg.App.Tprog == 0 {
+			if e.cfg.App.Tprog == 0 && !w.HasProgram {
 				w.HasProgram = true
+				e.retEpoch++
 			}
 			if e.cfg.App.Tdata == 0 && w.DataHeld < e.current[q] {
 				w.DataHeld = e.current[q]
+				e.retEpoch++
 			}
 			e.codes.Set(q, e.states[q], w)
 		}

@@ -35,22 +35,24 @@ import (
 
 // decideSpan consults the heuristic for slot t with a homogeneity horizon
 // of n slots, applies the decision, and returns for how many slots
-// (1..n) it is committed.
+// (1..n) it is committed. An adoption that itself changed retention
+// (zero-cost messages) commits one slot: the slot core re-decides at the
+// next slot under the new retention epoch.
 func (e *engine) decideSpan(t, n int64) (int64, error) {
 	v := e.view(t)
 	var next app.Assignment
 	keep := int64(1)
 	if sd, ok := e.h.(sched.SpanDecider); ok {
 		next, keep = sd.DecideSpan(v, n)
-		if keep < 1 {
-			keep = 1
-		} else if keep > n {
-			keep = n
-		}
+		keep = min(max(keep, 1), n)
 	} else {
 		next = e.h.Decide(v)
 	}
-	return keep, e.apply(next, t)
+	epoch := e.retEpoch
+	if err := e.apply(next, t); err != nil || e.retEpoch != epoch {
+		return 1, err
+	}
+	return keep, nil
 }
 
 // executeSpan advances the current phase by up to k homogeneous slots,

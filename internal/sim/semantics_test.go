@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"slices"
 	"testing"
 
 	"tightsched/internal/app"
@@ -240,4 +241,64 @@ func (p *elapsedProbe) Decide(v *sched.View) app.Assignment {
 		asg[q] = 1
 	}
 	return asg
+}
+
+// retentionProbe enrolls every processor once all are UP and keeps that
+// configuration, recording at each decision whether the workers'
+// message-granularity retention (program held, data messages held)
+// changed although the view's retention epoch did not.
+type retentionProbe struct {
+	epoch     int64
+	retention []sched.WorkerInfo
+	decisions int
+	stale     []int64 // slots whose retention changed under the same epoch
+}
+
+func (p *retentionProbe) Name() string { return "RETENTION" }
+
+func (p *retentionProbe) Decide(v *sched.View) app.Assignment {
+	retention := make([]sched.WorkerInfo, len(v.Workers))
+	for q, w := range v.Workers {
+		retention[q] = sched.WorkerInfo{HasProgram: w.HasProgram, DataHeld: w.DataHeld}
+	}
+	if p.decisions > 0 && v.RetentionEpoch == p.epoch && !slices.Equal(retention, p.retention) {
+		p.stale = append(p.stale, v.Slot)
+	}
+	p.decisions++
+	p.epoch, p.retention = v.RetentionEpoch, retention
+	if v.Current != nil {
+		return v.Current
+	}
+	asg := make(app.Assignment, len(v.States))
+	for q := range asg {
+		if v.States[q] != markov.Up {
+			return nil
+		}
+		asg[q] = 1
+	}
+	return asg
+}
+
+// TestZeroCostAdoptionBumpsRetentionEpoch: an adoption that completes
+// zero-cost messages changes retention, so it moves the retention epoch
+// like any message completion, under both cores.
+func TestZeroCostAdoptionBumpsRetentionEpoch(t *testing.T) {
+	pl := platform.Homogeneous(3, 4, platform.UnboundedCapacity, 3, markov.AlwaysUp())
+	application := app.Application{Tasks: 3, Tprog: 0, Tdata: 0, Iterations: 3}
+	for _, advance := range []TimeAdvance{AdvanceLeap, AdvanceSlot} {
+		probe := &retentionProbe{}
+		res, err := Run(Config{
+			Platform: pl, App: application, Custom: probe,
+			Provider: allUpProvider(3), Cap: 200, Advance: advance,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Failed || res.Completed != 3 || probe.decisions < 3 {
+			t.Fatalf("%v: result %+v after %d decisions", advance, res, probe.decisions)
+		}
+		if len(probe.stale) > 0 {
+			t.Fatalf("%v: retention changed under an unchanged epoch at slots %v", advance, probe.stale)
+		}
+	}
 }
