@@ -303,13 +303,14 @@ func main() {
 		}
 		if cacheObs.cells > 0 {
 			t := cacheObs.total
-			fmt.Printf("# batch sharing over %d cells: set-stats memo %s hits (%d/%d), shared decisions %s (%d/%d, %d classes), build replays %s (%d/%d), candidates reused %s (%d/%d)\n",
+			fmt.Printf("# batch sharing over %d cells: set-stats memo %s hits (%d/%d), shared decisions %s (%d/%d, %d classes), build replays %s (%d/%d), candidates reused %s (%d/%d), candidate values memo %s (%d/%d)\n",
 				cacheObs.cells,
 				pct(t.MemoHits, t.MemoHits+t.MemoMisses), t.MemoHits, t.MemoHits+t.MemoMisses,
 				pct(t.DecisionHits, t.DecisionHits+t.DecisionMisses), t.DecisionHits, t.DecisionHits+t.DecisionMisses,
 				t.DecisionClasses,
 				pct(t.DecisionReplays, t.DecisionMisses), t.DecisionReplays, t.DecisionMisses,
-				pct(t.CandidatesReused, t.CandidatesScored+t.CandidatesReused), t.CandidatesReused, t.CandidatesScored+t.CandidatesReused)
+				pct(t.CandidatesReused, t.CandidatesScored+t.CandidatesReused), t.CandidatesReused, t.CandidatesScored+t.CandidatesReused,
+				pct(t.ValueMemoHits, t.ValueMemoLookups), t.ValueMemoHits, t.ValueMemoLookups)
 		}
 	}
 

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -58,6 +59,9 @@ type lease struct {
 	worker   string
 	deadline time.Time
 	offset   int
+	// order numbers the lease among the grants applied, so GC expires
+	// leases in grant order.
+	order int
 }
 
 // unitState is a work unit's position in the lease lifecycle.
@@ -122,6 +126,7 @@ type Coordinator struct {
 	avail  []exp.Shard // claim queue, FIFO; every entry an available unit
 	leases map[string]*lease
 	seq    int
+	grants int    // grants applied: the last lease's order
 	ended  string // terminal state once written ("" while live)
 	doneCh chan struct{}
 
@@ -305,8 +310,9 @@ func (co *Coordinator) apply(ev stateEvent, now time.Time) error {
 			return fmt.Errorf("grant of %s under lease %q: unit not available, or lease id empty or live", sh, ev.Lease)
 		}
 		u.state, u.leaseID = unitLeased, ev.Lease
+		co.grants++
 		co.leases[ev.Lease] = &lease{id: ev.Lease, unit: sh, worker: ev.Worker,
-			deadline: now.Add(co.cfg.LeaseTTL), offset: ev.Offset}
+			deadline: now.Add(co.cfg.LeaseTTL), offset: ev.Offset, order: co.grants}
 		co.avail = slices.DeleteFunc(co.avail, func(q exp.Shard) bool { return q == sh })
 		var n int
 		if _, err := fmt.Sscanf(ev.Lease, "l%d", &n); err == nil {
@@ -554,7 +560,9 @@ func (co *Coordinator) Complete(leaseID string) error {
 // completed anyway (the worker uploaded everything, then died before
 // Complete) is marked done; the rest are requeued — split into their
 // two half-width children when resharding is on and the unit is wide
-// enough. Returns the number of leases expired.
+// enough. Leases expire in grant order, so the claim queue and the lease
+// log do not depend on map iteration order. Returns the number of
+// leases expired.
 func (co *Coordinator) GC() (int, error) {
 	co.mu.Lock()
 	defer co.mu.Unlock()
@@ -562,11 +570,15 @@ func (co *Coordinator) GC() (int, error) {
 		return 0, nil
 	}
 	now := co.cfg.Now()
-	expired := 0
+	var due []*lease
 	for _, l := range co.leases {
-		if !l.deadline.Before(now) {
-			continue
+		if l.deadline.Before(now) {
+			due = append(due, l)
 		}
+	}
+	slices.SortFunc(due, func(a, b *lease) int { return cmp.Compare(a.order, b.order) })
+	expired := 0
+	for _, l := range due {
 		expired++
 		co.expired++
 		co.cfg.Logf("cluster: %s: lease %s (unit %s, worker %s) expired", co.cfg.Campaign, l.id, l.unit, l.worker)

@@ -485,3 +485,31 @@ func FuzzLeaseReplay(f *testing.F) {
 		checkLeaseTable(t, co)
 	})
 }
+
+// TestGCExpiresInGrantOrder: leases that expire in one GC are requeued in
+// the order they were granted, so identical runs build the same claim
+// queue (and lease log).
+func TestGCExpiresInGrantOrder(t *testing.T) {
+	want := []exp.Shard{{Index: 3, Count: 4}, {Index: 0, Count: 4}, {Index: 1, Count: 4}, {Index: 2, Count: 4}}
+	for run := range 20 {
+		clock := newFakeClock()
+		co, j := testCoordinator(t, t.TempDir(), tinySweep([]string{"IE"}), func(c *Config) {
+			c.Now = clock.Now
+			c.Logf = func(string, ...any) {}
+		})
+		for _, w := range []string{"w1", "w2", "w3"} {
+			if g, err := co.Claim(w); err != nil || g == nil {
+				t.Fatalf("claim: %+v, %v", g, err)
+			}
+		}
+		clock.Advance(11 * time.Second)
+		if n, err := co.GC(); err != nil || n != 3 {
+			t.Fatalf("GC expired %d, %v", n, err)
+		}
+		if !reflect.DeepEqual(co.avail, want) {
+			t.Fatalf("run %d: claim queue %v after GC, want %v", run, co.avail, want)
+		}
+		co.Close()
+		j.Close()
+	}
+}

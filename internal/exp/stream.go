@@ -77,11 +77,16 @@ type CacheStats struct {
 	DecisionClasses int
 	// DecisionReplays counts the misses whose every greedy step picked
 	// the building instance's previous winner; CandidatesScored and
-	// CandidatesReused split the misses' candidate Values into computed
-	// ones and ones replayed from the instance's previous build.
+	// CandidatesReused split the misses' candidate Values into ones the
+	// build trace did not serve and ones replayed from the instance's
+	// previous build.
 	DecisionReplays  uint64
 	CandidatesScored uint64
 	CandidatesReused uint64
+	// ValueMemoLookups counts the scored candidates looked up in the
+	// batch's candidate-Value memo; ValueMemoHits those it already held.
+	ValueMemoHits    uint64
+	ValueMemoLookups uint64
 }
 
 // newCacheStats converts the simulator's batch counters.
@@ -96,6 +101,8 @@ func newCacheStats(st sim.BatchStats) *CacheStats {
 		DecisionReplays:  st.Decisions.Replays,
 		CandidatesScored: st.Decisions.CandidatesScored,
 		CandidatesReused: st.Decisions.CandidatesReused,
+		ValueMemoHits:    st.Decisions.ValueMemoHits,
+		ValueMemoLookups: st.Decisions.ValueMemoLookups,
 	}
 }
 
@@ -114,6 +121,8 @@ func (c *CacheStats) Add(o CacheStats) {
 	c.DecisionReplays += o.DecisionReplays
 	c.CandidatesScored += o.CandidatesScored
 	c.CandidatesReused += o.CandidatesReused
+	c.ValueMemoHits += o.ValueMemoHits
+	c.ValueMemoLookups += o.ValueMemoLookups
 }
 
 // Progress reports completion counters: it follows every live

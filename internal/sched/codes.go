@@ -20,12 +20,18 @@ type Codes struct {
 	width int
 	// b holds processor q's code little-endian in b[q*width:(q+1)*width].
 	b []byte
+	// upEpoch changes whenever some processor's UP bit may have changed:
+	// on Init and on every Set that turns a code from zero to nonzero or
+	// back. A heuristic that cached work on the UP set compares it
+	// instead of walking the states.
+	upEpoch uint64
 }
 
 // Init sizes c for p processors of an application of m tasks and
 // zeroes every code.
 func (c *Codes) Init(p, m int) {
 	c.width = codeWidth(m)
+	c.upEpoch++
 	if n := p * c.width; cap(c.b) >= n {
 		c.b = c.b[:n]
 		clear(c.b)
@@ -43,6 +49,10 @@ func (c *Codes) Attach(v *View) { v.codes = c }
 // Set rewrites processor q's code from its state and retention.
 func (c *Codes) Set(q int, s markov.State, w *WorkerInfo) {
 	x := code(s, w)
+	// A code's first byte carries its UP bit.
+	if (c.b[q*c.width] != 0) != (x != 0) {
+		c.upEpoch++
+	}
 	if c.width == 1 {
 		c.b[q] = byte(x)
 		return
@@ -52,6 +62,18 @@ func (c *Codes) Set(q int, s markov.State, w *WorkerInfo) {
 		b[i] = byte(x)
 		x >>= 8
 	}
+}
+
+// at returns processor q's code.
+func (c *Codes) at(q int) uint64 {
+	if c.width == 1 {
+		return uint64(c.b[q])
+	}
+	var x uint64
+	for i := (q+1)*c.width - 1; i >= q*c.width; i-- {
+		x = x<<8 | uint64(c.b[i])
+	}
+	return x
 }
 
 // SetAll rewrites every processor's code.

@@ -36,7 +36,10 @@ import (
 // the instance that missed, replaying its own previous fresh build (see
 // buildTrace), and a hit leaves that instance's trace untouched. A
 // replayed build equals a cold one, so keys, hits and misses are what
-// they would be without replay.
+// they would be without replay. Below the trace, a miss reads the
+// candidate Values any build of the batch already scored from the
+// cache's candidate-Value memo (see valueMemo), which lives exactly as
+// long as the cache.
 //
 // A cache must not outlive the environment family it was built under: it
 // is created per batch, and like the heuristics it serves it is confined
@@ -64,6 +67,9 @@ type DecisionCache struct {
 	hash uint64
 	// codes is the scratch a view without attached codes is encoded in.
 	codes Codes
+
+	// values is the batch's candidate-Value memo.
+	values valueMemo
 
 	hits    uint64
 	misses  uint64
@@ -108,8 +114,9 @@ const decisionSlotsMin = 64
 // NewDecisionCache returns an empty single-goroutine decision cache.
 func NewDecisionCache() *DecisionCache {
 	return &DecisionCache{
-		seed:  maphash.MakeSeed(),
-		slots: make([]uint32, decisionSlotsMin),
+		seed:   maphash.MakeSeed(),
+		slots:  make([]uint32, decisionSlotsMin),
+		values: valueMemo{nodes: rootNode, limit: valueMemoLimit},
 	}
 }
 
@@ -127,10 +134,15 @@ type DecisionStats struct {
 	// Replays counts the misses whose every greedy step picked the
 	// winner of the building instance's previous build.
 	Replays uint64
-	// CandidatesScored counts candidate Values the misses computed;
-	// CandidatesReused counts those read back from the build trace.
+	// CandidatesScored counts candidate Values the misses did not read
+	// back from the build trace; CandidatesReused counts those they did.
 	CandidatesScored uint64
 	CandidatesReused uint64
+	// ValueMemoLookups counts the scored candidates looked up in the
+	// candidate-Value memo, and ValueMemoHits those it held, which were
+	// therefore not computed.
+	ValueMemoHits    uint64
+	ValueMemoLookups uint64
 }
 
 // Stats returns the cache's counters.
@@ -142,6 +154,8 @@ func (dc *DecisionCache) Stats() DecisionStats {
 		Replays:          dc.replays,
 		CandidatesScored: dc.scored,
 		CandidatesReused: dc.reused,
+		ValueMemoHits:    dc.values.hits,
+		ValueMemoLookups: dc.values.lookups,
 	}
 }
 

@@ -28,6 +28,10 @@ type incremental struct {
 	se      *analytic.SetEval
 
 	tr buildTrace
+	// workload and totalNeed are the running build's partial workload
+	// and total fresh comm need; added counts the build's leading
+	// winners already folded into se.
+	workload, totalNeed, added int
 	// codes is the scratch a view without attached codes is encoded in.
 	codes Codes
 	// asg is the build's scratch assignment; last is the assignment the
@@ -80,14 +84,17 @@ func (h *incremental) build(v *View) app.Assignment {
 // buildFresh builds an assignment greedily. It returns nil when the UP
 // workers cannot host m tasks.
 //
-// Cost: m assignment steps, each choosing among at most p candidates.
-// Scoring a candidate from scratch takes one O(T) series pass for the
-// compute estimate (through the incremental SetEval) plus O(|S|) for the
-// communication estimate; a candidate whose Value the instance's previous
-// build already computed under the same inputs is replayed from the
-// build trace instead (see buildTrace). A cold build is a replay with an
-// empty trace. The build runs in the heuristic's scratch buffers and
-// trace; only a result that differs from the previous one is allocated.
+// Cost: m assignment steps, each choosing among at most p candidates. A
+// candidate's Value comes, cheapest first, from the instance's build
+// trace (a kept candidate while the build replays the previous one; see
+// buildTrace), from the batch's candidate-Value memo when a decision
+// cache is installed (see valueMemo), or from scoring it: one O(T)
+// series pass for the compute estimate (through the incremental SetEval)
+// plus O(|S|) for the communication estimate. The SetEval receives the
+// step's winners only when a candidate is scored. A cold build is a
+// replay with an empty trace. The build runs in the heuristic's scratch
+// buffers and trace; only a result that differs from the previous one is
+// allocated.
 func (h *incremental) buildFresh(v *View) app.Assignment {
 	env := h.env
 	m := env.App.Tasks
@@ -117,16 +124,23 @@ func (h *incremental) buildFresh(v *View) app.Assignment {
 	} else {
 		h.se.Reset()
 	}
-	se := h.se
+	codes := v.decisionCodes(env, &h.codes)
 	tr := &h.tr
-	tr.observe(v.decisionCodes(env, &h.codes))
+	tr.observe(codes)
+	var memo *valueMemo
+	var node uint32
+	if env.Decisions != nil {
+		memo = &env.Decisions.values
+		if node = memo.begin(codes, p); node == 0 {
+			memo = nil
+		}
+	}
 	procs := env.Platform.Procs
 	elapsed := float64(v.Elapsed)
 	asg := h.asg
 	clear(asg)
+	h.workload, h.totalNeed, h.added = 0, 0, 0
 
-	workload := 0
-	totalNeed := 0
 	// live: steps 0..task-1 picked the trace's winners, none of whose
 	// retention changed, so the trace's Values for this step are exact
 	// for every kept candidate. keptFull counts kept workers at capacity.
@@ -153,8 +167,7 @@ func (h *incremental) buildFresh(v *View) app.Assignment {
 				if asg[q] >= procs[q].Capacity {
 					continue
 				}
-				val := candidateValue(env, v, se, asg, q,
-					speeds, workload, needs, expComm, totalNeed)
+				val := h.value(v, codes, memo, node, task, q)
 				row[q] = val
 				scored++
 				if s := h.crit.Score(val); s > bestScore || s == bestScore && q < bestQ {
@@ -172,8 +185,7 @@ func (h *incremental) buildFresh(v *View) app.Assignment {
 					val = row[q]
 					reused++
 				} else {
-					val = candidateValue(env, v, se, asg, q,
-						speeds, workload, needs, expComm, totalNeed)
+					val = h.value(v, codes, memo, node, task, q)
 					row[q] = val
 					scored++
 				}
@@ -199,19 +211,19 @@ func (h *incremental) buildFresh(v *View) app.Assignment {
 				tr.winners = append(tr.winners, bestQ)
 			}
 		}
-		if !se.Contains(bestQ) {
-			se.Add(bestQ)
+		if memo != nil && task+1 < m {
+			node = memo.child(node, bestQ, codes.at(bestQ))
 		}
 		asg[bestQ]++
 		if asg[bestQ] == procs[bestQ].Capacity && tr.kept[bestQ] {
 			keptFull++
 		}
-		totalNeed -= needs[bestQ]
+		h.totalNeed -= needs[bestQ]
 		needs[bestQ] = commNeedFresh(env, v.Workers[bestQ], asg[bestQ])
-		totalNeed += needs[bestQ]
+		h.totalNeed += needs[bestQ]
 		expComm[bestQ] = env.expectedComm(bestQ, needs[bestQ])
-		if l := asg[bestQ] * speeds[bestQ]; l > workload {
-			workload = l
+		if l := asg[bestQ] * speeds[bestQ]; l > h.workload {
+			h.workload = l
 		}
 	}
 	env.Decisions.noteBuild(scored, reused, replayed)
@@ -219,6 +231,46 @@ func (h *incremental) buildFresh(v *View) app.Assignment {
 		h.last = asg.Clone()
 	}
 	return h.last
+}
+
+// value returns candidate q's Value (T unset) at greedy step task, whose
+// winner prefix is the memo's node: the memoized one when the memo holds
+// it, otherwise a scored one, which the memo then keeps. A nil memo
+// always scores.
+func (h *incremental) value(v *View, c *Codes, memo *valueMemo, node uint32, task, q int) Value {
+	if memo == nil {
+		return h.score(v, task, q)
+	}
+	key := memoKey(node, q, c.at(q))
+	i, ok := memo.find(key)
+	memo.lookups++
+	if ok {
+		memo.hits++
+		val := memo.valueAt(i)
+		if valueMemoHitHook != nil {
+			valueMemoHitHook(val, h.score(v, task, q))
+		}
+		return val
+	}
+	val := h.score(v, task, q)
+	memo.insert(i, key, val.P, val.E)
+	return val
+}
+
+// valueMemoHitHook, when set (by tests only), receives every memo hit
+// next to a fresh scoring of the same candidate.
+var valueMemoHitHook func(memo, fresh Value)
+
+// score computes candidate q's Value at greedy step task, first adding
+// to the SetEval the winners of the steps before it that it lacks.
+func (h *incremental) score(v *View, task, q int) Value {
+	for ; h.added < task; h.added++ {
+		if w := h.tr.winners[h.added]; !h.se.Contains(w) {
+			h.se.Add(w)
+		}
+	}
+	return candidateValue(h.env, v, h.se, h.asg, q,
+		h.speeds, h.workload, h.needs, h.expComm, h.totalNeed)
 }
 
 // buildTrace is one heuristic instance's record of its previous fresh

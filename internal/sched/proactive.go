@@ -21,14 +21,27 @@ type proactive struct {
 	name string
 
 	// Candidate cache: the fresh build depends only on which workers are
-	// UP and on message-granularity retention, both captured by the
-	// engine's retention epoch. Re-scoring a cached candidate is cheap;
-	// rebuilding it costs up to m·p series evaluations (fewer when the
-	// base heuristic replays its previous build).
+	// UP and on message-granularity retention, both captured by the UP
+	// set and the engine's retention epoch. Re-scoring a cached candidate
+	// is cheap; rebuilding it costs up to m·p series evaluations (fewer
+	// when the base heuristic replays its previous build or the batch
+	// memo holds its Values).
 	cacheValid bool
-	cacheUp    []bool
+	cacheUp    upSet
 	cacheEpoch int64
 	cacheAsg   app.Assignment
+	// candVal holds cacheAsg's fresh (P, E) when candValOK. It reads
+	// only the candidate and its workers' retention, which the cache key
+	// fixes, so it is computed once per cached candidate.
+	candVal   Value
+	candValOK bool
+
+	// eqCand and eqCur are the last (candidate, running configuration)
+	// pair compared, and eqSame the outcome. Both slices are immutable
+	// (see Heuristic.Decide and View.Current), so the same pair compares
+	// the same way again.
+	eqCand, eqCur app.Assignment
+	eqSame        bool
 
 	// Reusable buffers for the per-slot re-scoring of the running and
 	// candidate configurations; the set statistics themselves come from
@@ -58,12 +71,17 @@ func (h *proactive) DecideSpan(v *View, n int64) (app.Assignment, int64) {
 	if v.Current == nil {
 		return cand, n
 	}
-	if cand == nil || cand.Equal(v.Current) {
+	if cand == nil || h.equal(cand, v.Current) {
 		return v.Current, n
 	}
 	cur := h.crit.Score(evalCurrent(h.env, v, &h.scratch))
-	alt := h.crit.Score(evalFresh(h.env, v, cand, &h.scratch))
-	if cur >= alt {
+	if !h.candValOK {
+		h.candVal = evalFresh(h.env, v, cand, &h.scratch)
+		h.candValOK = true
+	}
+	fresh := h.candVal
+	fresh.T = float64(v.Elapsed)
+	if cur >= h.crit.Score(fresh) {
 		return v.Current, 1
 	}
 	return cand, 1
@@ -72,30 +90,70 @@ func (h *proactive) DecideSpan(v *View, n int64) (app.Assignment, int64) {
 // candidate returns the fresh configuration H would build now, using the
 // (UP set, retention epoch) cache.
 func (h *proactive) candidate(v *View) app.Assignment {
-	if h.cacheValid && h.cacheEpoch == v.RetentionEpoch && h.sameUp(v) {
+	if h.cacheValid && h.cacheEpoch == v.RetentionEpoch && h.cacheUp.same(v) {
 		return h.cacheAsg
 	}
 	cand := h.base.build(v)
-	if h.cacheUp == nil {
-		h.cacheUp = make([]bool, len(v.States))
-	}
-	for q, s := range v.States {
-		h.cacheUp[q] = s == markov.Up
-	}
+	h.cacheUp.record(v)
 	h.cacheEpoch = v.RetentionEpoch
 	h.cacheAsg = cand
 	h.cacheValid = true
+	h.candValOK = false
 	return cand
 }
 
-func (h *proactive) sameUp(v *View) bool {
-	if h.cacheUp == nil || len(h.cacheUp) != len(v.States) {
+// equal reports whether cand is Equal to cur, comparing them element by
+// element only when the pair is not the one compared last.
+func (h *proactive) equal(cand, cur app.Assignment) bool {
+	if !sameSlice(cand, h.eqCand) || !sameSlice(cur, h.eqCur) {
+		h.eqCand, h.eqCur, h.eqSame = cand, cur, cand.Equal(cur)
+	}
+	return h.eqSame
+}
+
+// sameSlice reports whether a and b are one non-empty slice.
+func sameSlice(a, b app.Assignment) bool {
+	return len(a) == len(b) && len(a) > 0 && &a[0] == &b[0]
+}
+
+// upSet is the UP set a cached candidate was built under. A view the
+// engine attached codes to is recorded by its codes' UP epoch, which the
+// engine moves whenever a processor's UP bit changes, so validating the
+// cache walks no states; a hand-built view is recorded as one flag per
+// processor.
+type upSet struct {
+	codes *Codes
+	epoch uint64
+	up    []bool
+}
+
+// same reports whether v's UP set is the recorded one.
+func (u *upSet) same(v *View) bool {
+	if c := v.codes; c != nil {
+		return u.codes == c && u.epoch == c.upEpoch
+	}
+	if u.codes != nil || len(u.up) != len(v.States) {
 		return false
 	}
 	for q, s := range v.States {
-		if (s == markov.Up) != h.cacheUp[q] {
+		if (s == markov.Up) != u.up[q] {
 			return false
 		}
 	}
 	return true
+}
+
+// record makes v's UP set the recorded one.
+func (u *upSet) record(v *View) {
+	u.codes = v.codes
+	if v.codes != nil {
+		u.epoch = v.codes.upEpoch
+		return
+	}
+	if len(u.up) != len(v.States) {
+		u.up = make([]bool, len(v.States))
+	}
+	for q, s := range v.States {
+		u.up[q] = s == markov.Up
+	}
 }

@@ -44,9 +44,18 @@ type replayScenario struct {
 // previous cold build's winners and on other processors, drifts Elapsed,
 // and passes through infeasible views.
 func decodeReplayScenario(data []byte) replayScenario {
+	return decodeScenarioTasks(data, 0)
+}
+
+// decodeScenarioTasks is decodeReplayScenario with the application's task
+// count forced to tasks when positive (the bytes decode the same way).
+func decodeScenarioTasks(data []byte, tasks int) replayScenario {
 	src := &byteSource{b: data}
 	p := 2 + src.intn(7)
 	m := 1 + src.intn(6)
+	if tasks > 0 {
+		m = tasks
+	}
 	// Memo off re-sums series per candidate; a processor that cannot fail
 	// would make that a MaxHorizon-slot pass, so it rides with the memo.
 	opts := analytic.Options{DisableMemo: src.intn(4) == 0}

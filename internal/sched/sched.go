@@ -57,7 +57,10 @@ type View struct {
 	// Workers holds each processor's retention state.
 	Workers []WorkerInfo
 	// Current is the configuration in effect (nil at iteration start or
-	// after a failure forced a restart).
+	// after a failure forced a restart). It is immutable: a new
+	// configuration arrives as another slice, never written into this
+	// one, so a heuristic may rely on a Current it has seen staying as
+	// it was.
 	Current app.Assignment
 	// RemainingWork is W minus the compute slots already accumulated by
 	// the current configuration (meaningless when Current is nil).

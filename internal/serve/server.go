@@ -71,6 +71,8 @@ type serverMetrics struct {
 	decisionMisses     atomic.Uint64
 	candidatesScored   atomic.Uint64
 	candidatesReused   atomic.Uint64
+	valueMemoHits      atomic.Uint64
+	valueMemoLookups   atomic.Uint64
 	sseSubscribed      atomic.Uint64
 	sseDropped         atomic.Uint64
 	// Online grid live telemetry, summed across running grid campaigns:
@@ -332,6 +334,8 @@ func (o metricsObserver) OnPointDone(ev tightsched.PointDone) {
 		o.m.decisionMisses.Add(ev.Cache.DecisionMisses)
 		o.m.candidatesScored.Add(ev.Cache.CandidatesScored)
 		o.m.candidatesReused.Add(ev.Cache.CandidatesReused)
+		o.m.valueMemoHits.Add(ev.Cache.ValueMemoHits)
+		o.m.valueMemoLookups.Add(ev.Cache.ValueMemoLookups)
 	}
 	o.observer.OnPointDone(ev)
 }
@@ -591,7 +595,10 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(w, "tightsched_cache_lookups_total{cache=\"memo\",outcome=\"miss\"} %d\n", s.metrics.memoMisses.Load())
 	fmt.Fprintf(w, "tightsched_cache_lookups_total{cache=\"decision\",outcome=\"hit\"} %d\n", s.metrics.decisionHits.Load())
 	fmt.Fprintf(w, "tightsched_cache_lookups_total{cache=\"decision\",outcome=\"miss\"} %d\n", s.metrics.decisionMisses.Load())
-	fmt.Fprintf(w, "# HELP tightsched_greedy_candidates_total Candidate evaluations of batched-cell greedy builds: scored afresh, or reused from the instance's previous build.\n")
+	valueHits := s.metrics.valueMemoHits.Load()
+	fmt.Fprintf(w, "tightsched_cache_lookups_total{cache=\"values\",outcome=\"hit\"} %d\n", valueHits)
+	fmt.Fprintf(w, "tightsched_cache_lookups_total{cache=\"values\",outcome=\"miss\"} %d\n", s.metrics.valueMemoLookups.Load()-valueHits)
+	fmt.Fprintf(w, "# HELP tightsched_greedy_candidates_total Candidate evaluations of batched-cell greedy builds: scored (computed or read from the batch's candidate-value memo), or reused from the instance's previous build.\n")
 	fmt.Fprintf(w, "# TYPE tightsched_greedy_candidates_total counter\n")
 	fmt.Fprintf(w, "tightsched_greedy_candidates_total{outcome=\"scored\"} %d\n", s.metrics.candidatesScored.Load())
 	fmt.Fprintf(w, "tightsched_greedy_candidates_total{outcome=\"reused\"} %d\n", s.metrics.candidatesReused.Load())

@@ -457,6 +457,7 @@ func TestMetricsAndHealth(t *testing.T) {
 		"tightsched_instances_completed_total 3",
 		"tightsched_campaigns_submitted_total 1",
 		`tightsched_cache_lookups_total{cache="memo",outcome="hit"}`,
+		`tightsched_cache_lookups_total{cache="values",outcome="hit"}`,
 		`tightsched_greedy_candidates_total{outcome="scored"}`,
 		`tightsched_greedy_candidates_total{outcome="reused"}`,
 		fmt.Sprintf(`tightsched_campaign_wall_seconds{campaign="%s",state="succeeded"}`, st.ID),

@@ -32,6 +32,10 @@ type codeCheck struct {
 	label     string
 	e         *engine
 	decisions int
+	// up and upEpoch are the UP set and the codes' UP epoch at the
+	// previous decision.
+	up      []bool
+	upEpoch uint64
 }
 
 func (c *codeCheck) Decide(v *sched.View) app.Assignment {
@@ -48,10 +52,25 @@ func (c *codeCheck) check(v *sched.View) {
 	var want sched.Codes
 	want.Init(len(v.States), c.e.cfg.App.Tasks)
 	want.SetAll(v.States, v.Workers)
-	if !reflect.DeepEqual(c.e.codes, want) {
+	got := reflect.ValueOf(&c.e.codes).Elem()
+	rw := reflect.ValueOf(&want).Elem()
+	if got.FieldByName("width").Int() != rw.FieldByName("width").Int() ||
+		!slices.Equal(got.FieldByName("b").Bytes(), rw.FieldByName("b").Bytes()) {
 		c.t.Fatalf("%s slot %d: engine codes %v, recomputed %v (states %v, workers %+v)",
 			c.label, v.Slot, c.e.codes, want, v.States, v.Workers)
 	}
+	// The UP epoch must move whenever the UP set changed since the
+	// previous decision: a proactive candidate cache validates on it.
+	epoch := got.FieldByName("upEpoch").Uint()
+	up := make([]bool, len(v.States))
+	for q, s := range v.States {
+		up[q] = s == markov.Up
+	}
+	if c.up != nil && !slices.Equal(up, c.up) && epoch == c.upEpoch {
+		c.t.Fatalf("%s slot %d: UP set %v became %v under one UP epoch %d",
+			c.label, v.Slot, c.up, up, epoch)
+	}
+	c.up, c.upEpoch = up, epoch
 }
 
 // spanCodeCheck is codeCheck for a SpanDecider, so that wrapping keeps
