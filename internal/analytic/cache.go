@@ -2,7 +2,6 @@ package analytic
 
 import (
 	"math"
-	"math/bits"
 
 	"tightsched/internal/markov"
 )
@@ -45,7 +44,7 @@ func (pl *Platform) MemoStats() MemoStats {
 	return MemoStats{
 		Hits:    pl.memoHits,
 		Misses:  pl.memoMisses,
-		Entries: pl.memoLo.n + len(pl.memoHi),
+		Entries: pl.memoLo.Len() + len(pl.memoHi),
 	}
 }
 
@@ -62,8 +61,8 @@ func (s MemoStats) Sub(prev MemoStats) MemoStats {
 // memoLookup returns the memo entry for a key, or nil.
 func (pl *Platform) memoLookup(k SetKey) *memoEntry {
 	var e *memoEntry
-	if k.rest == "" {
-		e = pl.memoLo.get(k.lo)
+	if k.inLo() {
+		e, _ = pl.memoLo.Get(k.lo)
 	} else {
 		e = pl.memoHi[k]
 	}
@@ -78,95 +77,27 @@ func (pl *Platform) memoLookup(k SetKey) *memoEntry {
 // memoStore records the canonical statistics of a key, clearing the table
 // first if it is full, and returns the new entry.
 func (pl *Platform) memoStore(k SetKey, st SetStats) *memoEntry {
-	if pl.memoLo.n+len(pl.memoHi) >= memoLimit {
-		pl.memoLo.reset()
+	if pl.memoLo.Len()+len(pl.memoHi) >= memoLimit {
+		pl.memoLo.Reset()
 		clear(pl.memoHi)
 	}
 	e := &memoEntry{stats: st}
-	if k.rest == "" {
-		pl.memoLo.put(k.lo, e)
+	if k.inLo() {
+		pl.memoLo.Put(k.lo, e)
 	} else {
 		pl.memoHi[k] = e
 	}
 	return e
 }
 
-// memoTable is the memo of sets confined to processors 0..63: a flat
-// open-addressing table with linear probing over a power-of-two slot
-// array, indexed by a multiplicative (Fibonacci) hash of the membership
-// word. A nil entry marks an empty slot, so every key, the empty set's 0
-// included, is storable. It never deletes, only clears whole, and is an
-// exact-match index: nothing reads it in slot order.
-type memoTable struct {
-	slots []memoSlot
-	n     int  // entries held
-	shift uint // 64 - log2(len(slots))
-}
-
-type memoSlot struct {
-	key uint64
-	e   *memoEntry
-}
-
-// memoTableMin is a fresh table's slot count; a paper cell's platform
+// memoLoSlots is memoLo's first slot count; a paper cell's platform
 // holds a few hundred to a couple of thousand sets.
-const memoTableMin = 256
+const memoLoSlots = 256
 
-// slot returns the index of key's slot: the slot holding it, or the
-// empty slot where it belongs. The table must have slots.
-func (t *memoTable) slot(key uint64) int {
-	mask := len(t.slots) - 1
-	i := int((key * 0x9e3779b97f4a7c15) >> t.shift)
-	for {
-		s := &t.slots[i]
-		if s.e == nil || s.key == key {
-			return i
-		}
-		i = (i + 1) & mask
-	}
-}
-
-// get returns key's entry, or nil.
-func (t *memoTable) get(key uint64) *memoEntry {
-	if t.n == 0 {
-		return nil
-	}
-	return t.slots[t.slot(key)].e
-}
-
-// put stores (or replaces) key's entry, doubling the slot array first
-// when it would pass half full.
-func (t *memoTable) put(key uint64, e *memoEntry) {
-	if 2*(t.n+1) > len(t.slots) {
-		t.grow()
-	}
-	s := &t.slots[t.slot(key)]
-	if s.e == nil {
-		t.n++
-	}
-	s.key, s.e = key, e
-}
-
-func (t *memoTable) grow() {
-	old := t.slots
-	size := 2 * len(old)
-	if size < memoTableMin {
-		size = memoTableMin
-	}
-	t.slots = make([]memoSlot, size)
-	t.shift = uint(64 - bits.TrailingZeros(uint(size)))
-	for _, s := range old {
-		if s.e != nil {
-			t.slots[t.slot(s.key)] = s
-		}
-	}
-}
-
-// reset empties the table, keeping its slot array.
-func (t *memoTable) reset() {
-	clear(t.slots)
-	t.n = 0
-}
+// inLo reports whether k is memoLo's: a nonempty set confined to
+// processors 0..63, keyed by its membership word. The empty set's word 0
+// is flat's empty-slot mark, so that set lives in memoHi.
+func (k SetKey) inLo() bool { return k.rest == "" && k.lo != 0 }
 
 // computeStats is the canonical miss path of the memo table: it evaluates
 // the membership (plus the optional extra candidate, ignored when

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"tightsched/internal/flat"
 	"tightsched/internal/markov"
 )
 
@@ -27,11 +28,12 @@ type Platform struct {
 	// — across candidate loops, decision epochs and cache-shared runs —
 	// return the stored floats instead of re-summing series. Sets
 	// confined to processors 0..63 (every platform at the paper's scale)
-	// live in the flat memoTable keyed by the membership word, whose
-	// probe is markedly cheaper than a map's; the rest use a map on the
-	// general SetKey. See computeStats for the miss path.
+	// live in a flat table keyed by the membership word, whose probe is
+	// markedly cheaper than a map's; the rest, and the empty set, use a
+	// map on the general SetKey (see SetKey.inLo). See computeStats for
+	// the miss path.
 	memoOn bool
-	memoLo memoTable
+	memoLo flat.Table[*memoEntry]
 	memoHi map[SetKey]*memoEntry
 	// memoHits/memoMisses count memoLookup outcomes (see MemoStats):
 	// cross-trial sharing in the batch engine is observable through them.
@@ -108,6 +110,7 @@ func NewPlatformWith(ms []markov.Matrix, eps float64, opts Options) *Platform {
 	}
 	if !opts.DisableMemo {
 		pl.memoOn = true
+		pl.memoLo = flat.New[*memoEntry](memoLoSlots)
 		pl.memoHi = make(map[SetKey]*memoEntry)
 	}
 	for i, m := range ms {

@@ -45,8 +45,7 @@ func (f ProviderFunc) States(slot int64, dst []markov.State) { f(slot, dst) }
 // RunProvider is the optional StateProvider extension the event-leap
 // engine consumes: instead of one vector per slot, it reports how long
 // the whole state vector stays constant, so the engine can apply the
-// intervening homogeneous slots in bulk. NextChange derives the companion
-// "first slot at which anything changes" form from the same method.
+// intervening homogeneous slots in bulk.
 //
 // Implementations may consume their internal random streams exactly as a
 // slot-by-slot States walk would (the Markov chain provider does, which
@@ -59,17 +58,6 @@ type RunProvider interface {
 	// from .. from+n-1, and either n == limit or the vector changes at
 	// slot from+n. Successive calls must use non-decreasing from values.
 	StatesRun(from int64, dst []markov.State, limit int64) int64
-}
-
-// NextChange returns the first slot after from at which p's state vector
-// changes, capped at horizon: from+n for the n of StatesRun. scratch must
-// have the platform's length; it receives the vector at from.
-func NextChange(p RunProvider, from, horizon int64, scratch []markov.State) int64 {
-	next := from + p.StatesRun(from, scratch, horizon-from)
-	if next > horizon {
-		next = horizon // degenerate horizons: StatesRun clamps its limit to 1
-	}
-	return next
 }
 
 // AsRunProvider returns a run-length view of p: p itself when it already

@@ -1,11 +1,8 @@
 package avail
 
 import (
-	"fmt"
-	"sort"
-	"sync"
-
 	"tightsched/internal/markov"
+	"tightsched/internal/registry"
 )
 
 // This file is the open availability-model registry: the models resolvable
@@ -20,59 +17,22 @@ import (
 // caller that resolves the name.
 type Factory func() Model
 
-var registry = struct {
-	sync.RWMutex
-	factories map[string]Factory
-}{factories: map[string]Factory{}}
+var models = registry.New("avail", "model", "model", registry.Named[Model])
 
 // Register makes a model constructible by name through Builtin (and
 // therefore through journal resume and the façade's ModelByName). The
 // factory is invoked once immediately: its model's Name() must equal the
 // registered name, so that experiment tables, journal specs and resolution
 // agree on the label. Duplicate names — built-ins included — error.
-func Register(name string, f Factory) error {
-	if name == "" {
-		return fmt.Errorf("avail: Register with empty model name")
-	}
-	if f == nil {
-		return fmt.Errorf("avail: Register(%q) with nil factory", name)
-	}
-	m := f()
-	if m == nil {
-		return fmt.Errorf("avail: Register(%q) factory returned nil", name)
-	}
-	if got := m.Name(); got != name {
-		return fmt.Errorf("avail: Register(%q) factory builds a model named %q", name, got)
-	}
-	registry.Lock()
-	defer registry.Unlock()
-	if _, dup := registry.factories[name]; dup {
-		return fmt.Errorf("avail: model %q already registered", name)
-	}
-	registry.factories[name] = f
-	return nil
-}
+func Register(name string, f Factory) error { return models.Register(name, f) }
 
 // MustRegister is Register that panics on error, for init-time
 // registration of a package's own models.
-func MustRegister(name string, f Factory) {
-	if err := Register(name, f); err != nil {
-		panic(err)
-	}
-}
+func MustRegister(name string, f Factory) { models.MustRegister(name, f) }
 
 // Names returns every registered model name, sorted. The slice is a fresh
 // copy: callers may mutate it freely.
-func Names() []string {
-	registry.RLock()
-	defer registry.RUnlock()
-	names := make([]string, 0, len(registry.factories))
-	for name := range registry.factories {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
-}
+func Names() []string { return models.Names() }
 
 // Builtin returns a fresh registered model by name. Out of the box:
 //
@@ -84,11 +44,9 @@ func Names() []string {
 // Use it to resolve command-line model selections; library callers can
 // also construct and tune models directly, or Register their own.
 func Builtin(name string) (Model, error) {
-	registry.RLock()
-	f, ok := registry.factories[name]
-	registry.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("avail: unknown model %q (have %v)", name, Names())
+	f, err := models.Lookup(name)
+	if err != nil {
+		return nil, err
 	}
 	return f(), nil
 }

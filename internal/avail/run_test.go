@@ -114,13 +114,6 @@ func TestScriptProviderStatesRun(t *testing.T) {
 	if run := sp.StatesRun(10, dst, 1_000_000); run != 1_000_000 {
 		t.Fatalf("tail run = %d, want the full limit", run)
 	}
-	// NextChange caps at the horizon.
-	if next := NextChange(sp, 10, 500, dst); next != 500 {
-		t.Fatalf("NextChange on the tail = %d, want horizon 500", next)
-	}
-	if next := NextChange(sp, 0, 500, dst); next != 3 {
-		t.Fatalf("NextChange(0) = %d, want 3 (first change of the script)", next)
-	}
 }
 
 // TestSojournProviderSelfConsistent: the sojourn provider's States walk

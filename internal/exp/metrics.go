@@ -96,10 +96,10 @@ func modelName(inst InstanceResult) string {
 }
 
 // tableFiltered renders table rows for ref over the scenario keys keep
-// admits. The heavy lifting lives in the memoized per-ref accumulator
-// (aggregate.go): one walk over Instances serves every table slicing,
-// and aggregation-only results render from their streaming accumulators
-// without any instance slice at all.
+// admits, from the per-ref accumulator aggFor returns (aggregate.go): a
+// fresh walk over Instances on each call for results that carry them,
+// and for aggregation-only results their streaming accumulators, without
+// any instance slice at all.
 func (r *Result) tableFiltered(ref string, keep func(scenarioKey) bool) ([]TableRow, error) {
 	acc, err := r.aggFor(ref)
 	if err != nil {

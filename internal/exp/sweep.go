@@ -223,10 +223,11 @@ type Result struct {
 	// Grid carries an online (Table IV) campaign's outcomes; nil for
 	// the paper's offline sweeps.
 	Grid *GridResult
-	// agg memoizes table aggregation (one instance walk serves every
-	// table); lazily initialized, shared by value copies. For
-	// aggregation-only results (journal replay, DiscardInstances runs)
-	// it holds the streaming accumulators and Instances stays nil.
+	// agg holds the streaming accumulators of aggregation-only results
+	// (journal replay, DiscardInstances runs), whose Instances stays nil;
+	// lazily initialized, shared by value copies. Results that carry
+	// Instances leave it nil and walk them again for every table (see
+	// aggFor).
 	agg *resultAgg
 }
 

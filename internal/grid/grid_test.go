@@ -123,6 +123,14 @@ func TestPolicyRegistry(t *testing.T) {
 	if err := RegisterAdmission("misnamed", func() AdmissionPolicy { return fcfsPolicy{} }); err == nil {
 		t.Error("factory whose policy Name differs from the key accepted")
 	}
+	// A factory that builds nil is refused with an error, not a panic.
+	const nilAdm, nilPre = `grid: Register("nil-adm") factory returned nil`, `grid: Register("nil-pre") factory returned nil`
+	if err := RegisterAdmission("nil-adm", func() AdmissionPolicy { return nil }); err == nil || err.Error() != nilAdm {
+		t.Errorf("nil admission policy: error %v, want %q", err, nilAdm)
+	}
+	if err := RegisterPreemption("nil-pre", func() PreemptionPolicy { return nil }); err == nil || err.Error() != nilPre {
+		t.Errorf("nil preemption policy: error %v, want %q", err, nilPre)
+	}
 }
 
 func slicesContains(s []string, v string) bool {

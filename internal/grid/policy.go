@@ -1,10 +1,9 @@
 package grid
 
 import (
-	"fmt"
 	"math"
-	"sort"
-	"sync"
+
+	"tightsched/internal/registry"
 )
 
 // AdmissionPolicy orders the waiting queue: whenever processors free up,
@@ -80,11 +79,11 @@ func (lowestPriority) Victim(candidate Arrival, running []Arrival, now int64, pr
 	return victim
 }
 
-// The policy registries, mirroring sched.Register: string-keyed tables
+// The policy registries, like sched's and avail's: string-keyed tables
 // the built-ins self-register into at init, open to external policies,
 // resolvable by name from sweep axes, journal headers, daemon specs and
 // the façade. Factories are invoked once at registration to verify the
-// policy's Name matches the registered key.
+// policy is non-nil and its Name matches the registered key.
 
 // AdmissionFactory returns a fresh admission policy instance.
 type AdmissionFactory func() AdmissionPolicy
@@ -92,117 +91,48 @@ type AdmissionFactory func() AdmissionPolicy
 // PreemptionFactory returns a fresh preemption policy instance.
 type PreemptionFactory func() PreemptionPolicy
 
-var policies = struct {
-	sync.RWMutex
-	admission  map[string]AdmissionFactory
-	preemption map[string]PreemptionFactory
-}{
-	admission:  map[string]AdmissionFactory{},
-	preemption: map[string]PreemptionFactory{},
-}
+var (
+	admissions  = registry.New("grid", "policy", "admission policy", registry.Named[AdmissionPolicy])
+	preemptions = registry.New("grid", "policy", "preemption policy", registry.Named[PreemptionPolicy])
+)
 
 // RegisterAdmission makes an admission policy resolvable by name.
-func RegisterAdmission(name string, f AdmissionFactory) error {
-	if err := checkRegistration(name, f == nil, func() string { return f().Name() }); err != nil {
-		return err
-	}
-	policies.Lock()
-	defer policies.Unlock()
-	if _, dup := policies.admission[name]; dup {
-		return fmt.Errorf("grid: admission policy %q already registered", name)
-	}
-	policies.admission[name] = f
-	return nil
-}
+func RegisterAdmission(name string, f AdmissionFactory) error { return admissions.Register(name, f) }
 
 // RegisterPreemption makes a preemption policy resolvable by name.
-func RegisterPreemption(name string, f PreemptionFactory) error {
-	if err := checkRegistration(name, f == nil, func() string { return f().Name() }); err != nil {
-		return err
-	}
-	policies.Lock()
-	defer policies.Unlock()
-	if _, dup := policies.preemption[name]; dup {
-		return fmt.Errorf("grid: preemption policy %q already registered", name)
-	}
-	policies.preemption[name] = f
-	return nil
-}
-
-func checkRegistration(name string, nilFactory bool, built func() string) error {
-	if name == "" {
-		return fmt.Errorf("grid: Register with empty policy name")
-	}
-	if nilFactory {
-		return fmt.Errorf("grid: Register(%q) with nil factory", name)
-	}
-	if got := built(); got != name {
-		return fmt.Errorf("grid: Register(%q) factory builds a policy named %q", name, got)
-	}
-	return nil
-}
+func RegisterPreemption(name string, f PreemptionFactory) error { return preemptions.Register(name, f) }
 
 // MustRegisterAdmission is RegisterAdmission that panics on error.
-func MustRegisterAdmission(name string, f AdmissionFactory) {
-	if err := RegisterAdmission(name, f); err != nil {
-		panic(err)
-	}
-}
+func MustRegisterAdmission(name string, f AdmissionFactory) { admissions.MustRegister(name, f) }
 
 // MustRegisterPreemption is RegisterPreemption that panics on error.
-func MustRegisterPreemption(name string, f PreemptionFactory) {
-	if err := RegisterPreemption(name, f); err != nil {
-		panic(err)
-	}
-}
+func MustRegisterPreemption(name string, f PreemptionFactory) { preemptions.MustRegister(name, f) }
 
 // Admission returns a fresh admission policy by name.
 func Admission(name string) (AdmissionPolicy, error) {
-	policies.RLock()
-	f, ok := policies.admission[name]
-	policies.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("grid: unknown admission policy %q (have %v)", name, AdmissionNames())
+	f, err := admissions.Lookup(name)
+	if err != nil {
+		return nil, err
 	}
 	return f(), nil
 }
 
 // Preemption returns a fresh preemption policy by name.
 func Preemption(name string) (PreemptionPolicy, error) {
-	policies.RLock()
-	f, ok := policies.preemption[name]
-	policies.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("grid: unknown preemption policy %q (have %v)", name, PreemptionNames())
+	f, err := preemptions.Lookup(name)
+	if err != nil {
+		return nil, err
 	}
 	return f(), nil
 }
 
 // AdmissionNames returns every registered admission policy name, sorted.
 // The slice is a fresh copy: callers may mutate it freely.
-func AdmissionNames() []string {
-	policies.RLock()
-	defer policies.RUnlock()
-	names := make([]string, 0, len(policies.admission))
-	for name := range policies.admission {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
-}
+func AdmissionNames() []string { return admissions.Names() }
 
 // PreemptionNames returns every registered preemption policy name,
 // sorted. The slice is a fresh copy.
-func PreemptionNames() []string {
-	policies.RLock()
-	defer policies.RUnlock()
-	names := make([]string, 0, len(policies.preemption))
-	for name := range policies.preemption {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
-}
+func PreemptionNames() []string { return preemptions.Names() }
 
 func init() {
 	MustRegisterAdmission("fcfs", func() AdmissionPolicy { return fcfsPolicy{} })

@@ -6,6 +6,7 @@ import (
 	"hash/maphash"
 
 	"tightsched/internal/app"
+	"tightsched/internal/flat"
 )
 
 // DecisionCache shares greedy configuration builds across the simulation
@@ -28,9 +29,9 @@ import (
 //
 // Infeasible builds (nil: the UP workers cannot host m tasks) are cached
 // like any other value. Callers must treat returned assignments as
-// immutable — the engine clones on adoption, so sharing one slice across
-// instances, and across an instance's equal consecutive builds, is safe
-// (see Heuristic.Decide).
+// immutable — the engine adopts them as they are and never writes to
+// them, so sharing one slice across instances, and across an instance's
+// equal consecutive builds, is safe (see Heuristic.Decide).
 //
 // The cache sits above each instance's build replay: a miss is built by
 // the instance that missed, replaying its own previous fresh build (see
@@ -116,7 +117,7 @@ func NewDecisionCache() *DecisionCache {
 	return &DecisionCache{
 		seed:   maphash.MakeSeed(),
 		slots:  make([]uint32, decisionSlotsMin),
-		values: valueMemo{nodes: rootNode, limit: valueMemoLimit},
+		values: valueMemo{tab: flat.New[memoVal](valueMemoSlots), nodes: rootNode, limit: valueMemoLimit},
 	}
 }
 

@@ -242,18 +242,18 @@ func (h *incremental) value(v *View, c *Codes, memo *valueMemo, node uint32, tas
 		return h.score(v, task, q)
 	}
 	key := memoKey(node, q, c.at(q))
-	i, ok := memo.find(key)
+	m, ok := memo.tab.Get(key)
 	memo.lookups++
 	if ok {
 		memo.hits++
-		val := memo.valueAt(i)
+		val := Value{P: m.p, E: m.e}
 		if valueMemoHitHook != nil {
 			valueMemoHitHook(val, h.score(v, task, q))
 		}
 		return val
 	}
 	val := h.score(v, task, q)
-	memo.insert(i, key, val.P, val.E)
+	memo.tab.Put(key, memoVal{p: val.P, e: val.E})
 	return val
 }
 

@@ -6,26 +6,29 @@ import (
 )
 
 // proactive wraps a passive incremental heuristic H with a switch
-// criterion C, per Section VI.B: every slot it builds a candidate
-// configuration from scratch with H and compares it, under C, against the
-// progress-updated value of the running configuration. The candidate is
-// adopted only if strictly better (the paper keeps the current
-// configuration when c >= c2), which together with the progress update
-// realizes the paper's no-divergence constraint: a configuration that has
-// run longer scores at least as well as the same configuration started
-// fresh, so the scheduler cannot oscillate between configurations.
+// criterion C, per Section VI.B: every slot it compares the candidate, the
+// configuration H builds from scratch (cached as described below), under
+// C against the progress-updated value of the running configuration. The
+// candidate is adopted only if strictly better (the paper keeps the
+// current configuration when c >= c2), which together with the progress
+// update realizes the paper's no-divergence constraint: a configuration
+// that has run longer scores at least as well as the same configuration
+// started fresh, so the scheduler cannot oscillate between
+// configurations.
 type proactive struct {
 	env  *Env
 	base *incremental
 	crit Criterion
 	name string
 
-	// Candidate cache: the fresh build depends only on which workers are
-	// UP and on message-granularity retention, both captured by the UP
-	// set and the engine's retention epoch. Re-scoring a cached candidate
-	// is cheap; rebuilding it costs up to m·p series evaluations (fewer
-	// when the base heuristic replays its previous build or the batch
-	// memo holds its Values).
+	// Candidate cache, keyed on the UP set and the engine's retention
+	// epoch. An IP, IE or IAY build depends only on those. An IY build
+	// also reads Elapsed (CritY scores P/(E+T)), which the key omits, so
+	// X-IY keeps a candidate built at an earlier Elapsed where Section
+	// VI.B rebuilds every slot (DESIGN.md, "Reproduction notes").
+	// Re-scoring a cached candidate is cheap; rebuilding it costs up to
+	// m·p series evaluations (fewer when the base heuristic replays its
+	// previous build or the batch memo holds its Values).
 	cacheValid bool
 	cacheUp    upSet
 	cacheEpoch int64
@@ -35,13 +38,6 @@ type proactive struct {
 	// fixes, so it is computed once per cached candidate.
 	candVal   Value
 	candValOK bool
-
-	// eqCand and eqCur are the last (candidate, running configuration)
-	// pair compared, and eqSame the outcome. Both slices are immutable
-	// (see Heuristic.Decide and View.Current), so the same pair compares
-	// the same way again.
-	eqCand, eqCur app.Assignment
-	eqSame        bool
 
 	// Reusable buffers for the per-slot re-scoring of the running and
 	// candidate configurations; the set statistics themselves come from
@@ -71,7 +67,7 @@ func (h *proactive) DecideSpan(v *View, n int64) (app.Assignment, int64) {
 	if v.Current == nil {
 		return cand, n
 	}
-	if cand == nil || h.equal(cand, v.Current) {
+	if cand == nil || cand.Equal(v.Current) {
 		return v.Current, n
 	}
 	cur := h.crit.Score(evalCurrent(h.env, v, &h.scratch))
@@ -100,20 +96,6 @@ func (h *proactive) candidate(v *View) app.Assignment {
 	h.cacheValid = true
 	h.candValOK = false
 	return cand
-}
-
-// equal reports whether cand is Equal to cur, comparing them element by
-// element only when the pair is not the one compared last.
-func (h *proactive) equal(cand, cur app.Assignment) bool {
-	if !sameSlice(cand, h.eqCand) || !sameSlice(cur, h.eqCur) {
-		h.eqCand, h.eqCur, h.eqSame = cand, cur, cand.Equal(cur)
-	}
-	return h.eqSame
-}
-
-// sameSlice reports whether a and b are one non-empty slice.
-func sameSlice(a, b app.Assignment) bool {
-	return len(a) == len(b) && len(a) > 0 && &a[0] == &b[0]
 }
 
 // upSet is the UP set a cached candidate was built under. A view the

@@ -16,10 +16,10 @@ import (
 // heuristic might. One instance takes every shortcut: its views carry decision codes,
 // so the candidate cache is validated by the codes' UP epoch; its running
 // configuration keeps its identity between adoptions, so the
-// candidate-versus-current test is remembered; and the candidate's fresh
-// score is reused. The other walks the states, gets a new copy of the
-// running configuration at every view, and forgets its last comparison
-// and the candidate's score before every decision. Their decisions and horizons must agree.
+// candidate-versus-current Equal answers for one slice at once; and the
+// candidate's fresh score is reused. The other walks the states, gets a
+// new copy of the running configuration at every view, and forgets the
+// candidate's score before every decision. Their decisions and horizons must agree.
 func TestProactiveFastPathsMatchSlowPaths(t *testing.T) {
 	compared := 0
 	for _, name := range []string{"P-IE", "E-IY", "Y-IAY", "Y-IP"} {
@@ -63,7 +63,7 @@ func TestProactiveFastPathsMatchSlowPaths(t *testing.T) {
 				if cur != nil {
 					sv.Current = cur.Clone()
 				}
-				slow.candValOK, slow.eqCand = false, nil
+				slow.candValOK = false
 				got, gotKeep := fast.DecideSpan(&fv, 5)
 				want, wantKeep := slow.DecideSpan(&sv, 5)
 				if (got == nil) != (want == nil) || !got.Equal(want) || gotKeep != wantKeep {

@@ -1,10 +1,6 @@
 package sched
 
-import (
-	"fmt"
-	"sort"
-	"sync"
-)
+import "tightsched/internal/registry"
 
 // This file is the open heuristic registry: every heuristic the simulator
 // can run by name — the paper's 17, the extension baselines, and anything
@@ -20,59 +16,27 @@ import (
 // across runs.
 type Factory func(env *Env) (Heuristic, error)
 
-var registry = struct {
-	sync.RWMutex
-	factories map[string]Factory
-}{factories: map[string]Factory{}}
+var heuristics = registry.New[Factory]("sched", "heuristic", "heuristic", nil)
 
 // Register makes a heuristic constructible by name through Build (and
 // therefore through every layer above: simulator configs, sweep axes, the
 // façade Session). It errors on an empty name, a nil factory, or a name
 // already taken — built-in names included.
-func Register(name string, f Factory) error {
-	if name == "" {
-		return fmt.Errorf("sched: Register with empty heuristic name")
-	}
-	if f == nil {
-		return fmt.Errorf("sched: Register(%q) with nil factory", name)
-	}
-	registry.Lock()
-	defer registry.Unlock()
-	if _, dup := registry.factories[name]; dup {
-		return fmt.Errorf("sched: heuristic %q already registered", name)
-	}
-	registry.factories[name] = f
-	return nil
-}
+func Register(name string, f Factory) error { return heuristics.Register(name, f) }
 
 // MustRegister is Register that panics on error, for init-time
 // registration of a package's own heuristics.
-func MustRegister(name string, f Factory) {
-	if err := Register(name, f); err != nil {
-		panic(err)
-	}
-}
+func MustRegister(name string, f Factory) { heuristics.MustRegister(name, f) }
 
 // Lookup returns the registered factory for the name.
 func Lookup(name string) (Factory, bool) {
-	registry.RLock()
-	defer registry.RUnlock()
-	f, ok := registry.factories[name]
-	return f, ok
+	f, err := heuristics.Lookup(name)
+	return f, err == nil
 }
 
 // Registered returns the names of every registered heuristic, sorted. The
 // slice is a fresh copy: callers may mutate it freely.
-func Registered() []string {
-	registry.RLock()
-	defer registry.RUnlock()
-	names := make([]string, 0, len(registry.factories))
-	for name := range registry.factories {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
-}
+func Registered() []string { return heuristics.Names() }
 
 // init registers the paper's 17 heuristics and the extension baselines,
 // so the registry is the single lookup path for every name.

@@ -57,10 +57,10 @@ type View struct {
 	// Workers holds each processor's retention state.
 	Workers []WorkerInfo
 	// Current is the configuration in effect (nil at iteration start or
-	// after a failure forced a restart). It is immutable: a new
-	// configuration arrives as another slice, never written into this
-	// one, so a heuristic may rely on a Current it has seen staying as
-	// it was.
+	// after a failure forced a restart): the very slice a heuristic
+	// returned when it was adopted. It is immutable: a new configuration
+	// arrives as another slice, never written into this one, so a
+	// heuristic may rely on a Current it has seen staying as it was.
 	Current app.Assignment
 	// RemainingWork is W minus the compute slots already accumulated by
 	// the current configuration (meaningless when Current is nil).
@@ -92,10 +92,10 @@ type Heuristic interface {
 	// their capacities and carry exactly m tasks.
 	//
 	// Returned assignments are immutable on both sides: the caller must
-	// not modify one (the engine clones on adoption), and a heuristic
-	// may return the same slice again — its previous result, or one
-	// shared through a DecisionCache — but must never write to a slice
-	// it has returned.
+	// not modify one (the engine adopts it as it is and hands it back as
+	// View.Current), and a heuristic may return the same slice again —
+	// its previous result, or one shared through a DecisionCache — but
+	// must never write to a slice it has returned.
 	Decide(v *View) app.Assignment
 }
 
@@ -307,9 +307,9 @@ func Names() []string {
 // plugged in through Register.
 func Build(name string, env *Env) (Heuristic, error) {
 	env.validate()
-	f, ok := Lookup(name)
-	if !ok {
-		return nil, fmt.Errorf("sched: unknown heuristic %q (have %v)", name, Registered())
+	f, err := heuristics.Lookup(name)
+	if err != nil {
+		return nil, err
 	}
 	return f(env)
 }

@@ -476,7 +476,10 @@ func (e *engine) decide(slot int64) error {
 }
 
 // apply adopts (or keeps, or drops) the decision returned for slot: the
-// single adoption path shared by the slot and production cores.
+// single adoption path shared by the slot and production cores. A
+// returned assignment is immutable (see sched.Heuristic), so it is
+// adopted as is: a heuristic that keeps returning its slice hands it
+// back as View.Current, and Equal answers for one slice at once.
 func (e *engine) apply(next app.Assignment, slot int64) error {
 	if next == nil {
 		if e.current != nil {
@@ -502,7 +505,7 @@ func (e *engine) apply(next app.Assignment, slot int64) error {
 			}
 		}
 	}
-	e.current = next.Clone()
+	e.current = next
 	e.enrolled = e.current.Enrolled()
 	e.workload = e.current.Workload(e.speeds)
 	e.computeDone = 0

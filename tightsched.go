@@ -424,7 +424,8 @@ type (
 // online campaign axes, the command-line tools and the service daemon —
 // and, because grid journal headers record policies by name, in headless
 // ResumeOnline of campaigns that used it. Names appear in
-// AdmissionPolicies.
+// AdmissionPolicies. It errors on an empty or duplicate name, a nil
+// factory, and a factory that builds nil or a policy named otherwise.
 func RegisterAdmissionPolicy(name string, f func() AdmissionPolicy) error {
 	return grid.RegisterAdmission(name, f)
 }
