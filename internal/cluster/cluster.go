@@ -84,48 +84,9 @@ type HeartbeatResponse struct {
 	Deadline time.Time `json:"deadline"`
 }
 
-// Record is one completed instance on the wire — the same shape as a
-// journal entry line, keyed by the deterministic campaign coordinate.
-type Record struct {
-	Model     string `json:"model"`
-	Ncom      int    `json:"ncom"`
-	Wmin      int    `json:"wmin"`
-	Scenario  int    `json:"scenario"`
-	Trial     int    `json:"trial"`
-	Heuristic string `json:"heuristic"`
-	Makespan  int64  `json:"makespan"`
-	Failed    bool   `json:"failed,omitempty"`
-}
-
-// RecordOf converts a completed instance to its wire form.
-func RecordOf(inst exp.InstanceResult) Record {
-	return Record{
-		Model:     inst.Model,
-		Ncom:      inst.Point.Ncom,
-		Wmin:      inst.Point.Wmin,
-		Scenario:  inst.Point.Scenario,
-		Trial:     inst.Trial,
-		Heuristic: inst.Heuristic,
-		Makespan:  inst.Makespan,
-		Failed:    inst.Failed,
-	}
-}
-
-// Instance converts the wire record back to an instance result.
-func (r Record) Instance() exp.InstanceResult {
-	return exp.InstanceResult{
-		Point:     exp.Point{Ncom: r.Ncom, Wmin: r.Wmin, Scenario: r.Scenario},
-		Trial:     r.Trial,
-		Model:     r.Model,
-		Heuristic: r.Heuristic,
-		Makespan:  r.Makespan,
-		Failed:    r.Failed,
-	}
-}
-
 // UploadRequest streams a batch of completed instances for one lease.
 type UploadRequest struct {
-	Instances []Record `json:"instances"`
+	Instances []exp.SweepRecord `json:"instances"`
 }
 
 // UploadResponse reports what the idempotent ingest did with the batch.

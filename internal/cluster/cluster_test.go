@@ -78,7 +78,7 @@ func testCoordinator(t testing.TB, dir string, sweep exp.Sweep, mut func(*Config
 
 // unitRecords simulates one unit's instances out-of-band (no journal)
 // and returns them in wire form — what an honest worker would upload.
-func unitRecords(t *testing.T, sweep exp.Sweep, unit string) []Record {
+func unitRecords(t *testing.T, sweep exp.Sweep, unit string) []exp.SweepRecord {
 	t.Helper()
 	sh, err := exp.ParseShard(unit)
 	if err != nil {
@@ -88,9 +88,9 @@ func unitRecords(t *testing.T, sweep exp.Sweep, unit string) []Record {
 	if err != nil {
 		t.Fatal(err)
 	}
-	recs := make([]Record, 0, len(res.Instances))
+	recs := make([]exp.SweepRecord, 0, len(res.Instances))
 	for _, inst := range res.Instances {
-		recs = append(recs, RecordOf(inst))
+		recs = append(recs, exp.SweepRecordOf(inst))
 	}
 	return recs
 }
@@ -338,7 +338,7 @@ func TestIngestDedupAndConflict(t *testing.T) {
 	// refused and counted; the journal keeps the original.
 	bad := recs[0]
 	bad.Makespan += 7
-	resp, err = co.Ingest(grant.Lease, []Record{bad})
+	resp, err = co.Ingest(grant.Lease, []exp.SweepRecord{bad})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -352,7 +352,7 @@ func TestIngestDedupAndConflict(t *testing.T) {
 	// A record off the campaign grid is an error, not a journal entry.
 	off := recs[0]
 	off.Heuristic = "Y-IE" // not in this campaign's heuristic set
-	if _, err := co.Ingest(grant.Lease, []Record{off}); err == nil {
+	if _, err := co.Ingest(grant.Lease, []exp.SweepRecord{off}); err == nil {
 		t.Fatal("off-grid record accepted")
 	}
 }
@@ -640,8 +640,8 @@ func TestWorkerFleetWithCrash(t *testing.T) {
 // duplicates and conflicts often, and with one chance in four a single
 // field moved off the grid. It reports whether the record is a
 // coordinate of the campaign.
-func fuzzRecord(b0, b1 byte) (Record, bool) {
-	rec := Record{
+func fuzzRecord(b0, b1 byte) (exp.SweepRecord, bool) {
+	rec := exp.SweepRecord{
 		Model:     "markov",
 		Ncom:      5,
 		Wmin:      1 + int(b1>>1&1),
@@ -699,7 +699,7 @@ func FuzzClusterIngest(f *testing.F) {
 		for len(data) > 0 {
 			n := int(data[0] % 5)
 			data = data[1:]
-			var batch []Record
+			var batch []exp.SweepRecord
 			valid := true
 			for ; n > 0 && len(data) >= 2; n-- {
 				rec, ok := fuzzRecord(data[0], data[1])

@@ -455,7 +455,7 @@ func (co *Coordinator) Heartbeat(leaseID string) (time.Time, error) {
 // batches for dead leases too — the work is valid regardless — and
 // reports whether the lease still stands so the worker can stop wasting
 // effort when it does not.
-func (co *Coordinator) Ingest(leaseID string, recs []Record) (UploadResponse, error) {
+func (co *Coordinator) Ingest(leaseID string, recs []exp.SweepRecord) (UploadResponse, error) {
 	co.mu.Lock()
 	var resp UploadResponse
 	if co.ended != "" {

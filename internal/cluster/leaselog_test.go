@@ -252,7 +252,7 @@ func TestLeaseReplayMatchesLive(t *testing.T) {
 		}
 		return g
 	}
-	ingest := func(lease string, recs []Record) {
+	ingest := func(lease string, recs []exp.SweepRecord) {
 		t.Helper()
 		if _, err := co.Ingest(lease, recs); err != nil {
 			t.Fatal(err)

@@ -150,7 +150,7 @@ type leaseSession struct {
 	gone atomic.Bool
 	// batch accumulates completed instances between uploads (only the
 	// sink goroutine touches it).
-	batch []Record
+	batch []exp.SweepRecord
 }
 
 var errLeaseLost = errors.New("cluster: lease no longer held")
@@ -185,7 +185,7 @@ func (cfg WorkerConfig) runLease(ctx context.Context, grant *LeaseGrant) error {
 		Workers:          cfg.Parallelism,
 		DiscardInstances: true,
 		Sink: func(inst exp.InstanceResult) error {
-			ses.batch = append(ses.batch, RecordOf(inst))
+			ses.batch = append(ses.batch, exp.SweepRecordOf(inst))
 			if len(ses.batch) >= cfg.UploadBatch {
 				return ses.flush(leaseCtx)
 			}

@@ -208,7 +208,7 @@ func decodeBinaryGridEntry(b []byte, intern map[string]string) (GridInstance, er
 //
 // The encoder writes that form only when both names are plain: printable
 // ASCII that json.Marshal copies verbatim. Then its bytes are exactly
-// json.Marshal(journalEntry)'s; any other name goes through json.Marshal.
+// json.Marshal(SweepRecord)'s; any other name goes through json.Marshal.
 // The decoder accepts exactly that form — plain names, integers matching
 // -?(0|[1-9][0-9]{0,17}), nothing else — and hands every other payload
 // (reordered keys, whitespace, escapes, "failed":false, ...) to
@@ -233,13 +233,14 @@ func plainJSONString(s string) bool {
 }
 
 // appendJSONEntry appends one sweep instance's JSON record to dst: the
-// bytes json.Marshal(journalEntry) gives, written directly when both
-// names are plain.
+// bytes json.Marshal(SweepRecord) gives, the model named by modelName,
+// written directly when both names are plain.
 func appendJSONEntry(dst []byte, inst InstanceResult) ([]byte, error) {
 	model := modelName(inst)
 	if !plainJSONString(model) || !plainJSONString(inst.Heuristic) {
-		b, err := json.Marshal(journalEntry{model, inst.Point.Ncom, inst.Point.Wmin,
-			inst.Point.Scenario, inst.Trial, inst.Heuristic, inst.Makespan, inst.Failed})
+		rec := SweepRecordOf(inst)
+		rec.Model = model
+		b, err := json.Marshal(rec)
 		return append(dst, b...), err
 	}
 	dst = append(dst, `{"model":"`...)
@@ -268,9 +269,9 @@ func decodeJSONEntry(b []byte, intern map[string]string) (InstanceResult, error)
 	if in, ok := parseCanonicalEntry(b, intern); ok {
 		return in, nil
 	}
-	var e journalEntry
-	err := json.Unmarshal(b, &e)
-	return e.instance(), err
+	var r SweepRecord
+	err := json.Unmarshal(b, &r)
+	return r.Instance(), err
 }
 
 // parseCanonicalEntry decodes b if it is exactly a canonical sweep record

@@ -824,7 +824,7 @@ func TestJSONLNonCanonicalRecords(t *testing.T) {
 // against encoding/json. For arbitrary payload bytes, a payload the
 // canonical fast path accepts is one json.Unmarshal accepts too, with
 // the same value. For arbitrary field values, the encoder's bytes are
-// json.Marshal(journalEntry)'s, and they decode back to what
+// json.Marshal(SweepRecord)'s, and they decode back to what
 // json.Unmarshal gives — through the fast path whenever the encoder took
 // its own and every integer has at most 18 digits.
 func FuzzSweepRecordJSON(f *testing.F) {
@@ -879,18 +879,18 @@ func FuzzSweepRecordJSON(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, payload []byte, model, heuristic string, ncom, wmin, scenario, trial int, makespan int64, failed bool) {
 		if got, ok := parseCanonicalEntry(payload, map[string]string{}); ok {
-			var e journalEntry
+			var e SweepRecord
 			if err := json.Unmarshal(payload, &e); err != nil {
 				t.Fatalf("fast path accepted %q, json.Unmarshal rejects it: %v", payload, err)
 			}
-			if want := e.instance(); got != want {
+			if want := e.Instance(); got != want {
 				t.Fatalf("fast path decoded %q as %+v, json.Unmarshal as %+v", payload, got, want)
 			}
 		}
 
 		inst := InstanceResult{Point: Point{ncom, wmin, scenario}, Trial: trial, Model: model,
 			Heuristic: heuristic, Makespan: makespan, Failed: failed}
-		want, err := json.Marshal(journalEntry{modelName(inst), ncom, wmin, scenario, trial, heuristic, makespan, failed})
+		want, err := json.Marshal(SweepRecord{modelName(inst), ncom, wmin, scenario, trial, heuristic, makespan, failed})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -901,13 +901,13 @@ func FuzzSweepRecordJSON(f *testing.F) {
 		if string(got[:1]) != "x" || !bytes.Equal(got[1:], want) {
 			t.Fatalf("encoded %+v as %q, json.Marshal gives %q", inst, got[1:], want)
 		}
-		var e journalEntry
+		var e SweepRecord
 		if err := json.Unmarshal(want, &e); err != nil {
 			t.Fatal(err)
 		}
 		back, err := decodeJSONEntry(want, map[string]string{})
-		if err != nil || back != e.instance() {
-			t.Fatalf("%q decodes to %+v (err %v), json.Unmarshal gives %+v", want, back, err, e.instance())
+		if err != nil || back != e.Instance() {
+			t.Fatalf("%q decodes to %+v (err %v), json.Unmarshal gives %+v", want, back, err, e.Instance())
 		}
 		short := func(vs ...int64) bool { // at most 18 digits: the fast path's integers
 			for _, v := range vs {

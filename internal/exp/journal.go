@@ -465,8 +465,10 @@ func (sp SweepSpec) sweepDims() Sweep {
 	}
 }
 
-// journalEntry is one completed sweep instance's JSON record.
-type journalEntry struct {
+// SweepRecord is one completed sweep instance as a JSON record: the
+// line a JSONL sweep journal holds for it, and the element a cluster
+// worker uploads for it.
+type SweepRecord struct {
 	Model     string `json:"model"`
 	Ncom      int    `json:"ncom"`
 	Wmin      int    `json:"wmin"`
@@ -477,10 +479,17 @@ type journalEntry struct {
 	Failed    bool   `json:"failed,omitempty"`
 }
 
-// instance returns the sweep instance the record describes.
-func (e journalEntry) instance() InstanceResult {
-	return InstanceResult{Point: Point{e.Ncom, e.Wmin, e.Scenario}, Trial: e.Trial,
-		Model: e.Model, Heuristic: e.Heuristic, Makespan: e.Makespan, Failed: e.Failed}
+// SweepRecordOf returns the record of a completed instance, with the
+// model name as the instance carries it.
+func SweepRecordOf(inst InstanceResult) SweepRecord {
+	return SweepRecord{inst.Model, inst.Point.Ncom, inst.Point.Wmin, inst.Point.Scenario,
+		inst.Trial, inst.Heuristic, inst.Makespan, inst.Failed}
+}
+
+// Instance returns the sweep instance the record describes.
+func (r SweepRecord) Instance() InstanceResult {
+	return InstanceResult{Point: Point{r.Ncom, r.Wmin, r.Scenario}, Trial: r.Trial,
+		Model: r.Model, Heuristic: r.Heuristic, Makespan: r.Makespan, Failed: r.Failed}
 }
 
 // sweepKind is the sweep journal's codec.
@@ -640,9 +649,9 @@ func Resume(ctx context.Context, journalPath string, opts RunOptions) (*Result, 
 }
 
 // LoadJournal reads a journal into a Result without running anything or
-// writing to the file (safe on read-only artifacts) — the input to
-// exp.Merge when recombining shard journals. The Result's Sweep carries
-// the journaled dimensions (models stay name-only inside the instances).
+// writing to the file (safe on read-only artifacts); MergeJournals
+// recombines a campaign's shard journals. The Result's Sweep carries the
+// journaled dimensions (models stay name-only inside the instances).
 func LoadJournal(path string) (*Result, Shard, error) {
 	j, _, err := readJournal(sweepKind, path)
 	if err != nil {

@@ -38,11 +38,16 @@ const (
 )
 
 // RecordLog appends records to a log file, one flushed write per record.
-// Its owner serializes appends.
+// Its owner serializes appends. The first failed write is sticky: it may
+// have left part of a frame behind, so every later Append refuses rather
+// than write after it, and the partial frame stays the tail that
+// OpenRecordLog drops on reopen.
 type RecordLog struct {
 	f      *os.File
+	w      io.Writer // f; a test swaps in a writer that fails
 	format Format
 	buf    []byte // frame assembly buffer, reused across appends
+	err    error  // the first failed write
 }
 
 // CreateRecordLog creates a log in the given format whose first record
@@ -65,7 +70,7 @@ func CreateRecordLog(path string, format Format, header []byte) (*RecordLog, err
 		os.Remove(path)
 		return nil, fmt.Errorf("record log header: %w", err)
 	}
-	return &RecordLog{f: f, format: format}, nil
+	return &RecordLog{f: f, w: f, format: format}, nil
 }
 
 // OpenRecordLog reopens a log in the given format for appending, first
@@ -83,13 +88,19 @@ func OpenRecordLog(path string, format Format, validLen int64) (*RecordLog, erro
 		f.Close()
 		return nil, fmt.Errorf("truncate torn tail of %s: %w", path, err)
 	}
-	return &RecordLog{f: f, format: format}, nil
+	return &RecordLog{f: f, w: f, format: format}, nil
 }
 
 // Append frames payload for the log's format and writes it in one write.
+// After a failed write it writes nothing and returns an error naming the
+// file.
 func (l *RecordLog) Append(payload []byte) error {
+	if l.err != nil {
+		return fmt.Errorf("record log %s: refusing to append after a failed write: %w", l.f.Name(), l.err)
+	}
 	l.buf = appendFrame(l.buf[:0], l.format, payload)
-	if _, err := l.f.Write(l.buf); err != nil {
+	if _, err := l.w.Write(l.buf); err != nil {
+		l.err = err
 		return fmt.Errorf("record log append: %w", err)
 	}
 	return nil

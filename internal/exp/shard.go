@@ -108,80 +108,58 @@ func (s *Sweep) Shard(i, n int) ([]Coord, error) {
 	return out, nil
 }
 
-// Merge recombines partial Results of one campaign (typically loaded from
-// shard journals) into a single Result with canonically ordered
-// instances. All inputs must record the same campaign dimensions (the
-// model axis lives in the instances themselves, so model-free
-// journal-loaded Sweeps compare fine); duplicate keys are fine when the
-// recorded outcomes agree (determinism guarantees they do for honest
-// journals) and an error otherwise.
-func Merge(results ...*Result) (*Result, error) {
-	if len(results) == 0 {
-		return nil, fmt.Errorf("exp: nothing to merge")
-	}
-	base := dimsOf(results[0].Sweep)
-	byKey := map[Key]InstanceResult{}
-	var merged []InstanceResult
-	for i, r := range results {
-		if spec := dimsOf(r.Sweep); !reflect.DeepEqual(spec, base) {
-			return nil, fmt.Errorf("exp: merge input %d records a different campaign (spec %+v, want %+v)", i, spec, base)
-		}
-		for _, inst := range r.Instances {
-			k := inst.Key()
-			if prev, ok := byKey[k]; ok {
-				if prev != inst {
-					return nil, fmt.Errorf("exp: conflicting results for %+v: %+v vs %+v", k, prev, inst)
-				}
-				continue
-			}
-			byKey[k] = inst
-			merged = append(merged, inst)
-		}
-	}
-	sortInstances(merged)
-	return &Result{Sweep: results[0].Sweep, Instances: merged}, nil
-}
-
-// dimsOf is a Sweep's identity with the model axis cleared — what Merge
-// compares, since journal-loaded Sweeps cannot reconstruct custom models.
-func dimsOf(s Sweep) SweepSpec {
-	spec := s.Spec()
-	spec.Models = nil
-	return spec
-}
-
 // MergeJournals loads shard journals read-only, verifies they stamp the
-// identical campaign, and merges them into one complete Result.
-// Incomplete joint coverage of the instance grid (a missing shard, an
-// interrupted shard that was never resumed) is an error naming the
-// missing count; to aggregate partial coverage anyway, LoadJournal +
-// Merge directly.
+// identical campaign, and merges them into one complete Result with
+// canonically ordered instances. Within a file a key's first record
+// wins, as for every journal reader; across files an agreeing duplicate
+// is skipped (determinism guarantees honest journals agree) and a
+// conflicting one is an error. Incomplete joint coverage of the instance
+// grid (a missing shard, an interrupted shard that was never resumed) is
+// an error naming the missing count; LoadJournal reads one shard alone.
 func MergeJournals(paths ...string) (*Result, error) {
 	if len(paths) == 0 {
 		return nil, fmt.Errorf("exp: no journals to merge")
 	}
-	var baseSpec SweepSpec
-	results := make([]*Result, 0, len(paths))
-	for i, p := range paths {
-		j, _, err := readJournal(sweepKind, p)
+	var base SweepSpec
+	var merged *doneIndex[Key, InstanceResult]
+	// A conflict in a file's last record would pass for a torn tail
+	// (ScanRecords drops a final record its callback refuses), so it is
+	// kept here and reported after the scan.
+	var conflict error
+	for i, path := range paths {
+		err := scanDistinct(sweepKind, path,
+			func(_ Format, h journalHeader[SweepSpec]) error {
+				if i == 0 {
+					// One index over the whole campaign: the zero shard.
+					base, merged = h.Spec, newIndex[InstanceResult](sweepKind, journalHeader[SweepSpec]{Spec: h.Spec})
+				} else if !reflect.DeepEqual(h.Spec, base) {
+					return fmt.Errorf("exp: journal %s records a different campaign than %s", path, paths[0])
+				}
+				return nil
+			},
+			func(inst InstanceResult, _ int) error {
+				k := inst.Key()
+				p := merged.position(k)
+				if prev, dup := merged.get(p, k); !dup {
+					merged.put(p, k, inst)
+				} else if prev != inst {
+					conflict = fmt.Errorf("exp: conflicting results for %+v: %+v vs %+v", k, prev, inst)
+				}
+				return conflict
+			})
+		if conflict != nil {
+			return nil, conflict
+		}
 		if err != nil {
 			return nil, err
 		}
-		if i == 0 {
-			baseSpec = j.Spec()
-		} else if !reflect.DeepEqual(j.Spec(), baseSpec) {
-			return nil, fmt.Errorf("exp: journal %s records a different campaign than %s", p, paths[0])
-		}
-		results = append(results, &Result{Sweep: baseSpec.sweepDims(), Instances: j.Instances()})
 	}
-	merged, err := Merge(results...)
-	if err != nil {
-		return nil, err
-	}
-	expected := len(baseSpec.Models) * len(baseSpec.Ncoms) * len(baseSpec.Wmins) *
-		baseSpec.Scenarios * baseSpec.Trials * len(baseSpec.Heuristics)
-	if got := len(merged.Instances); got != expected {
+	expected := len(base.Models) * len(base.Ncoms) * len(base.Wmins) *
+		base.Scenarios * base.Trials * len(base.Heuristics)
+	if got := merged.len(); got != expected {
 		return nil, fmt.Errorf("exp: merged journals cover %d of %d instances (missing shard or unfinished run?)", got, expected)
 	}
-	return merged, nil
+	instances := merged.appendAll(make([]InstanceResult, 0, expected))
+	sortInstances(instances)
+	return &Result{Sweep: base.sweepDims(), Instances: instances}, nil
 }

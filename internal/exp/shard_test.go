@@ -2,8 +2,10 @@ package exp
 
 import (
 	"context"
+	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -137,25 +139,53 @@ func TestShardedJournalsMergeToFullRun(t *testing.T) {
 	}
 }
 
-// TestMergeConflictRejected: identical keys with different outcomes mean
-// someone journaled a different world.
+// TestMergeConflictRejected: identical keys with different outcomes in
+// two journals mean someone journaled a different world. The conflict
+// is caught wherever it sits in the second file, its last record
+// included, which the scan would otherwise drop as a torn tail.
 func TestMergeConflictRejected(t *testing.T) {
 	s := tinySweep([]string{"IE"})
-	a, err := Run(context.Background(), s, RunOptions{})
+	dir := t.TempDir()
+	a := filepath.Join(dir, "a.journal")
+	j, err := CreateJournal(a, s, Shard{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := &Result{Sweep: a.Sweep, Instances: append([]InstanceResult(nil), a.Instances...)}
-	b.Instances[0].Makespan++
-	if _, err := Merge(a, b); err == nil {
-		t.Fatal("conflicting duplicate merged without error")
+	ref, err := Run(context.Background(), s, RunOptions{Journal: j})
+	if err != nil {
+		t.Fatal(err)
+	}
+	j.Close()
+	for _, at := range []int{0, len(ref.Instances) / 2, len(ref.Instances) - 1} {
+		b := filepath.Join(dir, fmt.Sprintf("b%d.journal", at))
+		j, err := CreateJournal(b, s, Shard{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, inst := range ref.Instances {
+			if i == at {
+				inst.Makespan++
+			}
+			if err := j.Append(inst); err != nil {
+				t.Fatal(err)
+			}
+		}
+		j.Close()
+		if _, err := MergeJournals(a, b); err == nil || !strings.Contains(err.Error(), "conflicting results") {
+			t.Fatalf("conflict at record %d of %d: merge error %v", at+1, len(ref.Instances), err)
+		}
 	}
 	// Agreeing duplicates dedupe fine.
-	merged, err := Merge(a, a)
+	merged, err := MergeJournals(a, a)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(merged.Instances) != len(a.Instances) {
-		t.Fatalf("self-merge has %d instances, want %d", len(merged.Instances), len(a.Instances))
+	if len(merged.Instances) != len(ref.Instances) {
+		t.Fatalf("self-merge has %d instances, want %d", len(merged.Instances), len(ref.Instances))
+	}
+	for i := range merged.Instances {
+		if merged.Instances[i] != ref.Instances[i] {
+			t.Fatalf("self-merge instance %d: %+v, want %+v", i, merged.Instances[i], ref.Instances[i])
+		}
 	}
 }

@@ -46,13 +46,14 @@ import (
 // is created per batch, and like the heuristics it serves it is confined
 // to a single goroutine.
 type DecisionCache struct {
-	// The table is a flat open-addressing index with linear probing.
-	// slots has a power-of-two length, at least twice the entries held;
-	// 0 marks an empty slot and i > 0 entry i-1. The table is exact-match
-	// and never read in slot order, so its random hash seed cannot reach
-	// any output.
-	seed  maphash.Seed
-	slots []uint32
+	// tab maps a key's table key (its maphash value, 0 mapped to 1
+	// because 0 is flat's empty mark) to the id of the entry last stored
+	// under it. A hash match with different key bytes is a miss, and the
+	// store that follows takes the table key over, so a collision costs
+	// at most a rebuild. The table is exact-match and never read in slot
+	// order, so its random hash seed cannot reach any output.
+	seed maphash.Seed
+	tab  flat.Table[uint32]
 	// chunks hold the n entries in order, dcChunkSize to a chunk, so that
 	// growth never copies an entry.
 	chunks []*[dcChunkSize]dcEntry
@@ -63,7 +64,7 @@ type DecisionCache struct {
 	pages [][]byte
 	page  int
 
-	// key is the key the last lookup composed, and hash its hash.
+	// key is the key the last lookup composed, and hash its table key.
 	key  []byte
 	hash uint64
 	// codes is the scratch a view without attached codes is encoded in.
@@ -79,11 +80,9 @@ type DecisionCache struct {
 	reused  uint64
 }
 
-// dcEntry is one stored build: its key's full hash, kept so that growth
-// re-inserts without rehashing keys, where the key's bytes sit in the key
+// dcEntry is one stored build: where its key's bytes sit in the key
 // arena, and the assignment.
 type dcEntry struct {
-	hash           uint64
 	page, off, len uint32
 	asg            app.Assignment
 }
@@ -99,24 +98,23 @@ type dcEntry struct {
 // share one: a heuristic instance returns the same slice for equal
 // consecutive builds, and quick Table I replays 81% of its builds. Of
 // that, the table itself (slots, entries and key pages) is about 21 MB.
+// Indexing it with flat's 16-byte slots, at most three quarters full, in
+// place of 4-byte ids at most half full added about 3 MB to a full table.
 const decisionCacheLimit = 1 << 18
 
 // keyPageSize is the size of one key arena page. A p = 20 key of an
 // application under 64 tasks is 21 bytes, or 29 under CritY.
 const keyPageSize = 16 << 10
 
-// dcChunkSize is the number of entries in one chunk: 24 KiB of 48-byte
+// dcChunkSize is the number of entries in one chunk: 20 KiB of 40-byte
 // entries, a small-object size class.
 const dcChunkSize = 512
-
-// decisionSlotsMin is a fresh table's slot count.
-const decisionSlotsMin = 64
 
 // NewDecisionCache returns an empty single-goroutine decision cache.
 func NewDecisionCache() *DecisionCache {
 	return &DecisionCache{
 		seed:   maphash.MakeSeed(),
-		slots:  make([]uint32, decisionSlotsMin),
+		tab:    flat.New[uint32](64),
 		values: valueMemo{tab: flat.New[memoVal](valueMemoSlots), nodes: rootNode, limit: valueMemoLimit},
 	}
 }
@@ -151,7 +149,7 @@ func (dc *DecisionCache) Stats() DecisionStats {
 	return DecisionStats{
 		Hits:             dc.hits,
 		Misses:           dc.misses,
-		Classes:          dc.n,
+		Classes:          dc.tab.Len(),
 		Replays:          dc.replays,
 		CandidatesScored: dc.scored,
 		CandidatesReused: dc.reused,
@@ -190,12 +188,9 @@ func (dc *DecisionCache) lookup(env *Env, crit Criterion, v *View) (app.Assignme
 	}
 	buf = append(buf, v.decisionCodes(env, &dc.codes).b...)
 	dc.key = buf
-	dc.hash = maphash.Bytes(dc.seed, buf)
-	mask := len(dc.slots) - 1
-	for i := int(dc.hash) & mask; dc.slots[i] != 0; i = (i + 1) & mask {
-		id := int(dc.slots[i]) - 1
-		e := dc.entry(id)
-		if e.hash == dc.hash && bytes.Equal(dc.pages[e.page][e.off:e.off+e.len], buf) {
+	dc.hash = max(maphash.Bytes(dc.seed, buf), 1)
+	if id, ok := dc.tab.Get(dc.hash); ok {
+		if e := dc.entry(int(id)); bytes.Equal(dc.pages[e.page][e.off:e.off+e.len], buf) {
 			dc.hits++
 			return e.asg, true
 		}
@@ -205,36 +200,24 @@ func (dc *DecisionCache) lookup(env *Env, crit Criterion, v *View) (app.Assignme
 }
 
 // store records the build for the key composed by the preceding lookup,
-// which must have missed.
+// which must have missed. The key's table key now names the new entry,
+// also when a colliding key's entry held it.
 func (dc *DecisionCache) store(asg app.Assignment) {
 	if dc.n >= decisionCacheLimit {
 		dc.reset()
-	}
-	if 2*(dc.n+1) > len(dc.slots) {
-		dc.grow()
 	}
 	if dc.n == len(dc.chunks)*dcChunkSize {
 		dc.chunks = append(dc.chunks, new([dcChunkSize]dcEntry))
 	}
 	page, off := dc.keep(dc.key)
-	*dc.entry(dc.n) = dcEntry{hash: dc.hash, page: page, off: off, len: uint32(len(dc.key)), asg: asg}
+	*dc.entry(dc.n) = dcEntry{page: page, off: off, len: uint32(len(dc.key)), asg: asg}
+	dc.tab.Put(dc.hash, uint32(dc.n))
 	dc.n++
-	dc.slots[dc.emptySlot(dc.hash)] = uint32(dc.n)
 }
 
 // entry returns the entry with the given id.
 func (dc *DecisionCache) entry(id int) *dcEntry {
 	return &dc.chunks[id/dcChunkSize][id%dcChunkSize]
-}
-
-// emptySlot returns the first empty slot of h's probe sequence.
-func (dc *DecisionCache) emptySlot(h uint64) int {
-	mask := len(dc.slots) - 1
-	i := int(h) & mask
-	for dc.slots[i] != 0 {
-		i = (i + 1) & mask
-	}
-	return i
 }
 
 // keep copies key into the arena and returns where it went. A page too
@@ -252,19 +235,10 @@ func (dc *DecisionCache) keep(key []byte) (page, off uint32) {
 	return uint32(dc.page), uint32(len(p))
 }
 
-// grow doubles the slot array and re-inserts every entry by its stored
-// hash.
-func (dc *DecisionCache) grow() {
-	dc.slots = make([]uint32, 2*len(dc.slots))
-	for id := 0; id < dc.n; id++ {
-		dc.slots[dc.emptySlot(dc.entry(id).hash)] = uint32(id + 1)
-	}
-}
-
 // reset empties the table, keeping its slot array, entry chunks and key
 // pages.
 func (dc *DecisionCache) reset() {
-	clear(dc.slots)
+	dc.tab.Reset()
 	for _, c := range dc.chunks {
 		clear(c[:])
 	}

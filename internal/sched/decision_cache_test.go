@@ -81,8 +81,8 @@ func FuzzDecisionCache(f *testing.F) {
 	seed := make([]byte, 0, 3*1200)
 	for i := 0; i < 1200; i++ {
 		// 600 stores of 586 distinct keys (small views collide), which
-		// double the slot array five times, then lookups of the same
-		// views, now hits.
+		// double the flat table's slot array four times, then lookups of
+		// the same views, now hits.
 		j := i % 600
 		seed = append(seed, byte(j%4)<<1|byte(1-i/600), byte(j%40), byte(j/4))
 	}
@@ -147,14 +147,8 @@ func TestDecisionCacheOverflowClears(t *testing.T) {
 	if got := dc.Stats().Classes; got != 1 {
 		t.Fatalf("after overflow the table holds %d classes, want 1", got)
 	}
-	occupied := 0
-	for _, s := range dc.slots {
-		if s != 0 {
-			occupied++
-		}
-	}
-	if occupied != 1 {
-		t.Fatalf("after overflow %d slots are occupied, want 1", occupied)
+	if got := dc.tab.Len(); got != 1 {
+		t.Fatalf("after overflow the flat table holds %d keys, want 1", got)
 	}
 	if _, ok := dc.lookup(nil, CritE, view(decisionCacheLimit)); !ok {
 		t.Fatal("overflowing key missed after its store")
@@ -175,6 +169,50 @@ func TestDecisionCacheOverflowClears(t *testing.T) {
 	st := dc.Stats()
 	if st.Classes != decisionCacheLimit || st.Hits != 1 || st.Misses != 2*decisionCacheLimit+4 {
 		t.Fatalf("stats %+v, want %d classes, 1 hit, %d misses", st, decisionCacheLimit, 2*decisionCacheLimit+4)
+	}
+}
+
+// TestDecisionCacheCollision forges what equal table keys (a maphash
+// collision between two keys) do to the table: both keys' table keys
+// name one entry. A lookup must then tell the keys apart by their bytes,
+// missing instead of returning the other key's build, and a store takes
+// the shared table key over, so the key stored last hits and the other
+// misses.
+func TestDecisionCacheCollision(t *testing.T) {
+	dc := NewDecisionCache()
+	a, b := cacheView(20, 1), cacheView(20, 2)
+	asgA, asgB := app.Assignment{1}, app.Assignment{2}
+	lookup := func(v *View) (app.Assignment, bool, uint64) {
+		asg, ok := dc.lookup(nil, CritE, v)
+		return asg, ok, dc.hash
+	}
+	_, _, hb := lookup(b)
+	if _, ok, _ := lookup(a); ok {
+		t.Fatal("key A hit before it was stored")
+	}
+	dc.store(asgA)
+	_, _, ha := lookup(a)
+	if ha == hb {
+		t.Fatal("the views share a table key; pick others")
+	}
+	collide := func(id uint32) {
+		dc.tab.Put(ha, id)
+		dc.tab.Put(hb, id)
+	}
+	collide(0)
+	if asg, ok, _ := lookup(b); ok {
+		t.Fatalf("key B hit key A's entry, returning %v", asg)
+	}
+	dc.store(asgB)
+	collide(1)
+	if asg, ok, _ := lookup(b); !ok || !sameAssignment(asg, asgB) {
+		t.Fatalf("key B after its store: (%v, %v), want (%v, true)", asg, ok, asgB)
+	}
+	if asg, ok, _ := lookup(a); ok {
+		t.Fatalf("key A hit key B's entry, returning %v", asg)
+	}
+	if st := dc.Stats(); st.Hits != 2 || st.Misses != 4 || st.Classes != 2 {
+		t.Fatalf("stats %+v, want 2 hits, 4 misses, 2 classes", st)
 	}
 }
 
